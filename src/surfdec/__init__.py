@@ -30,6 +30,7 @@ from .graph import (
     build_graph,
     classify_edges,
     derive_correlations,
+    pool_round,
 )
 from .matcher import (
     MatchingResult,
@@ -87,6 +88,7 @@ __all__ = [
     "build_graph",
     "classify_edges",
     "derive_correlations",
+    "pool_round",
     "MatchingResult",
     "brute_force_matching",
     "events_to_nodes",

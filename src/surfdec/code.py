@@ -156,6 +156,9 @@ class SECircuit:
     cnot_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     # (kind, stab_idx, data_idx) per CNOT, aligned with cnot_layers order
     cnot_meta: tuple[tuple[tuple[str, int, int], ...], ...]
+    # (layer, control, target) per CNOT over the whole round, in layer order;
+    # a CNOT fault's index points into this list
+    cnot_flat: tuple[tuple[int, int, int], ...]
     x_support: np.ndarray  # (n_x, n_data) uint8 membership matrix
     z_support: np.ndarray
 
@@ -163,7 +166,7 @@ class SECircuit:
 
     @property
     def n_cnots_per_round(self) -> int:
-        return sum(len(c) for c, _ in self.cnot_layers)
+        return len(self.cnot_flat)
 
     @property
     def n_x(self) -> int:
@@ -210,6 +213,12 @@ def build_se_circuit(layout: CodeLayout) -> SECircuit:
     for i, sup in enumerate(layout.z_stabilizers):
         z_support[i, list(sup)] = 1
 
+    cnot_flat = tuple(
+        (k, int(c), int(t))
+        for k, (cs, ts) in enumerate(layers)
+        for c, t in zip(cs, ts)
+    )
+
     return SECircuit(
         layout=layout,
         n_qubits=n_data + n_x + n_z,
@@ -217,6 +226,7 @@ def build_se_circuit(layout: CodeLayout) -> SECircuit:
         z_anc_global=z_anc_global,
         cnot_layers=tuple(layers),
         cnot_meta=tuple(meta),
+        cnot_flat=cnot_flat,
         x_support=x_support,
         z_support=z_support,
     )

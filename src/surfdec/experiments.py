@@ -333,10 +333,9 @@ def _parallel_chunks(ctx: _Context, n_trials: int, chunk_fn):
         _WORKER_CTX = None
 
 
-def estimate_rate(config: SimConfig, ctx: _Context | None = None) -> RateEstimate:
+def estimate_rate(config: SimConfig) -> RateEstimate:
     """Memory-trial logical error rate for one configuration."""
-    if ctx is None:
-        ctx = _build_context(config)
+    ctx = _build_context(config)
     results = _parallel_chunks(ctx, config.trials, _run_memory_chunk)
     failures = sum(r[0] for r in results)
     iter_hist: dict[int, int] = {}

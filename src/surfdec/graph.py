@@ -6,7 +6,18 @@ set of single faults whose detection signature is exactly that node pair
 (or that single node, for boundary edges); its probability is the direct
 first-order sum of the contributing fault rates, and its weight is
 -ln(probability).  Cross-lattice conditional probabilities are pooled from
-the same enumeration, in exact rational arithmetic.
+the same faults, as exact rationals.
+
+Single-fault signatures are time-translation invariant, so the graphs are
+built from one round: ``enumerate_single_faults(layout, circuit, 1)``
+gives every fault of round 1 with its events in rounds 1 and 2, and
+``pool_round`` groups those records once by signature, adding rates in
+integer units of p/15 (CNOT payload 1, idle Pauli 5, measurement flip 15).
+The window's edges, their correlation rows and everything attached to them
+come from repeating the pooled classes at every fault round of the window:
+shifted in time, with the events of the warm-up rounds before the window
+dropped and those past its last layer cut off.  Fractions are formed only
+for the edge coefficients and the conditionals.
 
 Interior edges fall into six space-time geometry classes, labelled a-f:
 
@@ -33,9 +44,15 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .code import CodeLayout, SECircuit, build_layout, build_se_circuit
-from .noise import FaultRecord, NoiseParams, enumerate_single_faults
-from .pauli import PauliOperator, commutation_parity
+from .code import CodeLayout, build_layout, build_se_circuit
+from .noise import (
+    RATE_UNITS,
+    FaultEvent,
+    FaultRecord,
+    NoiseParams,
+    enumerate_single_faults,
+)
+from .pauli import PauliOperator
 
 #: geometry (dt, dr, dc) of the later-time endpoint relative to the earlier
 #: one (position-lexicographic for equal times) -> matching type letter
@@ -88,7 +105,6 @@ class Edge:
     letter: str | None = None
     boundary: bool = False
     n_fault_locations: int = 0
-    fault_ids: tuple[int, ...] = ()  # indices into the enumeration record list
 
 
 @dataclass
@@ -97,8 +113,9 @@ class DecodingGraph:
 
     Nodes are (stabilizer, round) pairs, ``node_id = (t - 1) * n_stabs + s``
     for rounds 1..n_layers, plus the boundary node ``n_layers * n_stabs``.
-    The graph is immutable after construction; per-trial reweighting uses
-    weight overlays that never touch the base arrays.
+    A steady-state window has ``warmup_rounds`` fault rounds before its
+    first layer.  The graph is immutable after construction; per-trial
+    reweighting uses weight overlays that never touch the base arrays.
     """
 
     kind: str
@@ -114,6 +131,7 @@ class DecodingGraph:
     # conditional probabilities toward the dual lattice:
     # edge index -> tuple of (dual edge index, conditional probability)
     corr_to_dual: list[tuple[tuple[int, Fraction], ...]] | None = None
+    warmup_rounds: int = 0
     _csr: sp.csr_matrix | None = field(default=None, repr=False)
     _edge_data_pos: np.ndarray | None = field(default=None, repr=False)
 
@@ -188,163 +206,296 @@ def _edge_geometry(
     return (t2 - t1, r2 - r1, c2 - c1)
 
 
+@dataclass(frozen=True)
+class LatticeClasses:
+    """One lattice's distinct one-round signatures and the faults behind each.
+
+    Row i is signature class i.  ``stabs``/``rounds`` hold its events
+    (stabilizer, round 1 or 2; stabilizer -1 pads), ``units`` the summed
+    rate of its faults in units of p/15.  ``best_units``, ``best_order`` and
+    ``residual`` describe its highest-rate fault (the first in record order
+    on ties): rate, position in the round's records, and residual mask on
+    this lattice's error type.  ``residuals`` holds every residual mask of
+    its faults, and ``locations[loc_start[i]:loc_start[i + 1]]`` its
+    distinct (kind, index) fault locations, numbered within the round.
+    """
+
+    stabs: np.ndarray
+    rounds: np.ndarray
+    units: np.ndarray
+    best_units: np.ndarray
+    best_order: np.ndarray
+    residual: list[int]
+    residuals: list[frozenset[int]]
+    loc_start: np.ndarray
+    locations: np.ndarray
+
+
+@dataclass(frozen=True)
+class RoundPool:
+    """One round's single-fault records pooled by signature (``pool_round``).
+
+    ``joint_x``, ``joint_z`` and ``joint_units`` list every distinct pair of
+    non-empty X and Z signatures: its class on each lattice and the summed
+    rate of the faults that produce both.
+    """
+
+    x: LatticeClasses
+    z: LatticeClasses
+    joint_x: np.ndarray
+    joint_z: np.ndarray
+    joint_units: np.ndarray
+    n_locations: int
+
+    def lattice(self, kind: str) -> LatticeClasses:
+        return self.x if kind == "X" else self.z
+
+
+@dataclass
+class _Signature:
+    """One signature class while a round's records are pooled."""
+
+    index: int
+    events: tuple[tuple[int, int], ...]
+    best_units: int
+    best_order: int
+    residual: int
+    units: int = 0
+    residuals: set[int] = field(default_factory=set)
+    locations: set[int] = field(default_factory=set)
+
+
+def pool_round(records: list[FaultRecord]) -> RoundPool:
+    """Group one round's single-fault records by signature, once.
+
+    ``records`` are the faults of round 1 of a window closed by a perfect
+    round, as ``enumerate_single_faults(layout, circuit, 1)`` returns them;
+    their events lie in rounds 1 and 2.  Rates add up as integers in units
+    of p/15 (``noise.RATE_UNITS``).
+    """
+    loc_index: dict[tuple[str, int], int] = {}
+    classes: dict[str, dict[tuple, _Signature]] = {"X": {}, "Z": {}}
+    joint: dict[tuple[int, int], int] = {}
+    for order, rec in enumerate(records):
+        f = rec.fault
+        if f.round != 1:
+            raise ValueError(f"pooling takes round-1 records, got round {f.round}")
+        units = RATE_UNITS[f.kind]
+        loc = loc_index.setdefault((f.kind, f.index), len(loc_index))
+        ids = []
+        for kind, events, res in (
+            ("X", rec.x_events, rec.x_residual),
+            ("Z", rec.z_events, rec.z_residual),
+        ):
+            if not events:
+                ids.append(-1)
+                continue
+            by_events = classes[kind]
+            sig = by_events.get(events)
+            if sig is None:
+                sig = _Signature(len(by_events), events, units, order, res)
+                by_events[events] = sig
+            elif units > sig.best_units:
+                sig.best_units, sig.best_order, sig.residual = units, order, res
+            sig.units += units
+            sig.residuals.add(res)
+            sig.locations.add(loc)
+            ids.append(sig.index)
+        if ids[0] >= 0 and ids[1] >= 0:
+            joint[(ids[0], ids[1])] = joint.get((ids[0], ids[1]), 0) + units
+    pairs = np.array(list(joint), dtype=np.int64).reshape(-1, 2)
+    return RoundPool(
+        x=_lattice_classes(list(classes["X"].values())),
+        z=_lattice_classes(list(classes["Z"].values())),
+        joint_x=pairs[:, 0],
+        joint_z=pairs[:, 1],
+        joint_units=np.array(list(joint.values()), dtype=np.int64),
+        n_locations=len(loc_index),
+    )
+
+
+def _lattice_classes(sigs: list[_Signature]) -> LatticeClasses:
+    width = max([2] + [len(sig.events) for sig in sigs])
+    stabs = np.full((len(sigs), width), -1, dtype=np.int64)
+    rounds = np.zeros((len(sigs), width), dtype=np.int64)
+    for i, sig in enumerate(sigs):
+        for k, (s, t) in enumerate(sig.events):
+            stabs[i, k], rounds[i, k] = s, t
+    sizes = [len(sig.locations) for sig in sigs]
+    return LatticeClasses(
+        stabs=stabs,
+        rounds=rounds,
+        units=np.array([sig.units for sig in sigs], dtype=np.int64),
+        best_units=np.array([sig.best_units for sig in sigs], dtype=np.int64),
+        best_order=np.array([sig.best_order for sig in sigs], dtype=np.int64),
+        residual=[sig.residual for sig in sigs],
+        residuals=[frozenset(sig.residuals) for sig in sigs],
+        loc_start=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+        locations=np.array(
+            [loc for sig in sigs for loc in sorted(sig.locations)], dtype=np.int64
+        ),
+    )
+
+
+def _place(
+    classes: LatticeClasses,
+    n_stabs: int,
+    n_layers: int,
+    fault_rounds: int,
+    warmup: int,
+    kind: str,
+):
+    """Every signature class repeated at every fault round of a window.
+
+    An event of round t of a class placed at fault round r lies on layer
+    t + r - 1 - warmup; events off layers 1..n_layers are dropped.  Returns
+    (fault round, class, u, v) arrays over the placements that keep an
+    event, v being the boundary node for a single event.
+    """
+    boundary = n_stabs * n_layers
+    r = np.arange(1, fault_rounds + 1)[:, None, None]
+    layer = classes.rounds + (r - 1 - warmup)
+    inside = (classes.stabs >= 0) & (layer >= 1) & (layer <= n_layers)
+    count = inside.sum(axis=2)
+    if count.size and count.max() > 2:
+        raise GraphBuildError(
+            f"single fault produced {count.max()} events on the {kind} lattice"
+        )
+    # the boundary id exceeds every node id, so it sorts behind real events
+    nodes = np.sort(
+        np.where(inside, (layer - 1) * n_stabs + classes.stabs, boundary), axis=2
+    )
+    rr, cc = np.nonzero(count)
+    return rr + 1, cc, nodes[rr, cc, 0], nodes[rr, cc, 1]
+
+
+def _fault_rounds(graph: DecodingGraph) -> int:
+    """Fault rounds whose faults reach the graph's layers."""
+    return graph.T + graph.warmup_rounds if graph.mode == "circuit" else 1
+
+
 def _pool_edges(
-    records: list[FaultRecord],
+    pool: RoundPool,
     kind: str,
     layout: CodeLayout,
     n_layers: int,
     n_stabs: int,
-    coords,
+    fault_rounds: int,
+    warmup: int,
     p: float,
     mode: str,
     check_logical: bool = True,
 ) -> tuple[list[Edge], dict]:
-    """Group fault records by detection signature into edges.
+    """Edges of one lattice from the pooled classes placed over the window.
 
-    With ``check_logical`` (any window closed by a perfect round) every
-    mechanism behind an edge must share the same logical action, so the
-    representative correction is well defined.  Open-time-boundary windows
-    genuinely mix interpretations near the last round; there the highest
-    rate mechanism supplies the correction.
+    An edge's rate is the sum over every placed class whose signature is
+    its node pair.  Its correction is the residual of the highest-rate
+    fault behind it, the earliest round and then record order breaking
+    ties.  With ``check_logical`` (any window closed by a perfect round)
+    every fault behind an edge must share the same logical action, so that
+    correction is well defined.  Open-time-boundary windows genuinely mix
+    interpretations near the last round; there the highest-rate fault
+    supplies the correction.
     """
+    classes = pool.lattice(kind)
     boundary = n_stabs * n_layers
-    logical = layout.logical_z if kind == "X" else layout.logical_x
-    pooled: dict[tuple[int, int], dict] = {}
-    for rid, rec in enumerate(records):
-        sig = rec.x_events if kind == "X" else rec.z_events
-        if not sig or len(sig) > 2:
-            if len(sig) > 2:
-                raise GraphBuildError(
-                    f"single fault produced {len(sig)} events on the {kind} lattice"
-                )
-            continue
-        nodes = sorted((t - 1) * n_stabs + s for s, t in sig)
-        key = (nodes[0], nodes[1]) if len(nodes) == 2 else (nodes[0], boundary)
-        residual = rec.x_residual if kind == "X" else rec.z_residual
-        entry = pooled.get(key)
-        if entry is None:
-            entry = {
-                "coeff": Fraction(0),
-                "faults": [],
-                "residual": residual,
-                "rep_coeff": rec.coeff,
-                "locations": set(),
-            }
-            pooled[key] = entry
-        else:
-            if check_logical:
-                # mechanisms behind one edge must agree on the logical action
-                res_p = PauliOperator(
-                    layout.n_data,
-                    *((residual, 0) if kind == "X" else (0, residual)),
-                )
-                rep_p = PauliOperator(
-                    layout.n_data,
-                    *(
-                        (entry["residual"], 0)
-                        if kind == "X"
-                        else (0, entry["residual"])
-                    ),
-                )
-                if commutation_parity(res_p, logical) != commutation_parity(
-                    rep_p, logical
-                ):
-                    raise GraphBuildError(
-                        f"edge {key} has contributing faults with conflicting "
-                        "logical action"
-                    )
-            if rec.coeff > entry["rep_coeff"]:
-                entry["residual"] = residual
-                entry["rep_coeff"] = rec.coeff
-        entry["coeff"] += rec.coeff
-        entry["faults"].append(rid)
-        entry["locations"].add((rec.fault.round, rec.fault.kind, rec.fault.index))
+    rr, cc, u, v = _place(classes, n_stabs, n_layers, fault_rounds, warmup, kind)
+    keys, edge = np.unique(u * (boundary + 1) + v, return_inverse=True)
+    n_edges = len(keys)
+    units = np.zeros(n_edges, dtype=np.int64)
+    np.add.at(units, edge, classes.units[cc])
+    order = np.lexsort((classes.best_order[cc], rr, -classes.best_units[cc], edge))
+    rep = cc[order[np.searchsorted(edge[order], np.arange(n_edges))]]
+
+    if check_logical:
+        logical = layout.logical_z.z_mask if kind == "X" else layout.logical_x.x_mask
+        # bit 1: some fault leaves even logical parity, bit 2: odd
+        class_parity = np.array(
+            [sum({1 << ((r & logical).bit_count() & 1) for r in rs})
+             for rs in classes.residuals],
+            dtype=np.int64,
+        )
+        parity = np.zeros(n_edges, dtype=np.int64)
+        np.bitwise_or.at(parity, edge, class_parity[cc])
+        conflicts = np.nonzero(parity == 3)[0]
+        if len(conflicts):
+            key = divmod(int(keys[conflicts[0]]), boundary + 1)
+            raise GraphBuildError(
+                f"edge {key} has contributing faults with conflicting logical action"
+            )
+
+    # distinct (fault round, location) pairs behind each edge
+    n_locs = np.diff(classes.loc_start)[cc]
+    placement = np.repeat(np.arange(len(cc)), n_locs)
+    first = np.repeat(classes.loc_start[cc] - np.cumsum(n_locs) + n_locs, n_locs)
+    loc = classes.locations[first + np.arange(len(placement))]
+    per_edge = (fault_rounds + 1) * pool.n_locations
+    distinct = np.unique(
+        edge[placement] * per_edge + rr[placement] * pool.n_locations + loc
+    )
+    locations = np.bincount(distinct // per_edge, minlength=n_edges)
 
     edges: list[Edge] = []
     lookup: dict[tuple[int, int], int] = {}
-    for key in sorted(pooled):
-        entry = pooled[key]
-        coeff = entry["coeff"]
-        if mode == "code_capacity":
-            weight = 1.0
-        else:
-            prob = float(coeff) * p
-            if prob <= 0.0:
-                raise DegenerateWeightError("p = 0 gives infinite edge weights")
-            if prob >= 1.0:
-                raise InvalidRateError(
-                    f"p = {p} puts edge probability at {prob:.3f} >= 1 "
-                    f"(p_max = {1 / float(coeff):.4f} for this graph)"
-                )
-            weight = -math.log(prob)
-        eid = len(edges)
+    rated: dict[int, tuple[Fraction, float]] = {}
+    for eid, (key, n_units, c, n_loc) in enumerate(
+        zip(keys.tolist(), units.tolist(), rep.tolist(), locations.tolist())
+    ):
+        if n_units not in rated:
+            coeff = Fraction(n_units, 15)
+            if mode == "code_capacity":
+                weight = 1.0
+            else:
+                prob = float(coeff) * p
+                if prob <= 0.0:
+                    raise DegenerateWeightError("p = 0 gives infinite edge weights")
+                if prob >= 1.0:
+                    raise InvalidRateError(
+                        f"p = {p} puts edge probability at {prob:.3f} >= 1 "
+                        f"(p_max = {1 / float(coeff):.4f} for this graph)"
+                    )
+                weight = -math.log(prob)
+            rated[n_units] = coeff, weight
+        coeff, weight = rated[n_units]
+        a, b = divmod(key, boundary + 1)
         edges.append(
             Edge(
                 index=eid,
-                u=key[0],
-                v=key[1],
+                u=a,
+                v=b,
                 coeff=coeff,
                 weight=weight,
-                correction=entry["residual"],
-                boundary=key[1] == boundary,
-                n_fault_locations=len(entry["locations"]),
-                fault_ids=tuple(entry["faults"]),
+                correction=classes.residual[c],
+                boundary=b == boundary,
+                n_fault_locations=n_loc,
             )
         )
-        lookup[key] = eid
+        lookup[(a, b)] = eid
     return edges, lookup
-
-
-def shift_enumeration(
-    records: list[FaultRecord], warmup: int
-) -> list[FaultRecord]:
-    """Re-anchor an enumeration so its first ``warmup`` rounds precede the
-    decoding window.
-
-    Used for steady-state windowed decoding: mechanisms from the rounds just
-    before the window keep only the detections that fall inside it, which
-    yields the time-boundary edges that explain detections inherited from
-    the previous window.  Events at or before round ``warmup`` are dropped;
-    records with no surviving events on either lattice are removed.
-    """
-    if warmup == 0:
-        return records
-    out = []
-    for rec in records:
-        x = tuple((s, t - warmup) for s, t in rec.x_events if t > warmup)
-        z = tuple((s, t - warmup) for s, t in rec.z_events if t > warmup)
-        if not x and not z:
-            continue
-        out.append(
-            FaultRecord(
-                fault=rec.fault,
-                x_events=x,
-                z_events=z,
-                coeff=rec.coeff,
-                x_residual=rec.x_residual,
-                z_residual=rec.z_residual,
-            )
-        )
-    return out
 
 
 def build_graph(
     layout: CodeLayout,
-    circuit: SECircuit,
     params: NoiseParams,
     T: int,
     lattice_kind: str,
-    enumeration: list[FaultRecord] | None = None,
+    pool: RoundPool,
     final_round_perfect: bool = True,
-    include_idle: bool = True,
     warmup_rounds: int = 0,
 ) -> DecodingGraph:
-    """Assemble the decoding lattice for one error type from enumeration.
+    """Assemble the decoding lattice for one error type of a T-round window.
 
-    Edge probabilities are direct first-order sums of contributing fault
-    rates (valid for small p; every edge probability must stay below 1).
-    ``warmup_rounds`` > 0 builds the steady-state window variant (see
-    ``shift_enumeration``).
+    ``pool`` is one round's single-fault records pooled by signature
+    (``pool_round(enumerate_single_faults(layout, circuit, 1))``).  Its
+    classes are repeated at each of the window's fault rounds and summed
+    into edges in integer units of p/15 (see ``_pool_edges``).  Edge probabilities
+    are direct first-order sums of contributing fault rates (valid for
+    small p; every edge probability must stay below 1).
+
+    ``warmup_rounds`` > 0 builds the steady-state window variant: that many
+    fault rounds precede the window, and their faults keep only the
+    detections that fall inside it, which yields the time-boundary edges
+    that explain detections inherited from the previous window.
     """
     if lattice_kind not in ("X", "Z"):
         raise ValueError(f"lattice kind must be 'X' or 'Z', got {lattice_kind!r}")
@@ -352,20 +503,13 @@ def build_graph(
         raise ValueError(f"T must be >= 1, got {T}")
     if params.p <= 0.0:
         raise DegenerateWeightError("p must be positive to form -ln weights")
-    if enumeration is None:
-        enumeration = shift_enumeration(
-            enumerate_single_faults(
-                layout, circuit, T + warmup_rounds, final_round_perfect,
-                include_idle,
-            ),
-            warmup_rounds,
-        )
     n_layers = T + (1 if final_round_perfect else 0)
     coords = layout.z_anc_coords if lattice_kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
     edges, lookup = _pool_edges(
-        enumeration, lattice_kind, layout, n_layers, n_stabs, coords, params.p,
-        "circuit", check_logical=final_round_perfect,
+        pool, lattice_kind, layout, n_layers, n_stabs,
+        T + warmup_rounds, warmup_rounds, params.p, "circuit",
+        check_logical=final_round_perfect,
     )
     g = DecodingGraph(
         kind=lattice_kind,
@@ -378,6 +522,7 @@ def build_graph(
         stab_coords=coords,
         edges=edges,
         edge_lookup=lookup,
+        warmup_rounds=warmup_rounds,
     )
     classify_edges(g)
     g.finalize()
@@ -413,56 +558,73 @@ def classify_edges(graph: DecodingGraph) -> DecodingGraph:
 def derive_correlations(
     graph_primal: DecodingGraph,
     graph_dual: DecodingGraph,
-    enumeration: list[FaultRecord],
+    pool: RoundPool,
 ) -> list[tuple[tuple[int, Fraction], ...]]:
     """Conditional probabilities of dual-lattice edges given primal edges.
 
-    For each primal edge e and dual edge f sharing a contributing fault,
-    P(f | e) = (sum of joint fault rates) / (sum of e's fault rates), as an
-    exact rational.  The result is stored on ``graph_primal.corr_to_dual``
-    and returned.
+    ``pool`` is the ``pool_round`` classes both graphs were built from.
+    Every class of joint signatures is placed at each fault round of the
+    window, as for the edges.  For each primal edge e and dual edge f
+    sharing a contributing fault, P(f | e) = (sum of joint fault rates) /
+    (sum of e's fault rates), summed in integer units of p/15 and formed
+    as an exact rational.  The result is stored on ``graph_primal.corr_to_dual`` and
+    returned.
     """
     pk, dk = graph_primal.kind, graph_dual.kind
     if {pk, dk} != {"X", "Z"}:
         raise ValueError("correlations need one X and one Z lattice")
+    primal_ids = _edge_ids(graph_primal, pool.lattice(pk))
+    dual_ids = _edge_ids(graph_dual, pool.lattice(dk))
+    jx, jz = pool.joint_x, pool.joint_z
+    pe = primal_ids[:, jx if pk == "X" else jz]
+    de = dual_ids[:, jz if pk == "X" else jx]
+    both = (pe >= 0) & (de >= 0)
+    n_dual = len(graph_dual.edges)
+    pairs, which = np.unique(pe[both] * n_dual + de[both], return_inverse=True)
+    joint = np.zeros(len(pairs), dtype=np.int64)
+    np.add.at(joint, which, np.broadcast_to(pool.joint_units, pe.shape)[both])
 
-    def edge_of(graph, sig):
-        if not sig or len(sig) > 2:
-            return None
-        nodes = sorted((t - 1) * graph.n_stabs + s for s, t in sig)
-        key = (
-            (nodes[0], nodes[1])
-            if len(nodes) == 2
-            else (nodes[0], graph.boundary_node)
-        )
-        return graph.edge_lookup.get(key)
-
-    joint: dict[tuple[int, int], Fraction] = {}
-    for rec in enumeration:
-        psig = rec.x_events if pk == "X" else rec.z_events
-        dsig = rec.x_events if dk == "X" else rec.z_events
-        pe = edge_of(graph_primal, psig)
-        de = edge_of(graph_dual, dsig)
-        if pe is None or de is None:
-            continue
-        key = (pe, de)
-        joint[key] = joint.get(key, Fraction(0)) + rec.coeff
-
-    table: list[list[tuple[int, Fraction]]] = [[] for _ in graph_primal.edges]
-    for (pe, de), j in sorted(joint.items()):
-        cond = j / graph_primal.edges[pe].coeff
+    # P(f | e) = (j / 15) / coeff(e), as a numerator and denominator per pair
+    primal, dual = np.divmod(pairs, n_dual)
+    nums = np.array([e.coeff.numerator for e in graph_primal.edges], dtype=np.int64)
+    dens = np.array([e.coeff.denominator for e in graph_primal.edges], dtype=np.int64)
+    num, den = joint * dens[primal], 15 * nums[primal]
+    width = int(den.max(initial=0)) + 1
+    distinct, which = np.unique(num * width + den, return_inverse=True)
+    conds = [Fraction(*divmod(key, width)) for key in distinct.tolist()]
+    for cond in conds:
         if not 0 < cond <= 1:
             raise GraphBuildError(f"conditional {cond} outside (0, 1]")
-        table[pe].append((de, cond))
-    result = [tuple(row) for row in table]
+    entries = list(zip(dual.tolist(), (conds[k] for k in which.ravel().tolist())))
+    ends = np.cumsum(np.bincount(primal, minlength=len(graph_primal.edges))).tolist()
+    result = [tuple(entries[a:b]) for a, b in zip([0] + ends, ends)]
     graph_primal.corr_to_dual = result
     return result
+
+
+def _edge_ids(graph: DecodingGraph, classes: LatticeClasses) -> np.ndarray:
+    """Edge index of each class placed at each fault round; -1 where none."""
+    rounds = _fault_rounds(graph)
+    rr, cc, u, v = _place(
+        classes, graph.n_stabs, graph.n_layers, rounds, graph.warmup_rounds,
+        graph.kind,
+    )
+    ids = np.full((rounds, len(classes.units)), -1, dtype=np.int64)
+    if not graph.edges:
+        return ids
+    width = graph.boundary_node + 1
+    keys = np.array([e.u * width + e.v for e in graph.edges], dtype=np.int64)
+    by_key = np.argsort(keys)
+    want = u * width + v
+    pos = np.minimum(np.searchsorted(keys[by_key], want), len(keys) - 1)
+    found = keys[by_key[pos]] == want
+    ids[rr[found] - 1, cc[found]] = by_key[pos[found]]
+    return ids
 
 
 def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:
     """Single data-qubit Pauli 'enumeration' for the code-capacity model."""
     from .code import ideal_syndrome
-    from .noise import FaultEvent
 
     n_x = len(layout.x_stabilizers)
     records = []
@@ -474,12 +636,13 @@ def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:
             x_events = tuple(
                 (i, 1) for i in range(len(layout.z_stabilizers)) if syn[n_x + i]
             )
+            fault = FaultEvent(1, "idle", q, pay)
             records.append(
                 FaultRecord(
-                    fault=FaultEvent(1, "idle", q, pay),
+                    fault=fault,
                     x_events=x_events,
                     z_events=z_events,
-                    coeff=Fraction(1, 3),
+                    coeff=fault.coefficient(),
                     x_residual=err.x_mask,
                     z_residual=err.z_mask,
                 )
@@ -487,19 +650,23 @@ def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:
     return records
 
 
-def build_code_capacity_graph(layout: CodeLayout, lattice_kind: str) -> DecodingGraph:
+def build_code_capacity_graph(
+    layout: CodeLayout, lattice_kind: str, pool: RoundPool
+) -> DecodingGraph:
     """2D decoding graph with perfect syndromes and unit edge weights.
 
-    Edge weights follow the normalized convention: every unconditioned edge
-    weighs 1; reweighting a correlated edge sets it to 0.
+    ``pool`` holds the single data-qubit Paulis of ``_code_capacity_records``
+    pooled by ``pool_round``; they are placed on one layer.  Edge weights
+    follow the normalized convention: every unconditioned edge weighs 1;
+    reweighting a correlated edge sets it to 0.
     """
     if lattice_kind not in ("X", "Z"):
         raise ValueError(f"lattice kind must be 'X' or 'Z', got {lattice_kind!r}")
-    records = _code_capacity_records(layout)
     coords = layout.z_anc_coords if lattice_kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
     edges, lookup = _pool_edges(
-        records, lattice_kind, layout, 1, n_stabs, coords, 0.0, "code_capacity"
+        pool, lattice_kind, layout, 1, n_stabs, 1, 0, 0.0,
+        "code_capacity",
     )
     g = DecodingGraph(
         kind=lattice_kind,
@@ -517,28 +684,6 @@ def build_code_capacity_graph(layout: CodeLayout, lattice_kind: str) -> Decoding
     return g
 
 
-#: enumeration results per (L, T, final_round_perfect, include_idle, warmup);
-#: they are pure functions of the configuration and safe to share read-only
-_ENUM_CACHE: dict[tuple, list[FaultRecord]] = {}
-
-
-def _cached_enumeration(
-    layout, circuit, T, final_round_perfect, include_idle, warmup_rounds
-):
-    key = (layout.L, T, final_round_perfect, include_idle, warmup_rounds)
-    records = _ENUM_CACHE.get(key)
-    if records is None:
-        records = shift_enumeration(
-            enumerate_single_faults(
-                layout, circuit, T + warmup_rounds, final_round_perfect,
-                include_idle,
-            ),
-            warmup_rounds,
-        )
-        _ENUM_CACHE[key] = records
-    return records
-
-
 def build_decoder_graphs(
     L: int,
     T: int,
@@ -547,34 +692,30 @@ def build_decoder_graphs(
     include_idle: bool = True,
     warmup_rounds: int = 0,
 ) -> tuple[DecodingGraph, DecodingGraph]:
-    """Both lattices plus cross-correlations for a distance-L, T-round window."""
+    """Both lattices plus cross-correlations for a distance-L, T-round window.
+
+    One round of single faults is enumerated and pooled once; both
+    lattices and both correlation tables repeat that pool over the window.
+    """
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    enumeration = _cached_enumeration(
-        layout, circuit, T, final_round_perfect, include_idle, warmup_rounds
-    )
+    pool = pool_round(enumerate_single_faults(layout, circuit, 1, True, include_idle))
     params = NoiseParams(p)
-    gx = build_graph(
-        layout, circuit, params, T, "X", enumeration, final_round_perfect,
-        include_idle,
-    )
-    gz = build_graph(
-        layout, circuit, params, T, "Z", enumeration, final_round_perfect,
-        include_idle,
-    )
-    derive_correlations(gx, gz, enumeration)
-    derive_correlations(gz, gx, enumeration)
+    gx = build_graph(layout, params, T, "X", pool, final_round_perfect, warmup_rounds)
+    gz = build_graph(layout, params, T, "Z", pool, final_round_perfect, warmup_rounds)
+    derive_correlations(gx, gz, pool)
+    derive_correlations(gz, gx, pool)
     return gx, gz
 
 
 def build_code_capacity_pair(L: int) -> tuple[DecodingGraph, DecodingGraph]:
     """Both 2D code-capacity lattices with same-qubit correlations."""
     layout = build_layout(L)
-    records = _code_capacity_records(layout)
-    gx = build_code_capacity_graph(layout, "X")
-    gz = build_code_capacity_graph(layout, "Z")
-    derive_correlations(gx, gz, records)
-    derive_correlations(gz, gx, records)
+    pool = pool_round(_code_capacity_records(layout))
+    gx = build_code_capacity_graph(layout, "X", pool)
+    gz = build_code_capacity_graph(layout, "Z", pool)
+    derive_correlations(gx, gz, pool)
+    derive_correlations(gz, gx, pool)
     return gx, gz
 
 

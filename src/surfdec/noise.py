@@ -41,6 +41,11 @@ PAYLOAD_Z1 = np.array([False, True, True])
 
 _PAULI_NAMES = "IXYZ"
 
+#: first-order rate of one fault location, in integer units of p/15: one
+#: two-qubit payload p/15, one idle Pauli p/3, a measurement flip p
+RATE_UNITS = {"cnot": 1, "idle": 5, "meas_x": 15, "meas_z": 15}
+_COEFFS = {kind: Fraction(u, 15) for kind, u in RATE_UNITS.items()}
+
 
 class InvalidNoiseError(ValueError):
     """Noise parameters outside the supported range."""
@@ -82,7 +87,7 @@ class FaultEvent:
             return f"r{self.round} idle q{self.index} {_PAULI_NAMES[self.payload + 1]}"
         if self.kind == "cnot":
             pc, pt = _PAIR[self.payload]
-            layer, c, t = circuit.cnot_flat()[self.index]
+            layer, c, t = circuit.cnot_flat[self.index]
             return (
                 f"r{self.round} cnot#{self.index}(step {layer}, {c}->{t}) "
                 f"{_PAULI_NAMES[pc]}{_PAULI_NAMES[pt]}"
@@ -91,26 +96,7 @@ class FaultEvent:
 
     def coefficient(self) -> Fraction:
         """First-order probability of this fault in units of p."""
-        if self.kind == "idle":
-            return Fraction(1, 3)
-        if self.kind == "cnot":
-            return Fraction(1, 15)
-        return Fraction(1)
-
-
-def _cnot_flat(circuit: SECircuit):
-    """Flat (layer, control, target) list over the round schedule, cached."""
-    flat = getattr(circuit, "_cnot_flat_cache", None)
-    if flat is None:
-        flat = []
-        for k, (cs, ts) in enumerate(circuit.cnot_layers):
-            flat.extend((k, int(c), int(t)) for c, t in zip(cs, ts))
-        object.__setattr__(circuit, "_cnot_flat_cache", flat)
-    return flat
-
-
-# Expose on SECircuit for describe(); kept here so code.py stays structural.
-SECircuit.cnot_flat = _cnot_flat
+        return _COEFFS[self.kind]
 
 
 @dataclass(frozen=True)
@@ -174,7 +160,7 @@ def sample_faults(
 
 def _group_faults(circuit: SECircuit, faults, T: int):
     """Index faults by (round, phase) for the simulation loop."""
-    flat = _cnot_flat(circuit)
+    flat = circuit.cnot_flat
     n_data = circuit.layout.n_data
     grouped: dict[tuple[int, str], list] = {}
     for f in faults:
@@ -308,6 +294,117 @@ class FaultRecord:
     z_residual: int = 0
 
 
+def _round_faults(circuit: SECircuit, include_idle: bool) -> list[tuple[str, int, int]]:
+    """(kind, index, payload) of every fault of one round, in record order."""
+    n_cnot, n_data = circuit.n_cnots_per_round, circuit.layout.n_data
+    faults = [("cnot", i, pay) for i in range(n_cnot) for pay in range(15)]
+    faults += [("meas_x", i, 0) for i in range(circuit.n_x)]
+    faults += [("meas_z", i, 0) for i in range(circuit.n_z)]
+    if include_idle:
+        faults += [("idle", q, pay) for q in range(n_data) for pay in range(3)]
+    return faults
+
+
+#: fault columns propagated together; bounds the frame matrices' size
+_BLOCK = 4096
+
+
+def _round_signatures(circuit: SECircuit, faults: list[tuple[str, int, int]]):
+    """Detection events and residuals of each single fault of round 1.
+
+    Every fault gets its own column of the X and Z frame matrices, and all
+    columns go through the round together: the four CNOT layers (each
+    followed by that layer's CNOT faults), the measurement (then the
+    measurement flips), the ancilla reset, the idle faults, and one
+    fault-free readout round.  Frames are linear, so each column is that
+    fault's own frame.  A fault of round 1 detects only in rounds 1 and 2:
+    from round 2 on the frame is a data error that every later round,
+    perfect or not, reads the same.  Returns per-fault lists of sorted
+    (stabilizer, round) X- and Z-lattice events and the residual X and Z
+    data-qubit masks.
+    """
+    n_data, n_q = circuit.layout.n_data, circuit.n_qubits
+    # each fault flips the frame of one or two qubits (qa, qb; -1 for none)
+    # at one phase of the round: CNOT layer 0-3, 4 = measurement, 5 = idle;
+    # a measurement fault flips the outcome of ancilla meas_x or meas_z
+    n = len(faults)
+    phase = np.empty(n, dtype=np.int8)
+    qa, qb = np.full(n, -1), np.full(n, -1)
+    xa, za, xb, zb = (np.zeros(n, dtype=bool) for _ in range(4))
+    meas_x, meas_z = np.full(n, -1), np.full(n, -1)
+    for j, (kind, index, pay) in enumerate(faults):
+        if kind == "cnot":
+            phase[j], qa[j], qb[j] = circuit.cnot_flat[index]
+            xa[j], za[j] = PAYLOAD_XC[pay], PAYLOAD_ZC[pay]
+            xb[j], zb[j] = PAYLOAD_XT[pay], PAYLOAD_ZT[pay]
+        elif kind == "idle":
+            phase[j], qa[j] = 5, index
+            xa[j], za[j] = PAYLOAD_X1[pay], PAYLOAD_Z1[pay]
+        else:
+            phase[j] = 4
+            (meas_x if kind == "meas_x" else meas_z)[j] = index
+
+    anc = np.concatenate([circuit.x_anc_global, circuit.z_anc_global])
+    x_events, z_events, x_res, z_res = [], [], [], []
+    for lo in range(0, n, _BLOCK):
+        cols = slice(lo, min(lo + _BLOCK, n))
+        width = cols.stop - lo
+        x = np.zeros((n_q, width), dtype=bool)
+        z = np.zeros((n_q, width), dtype=bool)
+
+        def inject(ph):
+            for q, fx, fz in ((qa, xa, za), (qb, xb, zb)):
+                j = np.nonzero((phase[cols] == ph) & (q[cols] >= 0))[0]
+                x[q[cols][j], j] ^= fx[cols][j]
+                z[q[cols][j], j] ^= fz[cols][j]
+
+        outcomes = []
+        for faulty in (True, False):
+            for k, (cs, ts) in enumerate(circuit.cnot_layers):
+                x[ts] ^= x[cs]
+                z[cs] ^= z[ts]
+                if faulty:
+                    inject(k)
+            ox = z[circuit.x_anc_global]
+            oz = x[circuit.z_anc_global]
+            if faulty:
+                for o, m in ((ox, meas_x), (oz, meas_z)):
+                    j = np.nonzero(m[cols] >= 0)[0]
+                    o[m[cols][j], j] ^= True
+            outcomes.append((ox, oz))
+            x[anc] = False
+            z[anc] = False
+            if faulty:
+                inject(5)
+        (ox1, oz1), (ox2, oz2) = outcomes
+        # X-type errors show on Z-ancillas and vice versa
+        x_events += _column_events(oz1, oz1 ^ oz2)
+        z_events += _column_events(ox1, ox1 ^ ox2)
+        x_res += _column_masks(x[:n_data])
+        z_res += _column_masks(z[:n_data])
+    return x_events, z_events, x_res, z_res
+
+
+def _column_events(first: np.ndarray, second: np.ndarray) -> list[tuple]:
+    """Per column, the sorted (row, round) events of two (rows, cols) rounds."""
+    r1, c1 = np.nonzero(first)
+    r2, c2 = np.nonzero(second)
+    rows, cols = np.concatenate([r1, r2]), np.concatenate([c1, c2])
+    rounds = np.repeat([1, 2], [len(r1), len(r2)])
+    order = np.lexsort((rounds, rows, cols))
+    pairs = list(zip(rows[order].tolist(), rounds[order].tolist()))
+    ends = np.cumsum(np.bincount(cols, minlength=first.shape[1])).tolist()
+    return [tuple(pairs[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def _column_masks(frame: np.ndarray) -> list[int]:
+    """Per column, the integer bit mask of a (qubits, cols) frame."""
+    masks = [0] * frame.shape[1]
+    for q, j in zip(*(a.tolist() for a in np.nonzero(frame))):
+        masks[j] |= 1 << q
+    return masks
+
+
 def enumerate_single_faults(
     layout: CodeLayout,
     circuit: SECircuit,
@@ -315,42 +412,40 @@ def enumerate_single_faults(
     final_round_perfect: bool = True,
     include_idle: bool = True,
 ) -> list[FaultRecord]:
-    """Inject every possible single fault once and record its signature.
+    """Every possible single fault once, with its signature and residual.
 
     The returned list covers every (round, location, payload) triple of the
-    noise model exactly once.  Signatures are sorted event tuples; the
+    noise model exactly once, rounds ascending; within a round CNOTs in
+    schedule order (payloads 0-14 each), X and Z measurement flips, then
+    data idles (payloads X, Y, Z), the last only with ``include_idle``, the
+    sampler's idle-noise switch.  Signatures are sorted event tuples; the
     linearity of frame propagation makes them the exact first-order
-    detection pattern of the fault.  ``include_idle`` mirrors the sampler's
-    idle-noise switch.
+    detection pattern of the fault.
+
+    One round is propagated (see ``_round_signatures``); single-fault
+    signatures are time-translation invariant, so the fault of round t has
+    the round-1 events shifted by t - 1 and the same residual.  Without a
+    perfect final round the events past round T are dropped.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    faults = _round_faults(circuit, include_idle)
+    x_events, z_events, x_res, z_res = _round_signatures(circuit, faults)
+    last = T + 1 if final_round_perfect else T
     records = []
-    n_cnot = circuit.n_cnots_per_round
-
-    def run(fault: FaultEvent) -> FaultRecord:
-        hist = simulate(layout, circuit, [fault], T, final_round_perfect)
-        return FaultRecord(
-            fault=fault,
-            x_events=tuple(sorted(hist.x_lattice_events)),
-            z_events=tuple(sorted(hist.z_lattice_events)),
-            coeff=fault.coefficient(),
-            x_residual=hist.residual.x_mask,
-            z_residual=hist.residual.z_mask,
-        )
-
     for t in range(1, T + 1):
-        for i in range(n_cnot):
-            for pay in range(15):
-                records.append(run(FaultEvent(t, "cnot", i, pay)))
-        for i in range(circuit.n_x):
-            records.append(run(FaultEvent(t, "meas_x", i)))
-        for i in range(circuit.n_z):
-            records.append(run(FaultEvent(t, "meas_z", i)))
-        if include_idle:
-            for q in range(layout.n_data):
-                for pay in range(3):
-                    records.append(run(FaultEvent(t, "idle", q, pay)))
+        shift = t - 1
+        for (kind, index, pay), xe, ze, xr, zr in zip(
+            faults, x_events, z_events, x_res, z_res
+        ):
+            if shift:
+                xe = tuple((s, r + shift) for s, r in xe if r + shift <= last)
+                ze = tuple((s, r + shift) for s, r in ze if r + shift <= last)
+            elif last < 2:
+                xe = tuple(e for e in xe if e[1] <= last)
+                ze = tuple(e for e in ze if e[1] <= last)
+            fault = FaultEvent(t, kind, index, pay)
+            records.append(FaultRecord(fault, xe, ze, _COEFFS[kind], xr, zr))
     return records
 
 

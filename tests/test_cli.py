@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,24 @@ def test_dump_graph(tmp_path):
     blob = json.loads(out.read_text())
     assert blob["kind"] == "Z"
     assert blob["correlations"] is not None
+
+
+#: sha256 of `dump-graph --distance 7` as written by the per-fault
+#: enumeration over all seven rounds, before graphs were built from one round
+DUMP_GRAPH_D7_SHA256 = {
+    "X": "3510a9e474e689695ee69d903c46295d31fc3fd7549e2463f0967a274ec04d08",
+    "Z": "4a562aae3116060abe3c843bcf2bb22a736991187518bc527c88a52eb9300a7a",
+}
+
+
+@pytest.mark.parametrize("lattice", ["X", "Z"])
+def test_dump_graph_distance_7_is_pinned(tmp_path, lattice):
+    out = tmp_path / "g.json"
+    rc = main(
+        ["dump-graph", "--distance", "7", "--lattice", lattice, "--out", str(out)]
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_GRAPH_D7_SHA256[lattice]
 
 
 def test_fit_roundtrip(tmp_path):

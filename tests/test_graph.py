@@ -4,20 +4,29 @@ from fractions import Fraction
 
 import pytest
 
+from surfdec.code import build_layout, build_se_circuit
 from surfdec.graph import (
+    DecodingGraph,
     DegenerateWeightError,
+    Edge,
     GEOMETRY_LETTERS,
     INTERIOR_COEFFS,
     InvalidRateError,
     build_code_capacity_pair,
     build_decoder_graphs,
     build_graph,
+    classify_edges,
     graph_to_dict,
+    pool_round,
 )
 from surfdec.noise import NoiseParams, enumerate_single_faults
+from surfdec.pauli import PauliOperator, commutation_parity
 from surfdec.verify import (
     INTERIOR_CONDITIONAL_ROWS,
     N_INTERIOR_CONDITIONALS,
+    VerifyReport,
+    check_conditional_rows,
+    check_edge_anchors,
     interior_edges,
     typed_row,
 )
@@ -164,12 +173,17 @@ def test_weights_are_neg_log_probability(graphs3):
 
 
 def test_rate_validation(layout3, circuit3):
-    records = enumerate_single_faults(layout3, circuit3, 2)
+    pool = pool_round(enumerate_single_faults(layout3, circuit3, 1))
     with pytest.raises(DegenerateWeightError):
-        build_graph(layout3, circuit3, NoiseParams(0.0), 2, "X", records)
+        build_graph(layout3, NoiseParams(0.0), 2, "X", pool)
     with pytest.raises(InvalidRateError):
         # max coefficient 42/15 puts p_max at 15/42
-        build_graph(layout3, circuit3, NoiseParams(0.4), 2, "X", records)
+        build_graph(layout3, NoiseParams(0.4), 2, "X", pool)
+
+
+def test_pooling_takes_one_round(layout3, circuit3):
+    with pytest.raises(ValueError):
+        pool_round(enumerate_single_faults(layout3, circuit3, 2))
 
 
 def test_geometry_letter_table_is_total():
@@ -203,3 +217,136 @@ def test_graph_dump_round_trips(tmp_path, graphs3):
     assert a_edges and all(
         e["probability_coefficient"] == "31/15" for e in a_edges if not e["boundary"]
     )
+
+
+# -- reference: Fraction pooling over every record of the full window ---------
+
+
+def _reference_window(layout, circuit, T, final_round_perfect, include_idle, warmup):
+    """All records of the T + warmup enumerated rounds, re-anchored so the
+    first ``warmup`` rounds precede the window (their events dropped)."""
+    records = enumerate_single_faults(
+        layout, circuit, T + warmup, final_round_perfect, include_idle
+    )
+    out = []
+    for rec in records:
+        x = tuple((s, t - warmup) for s, t in rec.x_events if t > warmup)
+        z = tuple((s, t - warmup) for s, t in rec.z_events if t > warmup)
+        if x or z:
+            out.append((rec, x, z))
+    return out
+
+
+def _reference_graph(layout, window, kind, T, p, final_round_perfect):
+    n_layers = T + (1 if final_round_perfect else 0)
+    coords = layout.z_anc_coords if kind == "X" else layout.x_anc_coords
+    n_stabs = len(coords)
+    boundary = n_stabs * n_layers
+    logical = layout.logical_z if kind == "X" else layout.logical_x
+
+    def pauli(mask):
+        return PauliOperator(layout.n_data, *((mask, 0) if kind == "X" else (0, mask)))
+
+    pooled = {}
+    for rec, x, z in window:
+        sig = x if kind == "X" else z
+        if not sig:
+            continue
+        assert len(sig) <= 2
+        nodes = sorted((t - 1) * n_stabs + s for s, t in sig)
+        key = (nodes[0], nodes[1]) if len(nodes) == 2 else (nodes[0], boundary)
+        residual = rec.x_residual if kind == "X" else rec.z_residual
+        entry = pooled.setdefault(
+            key,
+            {
+                "coeff": Fraction(0),
+                "residual": residual,
+                "rep": rec.coeff,
+                "locs": set(),
+            },
+        )
+        if final_round_perfect:
+            assert commutation_parity(pauli(residual), logical) == commutation_parity(
+                pauli(entry["residual"]), logical
+            )
+        if rec.coeff > entry["rep"]:
+            entry["residual"], entry["rep"] = residual, rec.coeff
+        entry["coeff"] += rec.coeff
+        entry["locs"].add((rec.fault.round, rec.fault.kind, rec.fault.index))
+    edges = []
+    for eid, key in enumerate(sorted(pooled)):
+        entry = pooled[key]
+        edges.append(
+            Edge(
+                index=eid,
+                u=key[0],
+                v=key[1],
+                coeff=entry["coeff"],
+                weight=-math.log(float(entry["coeff"]) * p),
+                correction=entry["residual"],
+                boundary=key[1] == boundary,
+                n_fault_locations=len(entry["locs"]),
+            )
+        )
+    g = DecodingGraph(
+        kind=kind, L=layout.L, T=T, p=p, mode="circuit", n_stabs=n_stabs,
+        n_layers=n_layers, stab_coords=coords, edges=edges,
+        edge_lookup={(e.u, e.v): e.index for e in edges},
+    )
+    return classify_edges(g)
+
+
+def _reference_correlations(primal, dual, window):
+    def edge_of(graph, sig):
+        if not sig:
+            return None
+        nodes = sorted(graph.node_id(s, t) for s, t in sig)
+        if len(nodes) == 1:
+            nodes.append(graph.boundary_node)
+        key = (nodes[0], nodes[1])
+        return graph.edge_lookup[key]
+
+    joint = {}
+    for rec, x, z in window:
+        pe = edge_of(primal, x if primal.kind == "X" else z)
+        de = edge_of(dual, x if dual.kind == "X" else z)
+        if pe is not None and de is not None:
+            joint[(pe, de)] = joint.get((pe, de), Fraction(0)) + rec.coeff
+    table = [[] for _ in primal.edges]
+    for (pe, de), j in sorted(joint.items()):
+        table[pe].append((de, j / primal.edges[pe].coeff))
+    primal.corr_to_dual = [tuple(row) for row in table]
+
+
+@pytest.mark.parametrize("include_idle", [True, False])
+@pytest.mark.parametrize(
+    "final_round_perfect,warmup", [(True, 0), (False, 2)], ids=["closed", "open"]
+)
+@pytest.mark.parametrize("L", [3, 5])
+def test_one_round_build_equals_full_window_reference(
+    L, final_round_perfect, warmup, include_idle
+):
+    T, p = L, 0.001
+    layout = build_layout(L)
+    circuit = build_se_circuit(layout)
+    window = _reference_window(
+        layout, circuit, T, final_round_perfect, include_idle, warmup
+    )
+    ref_x = _reference_graph(layout, window, "X", T, p, final_round_perfect)
+    ref_z = _reference_graph(layout, window, "Z", T, p, final_round_perfect)
+    _reference_correlations(ref_x, ref_z, window)
+    _reference_correlations(ref_z, ref_x, window)
+    gx, gz = build_decoder_graphs(L, T, p, final_round_perfect, include_idle, warmup)
+    assert graph_to_dict(gx) == graph_to_dict(ref_x)
+    assert graph_to_dict(gz) == graph_to_dict(ref_z)
+
+
+def test_deep_window_interior_classes():
+    # the six interior classes, their anchors and all 32 conditionals hold
+    # across a long window, not only at T=3
+    gx, gz = build_decoder_graphs(9, 9, 0.001)
+    report = VerifyReport()
+    check_edge_anchors(report, gx, gz, 0.001)
+    check_conditional_rows(report, gx, gz)
+    assert report.ok, [c for c in report.checks if not c.passed]
+    assert report.matched_conditionals == N_INTERIOR_CONDITIONALS == 32

@@ -2,12 +2,17 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surfdec.code import ideal_syndrome
+from surfdec.code import build_layout, build_se_circuit, ideal_syndrome
 from surfdec.noise import (
     FaultEvent,
+    FaultRecord,
     InvalidFaultError,
     InvalidNoiseError,
     NoiseParams,
@@ -225,3 +230,77 @@ def test_monte_carlo_single_fault_signatures(layout3, circuit3):
         expect = singles * q
         sigma = math.sqrt(singles * q * (1 - q))
         assert abs(counts[sig] - expect) <= 3 * sigma, (sig, counts[sig], expect)
+
+
+def _simulated_records(layout, circuit, T, final_round_perfect, include_idle):
+    """The enumeration's faults, each propagated on its own by ``simulate``."""
+    out = []
+    for rec in enumerate_single_faults(
+        layout, circuit, T, final_round_perfect, include_idle
+    ):
+        hist = simulate(layout, circuit, [rec.fault], T, final_round_perfect)
+        out.append(
+            FaultRecord(
+                fault=rec.fault,
+                x_events=tuple(sorted(hist.x_lattice_events)),
+                z_events=tuple(sorted(hist.z_lattice_events)),
+                coeff=rec.fault.coefficient(),
+                x_residual=hist.residual.x_mask,
+                z_residual=hist.residual.z_mask,
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("final_round_perfect", [True, False])
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("L", [3, 5])
+def test_enumeration_equals_per_fault_simulation(L, T, final_round_perfect):
+    # the one-round propagation shifted in time, record for record, against
+    # one simulate call per fault
+    layout = build_layout(L)
+    circuit = build_se_circuit(layout)
+    records = enumerate_single_faults(layout, circuit, T, final_round_perfect)
+    assert records == _simulated_records(layout, circuit, T, final_round_perfect, True)
+
+
+@lru_cache(maxsize=None)
+def _enumeration(L, T, final_round_perfect, include_idle):
+    layout = build_layout(L)
+    circuit = build_se_circuit(layout)
+    records = enumerate_single_faults(
+        layout, circuit, T, final_round_perfect, include_idle
+    )
+    return layout, circuit, records
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    L=st.sampled_from([3, 5]),
+    T=st.integers(1, 4),
+    final_round_perfect=st.booleans(),
+    include_idle=st.booleans(),
+    picks=st.lists(st.floats(0, 1, exclude_max=True), max_size=8),
+)
+def test_simulation_is_sum_of_enumerated_signatures(
+    L, T, final_round_perfect, include_idle, picks
+):
+    # frames are linear: any fault set's events are the symmetric difference
+    # of its faults' enumerated signatures, its residual their product
+    layout, circuit, records = _enumeration(L, T, final_round_perfect, include_idle)
+    chosen = [records[int(u * len(records))] for u in picks]
+    chosen = list({id(r): r for r in chosen}.values())  # each record at most once
+    hist = simulate(
+        layout, circuit, [r.fault for r in chosen], T, final_round_perfect
+    )
+    x, z = set(), set()
+    residual = PauliOperator.identity(layout.n_data)
+    for r in chosen:
+        x ^= set(r.x_events)
+        z ^= set(r.z_events)
+        residual = multiply(
+            residual, PauliOperator(layout.n_data, r.x_residual, r.z_residual)
+        )
+    assert set(hist.x_lattice_events) == x
+    assert set(hist.z_lattice_events) == z
+    assert hist.residual == residual
