@@ -43,7 +43,6 @@ from .matcher import (
 from .irmwpm import (
     IterationTrace,
     MonotonicityError,
-    WeightOverlay,
     correction_weight,
     decode,
     decode_mwpm,
@@ -97,7 +96,6 @@ __all__ = [
     "shortest_paths",
     "IterationTrace",
     "MonotonicityError",
-    "WeightOverlay",
     "correction_weight",
     "decode",
     "decode_mwpm",

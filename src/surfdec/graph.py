@@ -43,6 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from .code import CodeLayout, build_layout, build_se_circuit
 from .noise import (
@@ -74,6 +75,11 @@ INTERIOR_COEFFS = {
     "e": Fraction(8, 15),
     "f": Fraction(8, 15),
 }
+
+
+#: most base-weight shortest-path entries (rows x n_nodes) one graph
+#: memoizes: 12 bytes each, so at most 48 MB per lattice
+MEMO_ENTRIES = 1 << 22
 
 
 class GraphBuildError(RuntimeError):
@@ -114,8 +120,13 @@ class DecodingGraph:
     Nodes are (stabilizer, round) pairs, ``node_id = (t - 1) * n_stabs + s``
     for rounds 1..n_layers, plus the boundary node ``n_layers * n_stabs``.
     A steady-state window has ``warmup_rounds`` fault rounds before its
-    first layer.  The graph is immutable after construction; per-trial
-    reweighting uses weight overlays that never touch the base arrays.
+    first layer.
+
+    The edges and the base adjacency ``_csr`` are immutable after
+    ``finalize``.  Two per-graph buffers are mutable: the memo of
+    base-weight shortest-path rows (``base_paths``), filled lazily and
+    capped at ``MEMO_ENTRIES`` entries, and the work adjacency that
+    ``csr_with_weights`` rewrites for each reweighted matching.
     """
 
     kind: str
@@ -134,6 +145,12 @@ class DecodingGraph:
     warmup_rounds: int = 0
     _csr: sp.csr_matrix | None = field(default=None, repr=False)
     _edge_data_pos: np.ndarray | None = field(default=None, repr=False)
+    _work: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    # memo: node -> row of _memo_dist/_memo_pred (-1 when not stored)
+    _memo_slot: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _memo_dist: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _memo_pred: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _memo_rows: int = field(default=0, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -157,40 +174,78 @@ class DecodingGraph:
     def finalize(self) -> None:
         """Build the sparse adjacency used for shortest-path queries."""
         n = self.n_nodes
-        rows, cols, data, pos = [], [], [], []
-        for e in self.edges:
-            pos.append(len(rows))
-            rows.extend((e.u, e.v))
-            cols.extend((e.v, e.u))
-            data.extend((e.weight, e.weight))
+        u = np.array([e.u for e in self.edges], dtype=np.intp)
+        v = np.array([e.v for e in self.edges], dtype=np.intp)
+        w = np.array([e.weight for e in self.edges], dtype=float)
         coo = sp.coo_matrix(
-            (np.array(data), (np.array(rows), np.array(cols))), shape=(n, n)
+            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(n, n),
         )
+        # canonical CSR: each row's columns ascend, so neighbour order (which
+        # decides shortest-path ties) does not depend on the edge order
         csr = coo.tocsr()
-        # map each edge's two directed entries to csr.data slots
-        indptr, indices = csr.indptr, csr.indices
-        slot = {}
-        for r in range(n):
-            for k in range(indptr[r], indptr[r + 1]):
-                slot[(r, indices[k])] = k
-        edge_pos = np.empty((len(self.edges), 2), dtype=np.intp)
-        for i, e in enumerate(self.edges):
-            edge_pos[i, 0] = slot[(e.u, e.v)]
-            edge_pos[i, 1] = slot[(e.v, e.u)]
+        # slot k holds (row, indices[k]); its key row * n + col ascends with k
+        slot_keys = np.repeat(np.arange(n), np.diff(csr.indptr)) * n + csr.indices
         self._csr = csr
-        self._edge_data_pos = edge_pos
+        self._edge_data_pos = np.searchsorted(
+            slot_keys, np.stack([u * n + v, v * n + u], axis=1)
+        )
 
     def csr_with_weights(self, overlay: dict[int, float] | None = None) -> sp.csr_matrix:
-        """A CSR adjacency copy, optionally with selected edge weights overridden."""
+        """The graph's work adjacency: base weights with ``overlay`` written in.
+
+        One matrix per graph, rewritten by every call, so the result is
+        valid only until the next call; the base adjacency is never written.
+        """
         if self._csr is None:
             self.finalize()
-        csr = self._csr
-        data = csr.data.copy()
+        if self._work is None:
+            self._work = self._csr.copy()
+        data = self._work.data
+        data[:] = self._csr.data
         if overlay:
             for eid, w in overlay.items():
-                data[self._edge_data_pos[eid, 0]] = w
-                data[self._edge_data_pos[eid, 1]] = w
-        return sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+                data[self._edge_data_pos[eid]] = w
+        return self._work
+
+    def base_paths(self, sources) -> tuple[np.ndarray, np.ndarray]:
+        """Base-weight (dist, pred) rows from each source node, memoized.
+
+        Rows are computed by one Dijkstra call for the sources not yet in
+        the memo and stored while the memo holds fewer than MEMO_ENTRIES
+        entries (rows x n_nodes); later rows are recomputed on every call.
+        """
+        if self._csr is None:
+            self.finalize()
+        n = self.n_nodes
+        if self._memo_slot is None:
+            capacity = min(n, MEMO_ENTRIES // n)
+            self._memo_slot = np.full(n, -1, dtype=np.intp)
+            self._memo_dist = np.empty((capacity, n))
+            self._memo_pred = np.empty((capacity, n), dtype=np.int32)
+        sources = np.asarray(sources, dtype=np.intp)
+        slot = self._memo_slot[sources]
+        hit = slot >= 0
+        if hit.all():
+            return self._memo_dist[slot], self._memo_pred[slot]
+        missing = np.unique(sources[~hit])
+        new_dist, new_pred = dijkstra(
+            self._csr, directed=True, indices=missing, return_predecessors=True
+        )
+        dist = np.empty((len(sources), n))
+        pred = np.empty((len(sources), n), dtype=np.int32)
+        dist[hit] = self._memo_dist[slot[hit]]
+        pred[hit] = self._memo_pred[slot[hit]]
+        fresh = np.searchsorted(missing, sources[~hit])
+        dist[~hit] = new_dist[fresh]
+        pred[~hit] = new_pred[fresh]
+        start = self._memo_rows
+        stored = min(len(missing), len(self._memo_dist) - start)
+        self._memo_dist[start : start + stored] = new_dist[:stored]
+        self._memo_pred[start : start + stored] = new_pred[:stored]
+        self._memo_slot[missing[:stored]] = np.arange(start, start + stored)
+        self._memo_rows = start + stored
+        return dist, pred
 
     def edge_between(self, u: int, v: int) -> int:
         """Edge index for a node pair; raises KeyError if absent."""

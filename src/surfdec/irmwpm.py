@@ -41,17 +41,6 @@ class MonotonicityError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class WeightOverlay:
-    """Per-trial weight overrides on top of an immutable base graph."""
-
-    graph: DecodingGraph
-    weights: dict[int, float]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 @dataclass
 class IterationStep:
     """Decoder state after a half or full iteration."""
@@ -106,8 +95,10 @@ def reweight(
     correlation_map,
     reweight_boundary: bool = True,
     dual_graph: DecodingGraph | None = None,
-) -> WeightOverlay:
+) -> dict[int, float]:
     """Overlay for ``base_graph`` from a matching on its dual lattice.
+
+    Returns edge index -> new weight for the edges the matching reweights.
 
     Only edges in the dual correction trigger updates: those traversed by
     an odd number of matched paths.  An edge that two paths share cancels
@@ -133,11 +124,7 @@ def reweight(
             w = 0.0 if code_capacity else -math.log(float(cond))
             if w < overlay.get(primal_eid, math.inf):
                 overlay[primal_eid] = w
-    return WeightOverlay(base_graph, overlay)
-
-
-def _estimate(graph, matching, layout) -> PauliOperator:
-    return matching_to_correction(graph, matching, layout)
+    return overlay
 
 
 def _matching_base_weight(graph: DecodingGraph, matching: MatchingResult) -> float:
@@ -196,8 +183,8 @@ def decode(
 
     m_x = mwpm(graph_x, events_x, prune_neighbors=prune_neighbors)
     m_z = mwpm(graph_z, events_z, prune_neighbors=prune_neighbors)
-    e_x = _estimate(graph_x, m_x, layout)
-    e_z = _estimate(graph_z, m_z, layout)
+    e_x = matching_to_correction(graph_x, m_x, layout)
+    e_z = matching_to_correction(graph_z, m_z, layout)
     w = correction_weight(e_x, e_z)
     trace.steps.append(
         IterationStep(
@@ -230,8 +217,8 @@ def decode(
         ovl_z = reweight(
             graph_z, m_x, graph_x.corr_to_dual, reweight_boundary, graph_x
         )
-        m_z_new = mwpm(graph_z, events_z, ovl_z.weights, prune_neighbors)
-        e_z_new = _estimate(graph_z, m_z_new, layout)
+        m_z_new = mwpm(graph_z, events_z, ovl_z, prune_neighbors)
+        e_z_new = matching_to_correction(graph_z, m_z_new, layout)
         w_half = correction_weight(e_x, e_z_new)
         check_monotone(w_half, trace.steps[-1].pauli_weight, k - 0.5)
         trace.steps.append(
@@ -249,8 +236,8 @@ def decode(
         ovl_x = reweight(
             graph_x, m_z_new, graph_z.corr_to_dual, reweight_boundary, graph_z
         )
-        m_x_new = mwpm(graph_x, events_x, ovl_x.weights, prune_neighbors)
-        e_x_new = _estimate(graph_x, m_x_new, layout)
+        m_x_new = mwpm(graph_x, events_x, ovl_x, prune_neighbors)
+        e_x_new = matching_to_correction(graph_x, m_x_new, layout)
         w_full = correction_weight(e_x_new, e_z_new)
         check_monotone(w_full, trace.steps[-1].pauli_weight, float(k))
         trace.steps.append(

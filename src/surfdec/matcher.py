@@ -10,6 +10,13 @@ when the event count is odd) captures every boundary split.  Matched pairs
 whose minimum path passes through the boundary are reported as two separate
 boundary pairings.
 
+A base-weight row depends only on its source node, so plain matchings read
+the rows from the graph's memo (``DecodingGraph.base_paths``) and run
+Dijkstra only for sources not seen before or past the memo's cap.
+Reweighted matchings run Dijkstra on the graph's one work adjacency, which
+``DecodingGraph.csr_with_weights`` resets to the base weights and then
+writes the overlay into.
+
 ``brute_force_matching`` enumerates every partition of the events into
 pairs and boundary singletons; it is the independent oracle for the blossom
 path and is kept free of any shared matching logic.
@@ -71,24 +78,28 @@ class MatchingResult:
 def shortest_paths(
     graph: DecodingGraph,
     events: list[int],
-    weights: np.ndarray | None = None,
     overlay: dict[int, float] | None = None,
 ):
     """All minimum path weights from each event to every node (and boundary).
 
-    Returns (dist, predecessors) with one row per event, computed over the
-    graph's base weights unless an ``overlay`` (edge index -> new weight)
-    or a full per-edge ``weights`` vector is supplied.
+    Returns (dist, predecessors) with one row per event.  Without an
+    ``overlay`` (edge index -> new weight) the rows come from the graph's
+    memo of base-weight rows; with one, Dijkstra runs on the graph's work
+    adjacency.  The adjacency is symmetric, so a directed search gives the
+    same rows as an undirected one without transposing the matrix.
     """
     if not events:
         n = graph.n_nodes
         return np.zeros((0, n)), np.full((0, n), -9999, dtype=np.int32)
-    if weights is not None:
-        overlay = {i: float(w) for i, w in enumerate(weights)}
-    csr = graph.csr_with_weights(overlay)
-    dist, pred = _sp_dijkstra(
-        csr, directed=False, indices=events, return_predecessors=True
-    )
+    if overlay:
+        dist, pred = _sp_dijkstra(
+            graph.csr_with_weights(overlay),
+            directed=True,
+            indices=events,
+            return_predecessors=True,
+        )
+    else:
+        dist, pred = graph.base_paths(events)
     if np.isinf(dist[:, graph.boundary_node]).any():
         raise UnreachableNodeError("an event cannot reach the boundary node")
     return dist, pred

@@ -208,3 +208,37 @@ def test_threshold_command_smoke(tmp_path):
     blob = json.loads(out.read_text())
     assert len(blob["points"]) == 8
     assert "threshold" in blob
+
+
+#: sha256 of short results files, recorded before the base-weight
+#: shortest-path memo; performance work must leave them byte-identical
+RESULTS_SHA256 = {
+    "simulate.csv": "6bb6b899df585f100d55cf6e8aac47e31888e8717540791c41c851a19565b687",
+    "simulate.json": "cf727738eca6d9e21d5557a8224f3de79bad53bf8b02a8831cff734ff05b9d3b",
+    "lifetime-ideal.csv": "55eb3804df579ff2d5be28cf4bc3eafb332f75045a59c9c39b84747e58edfd20",
+    "lifetime-open.csv": "9d806344817eaa53747e7e6016937e1d25fb4bc77565d0b17bb3109c84a2a636",
+}
+
+
+def test_results_files_are_pinned(tmp_path):
+    assert main(
+        [
+            "simulate", "--distance", "5", "--rounds", "5", "--p", "0.005",
+            "--trials", "400", "--seed", "42", "--decoder", "irmwpm",
+            "--threads", "1", "--out", str(tmp_path / "simulate.csv"),
+            "--json", str(tmp_path / "simulate.json"),
+        ]
+    ) == 0
+    for closure, trials in (("ideal", "4"), ("open", "10")):
+        assert main(
+            [
+                "lifetime", "--distance", "5", "--p", "0.005", "--trials", trials,
+                "--seed", "7", "--closure", closure, "--threads", "1",
+                "--out", str(tmp_path / f"lifetime-{closure}.csv"),
+            ]
+        ) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in RESULTS_SHA256
+    }
+    assert digests == RESULTS_SHA256

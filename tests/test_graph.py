@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from surfdec.code import build_layout, build_se_circuit
@@ -350,3 +351,54 @@ def test_deep_window_interior_classes():
     check_conditional_rows(report, gx, gz)
     assert report.ok, [c for c in report.checks if not c.passed]
     assert report.matched_conditionals == N_INTERIOR_CONDITIONALS == 32
+
+
+def _loop_finalize(graph):
+    """The per-slot loop that once mapped edges to CSR slots (reference)."""
+    import scipy.sparse as sp
+
+    n = graph.n_nodes
+    rows, cols, data = [], [], []
+    for e in graph.edges:
+        rows.extend((e.u, e.v))
+        cols.extend((e.v, e.u))
+        data.extend((e.weight, e.weight))
+    coo = sp.coo_matrix(
+        (np.array(data), (np.array(rows), np.array(cols))), shape=(n, n)
+    )
+    csr = coo.tocsr()
+    slot = {}
+    for r in range(n):
+        for k in range(csr.indptr[r], csr.indptr[r + 1]):
+            slot[(r, csr.indices[k])] = k
+    edge_pos = np.empty((len(graph.edges), 2), dtype=np.intp)
+    for i, e in enumerate(graph.edges):
+        edge_pos[i, 0] = slot[(e.u, e.v)]
+        edge_pos[i, 1] = slot[(e.v, e.u)]
+    return csr, edge_pos
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_decoder_graphs(3, 3, 0.001),
+        lambda: build_decoder_graphs(5, 5, 0.001),
+        lambda: build_decoder_graphs(5, 5, 0.001, False, True, 2),
+        lambda: build_code_capacity_pair(5),
+    ],
+    ids=["d3-closed", "d5-closed", "d5-open-warmup2", "code-capacity"],
+)
+def test_finalize_matches_slot_loop(build):
+    for graph in build():
+        csr, edge_pos = _loop_finalize(graph)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(graph._csr, name), getattr(csr, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        assert np.array_equal(graph._edge_data_pos, edge_pos)
+
+
+def test_setup_computes_no_shortest_paths():
+    for graph in (*build_decoder_graphs(3, 3, 0.001), *build_code_capacity_pair(3)):
+        assert graph._memo_slot is None and graph._memo_rows == 0
+        assert graph._work is None

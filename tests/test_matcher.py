@@ -276,3 +276,190 @@ def test_known_single_error_corrected(layout3, circuit3, graphs3):
         syn = ideal_syndrome(layout3, prod)
         assert all(b == 0 for b in syn[n_x:])
         assert commutation_parity(prod, layout3.logical_z) == 0
+
+
+# ---------------------------------------------------------------------------
+# memoized base-weight rows and the reused work adjacency, against an
+# undirected scipy Dijkstra on an adjacency rebuilt from the edge list
+
+
+def _oracle_paths(graph, sources, overlay=None):
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import dijkstra
+
+    n = graph.n_nodes
+    overlay = overlay or {}
+    rows, cols, data = [], [], []
+    for e in graph.edges:
+        w = overlay.get(e.index, e.weight)
+        rows.extend((e.u, e.v))
+        cols.extend((e.v, e.u))
+        data.extend((w, w))
+    csr = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return dijkstra(csr, directed=False, indices=sources, return_predecessors=True)
+
+
+def _assert_oracle(graph, sources, overlay=None):
+    dist, pred = shortest_paths(graph, sources, overlay)
+    want_dist, want_pred = _oracle_paths(graph, sources, overlay)
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(pred, want_pred)
+
+
+def _memo_state(graph):
+    rows = graph._memo_rows
+    return (
+        graph._memo_slot.copy(),
+        graph._memo_dist[:rows].copy(),
+        graph._memo_pred[:rows].copy(),
+    )
+
+
+def _count_dijkstra(monkeypatch):
+    from surfdec import graph as graph_mod
+
+    calls = []
+    real = graph_mod.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["indices"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "dijkstra", counted)
+    return calls
+
+
+def test_base_paths_cold_and_warm_memo(monkeypatch):
+    from surfdec.graph import build_decoder_graphs
+
+    gx, gz = build_decoder_graphs(5, 5, 0.005)
+    calls = _count_dijkstra(monkeypatch)
+    for g in (gx, gz):
+        calls.clear()
+        _assert_oracle(g, [3, 17, 40])  # cold
+        assert g._memo_rows == 3 and len(calls) == 1
+        _assert_oracle(g, [3, 17, 40])  # warm: no Dijkstra
+        assert len(calls) == 1
+        _assert_oracle(g, [0, 17, 40, 41])  # two rows new
+        assert g._memo_rows == 5 and list(calls[-1]) == [0, 41]
+        every = list(range(g.n_nodes))
+        _assert_oracle(g, every)
+        assert g._memo_rows == g.n_nodes
+        calls.clear()
+        _assert_oracle(g, every[::-1])
+        assert not calls
+
+
+def test_overlay_leaves_base_and_memo_untouched(cc_pair5):
+    from surfdec.graph import build_decoder_graphs
+
+    gx, _ = build_decoder_graphs(5, 5, 0.005)
+    cx, _ = cc_pair5
+    for g, w in ((gx, 0.5), (cx, 0.0)):
+        sources = [1, 7, 12]
+        _assert_oracle(g, sources)
+        base = g._csr.data.copy()
+        memo = _memo_state(g)
+        overlay = {eid: w for eid in range(0, len(g.edges), 3)}
+        _assert_oracle(g, sources, overlay)
+        _assert_oracle(g, [2, 7], {5: w})
+        assert np.array_equal(g._csr.data, base)
+        for before, after in zip(memo, _memo_state(g)):
+            assert np.array_equal(before, after)
+        _assert_oracle(g, sources)
+        _assert_oracle(g, [2, 7])
+
+
+def test_reweighted_paths_match_undirected_rebuild(layout5, circuit5):
+    from surfdec.graph import build_decoder_graphs
+    from surfdec.irmwpm import reweight
+
+    gx, gz = build_decoder_graphs(5, 5, 0.005)
+    rng = np.random.default_rng(8)
+    params = NoiseParams(0.005)
+    checked = 0
+    while checked < 40:
+        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5, True)
+        ev_x = events_to_nodes(gx, hist.x_lattice_events)
+        ev_z = events_to_nodes(gz, hist.z_lattice_events)
+        if not ev_x or not ev_z:
+            continue
+        overlay_z = reweight(gz, mwpm(gx, ev_x), gx.corr_to_dual)
+        overlay_x = reweight(gx, mwpm(gz, ev_z), gz.corr_to_dual)
+        if not overlay_z or not overlay_x:
+            continue
+        _assert_oracle(gz, sorted(ev_z), overlay_z)
+        _assert_oracle(gx, sorted(ev_x), overlay_x)
+        checked += 1
+
+
+def test_capped_memo_stops_growing(monkeypatch, layout5, circuit5):
+    from surfdec import graph as graph_mod
+
+    uncapped = graph_mod.build_decoder_graphs(5, 5, 0.005)
+    capped = graph_mod.build_decoder_graphs(5, 5, 0.005)
+    for g in uncapped:
+        g.base_paths([0])  # allocates this memo before the cap is patched
+    monkeypatch.setattr(graph_mod, "MEMO_ENTRIES", 4 * capped[0].n_nodes + 5)
+    rng = np.random.default_rng(12)
+    params = NoiseParams(0.005)
+    for _ in range(60):
+        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5, True)
+        for lattice, events in ((0, hist.x_lattice_events), (1, hist.z_lattice_events)):
+            ev = events_to_nodes(capped[lattice], events)
+            a = mwpm(uncapped[lattice], ev)
+            b = mwpm(capped[lattice], ev)
+            assert a.signature() == b.signature()
+            assert a.path_edges == b.path_edges
+            assert a.total_weight == b.total_weight
+    for g in capped:
+        assert g._memo_rows == len(g._memo_dist) == len(g._memo_pred) == 4
+        assert np.count_nonzero(g._memo_slot >= 0) == 4
+        assert g._memo_dist.size <= graph_mod.MEMO_ENTRIES
+    assert uncapped[0]._memo_rows > 4
+    _assert_oracle(capped[0], list(range(capped[0].n_nodes)))
+    assert capped[0]._memo_rows == 4
+
+
+def test_memo_respects_cap_at_distance_13():
+    from surfdec.graph import MEMO_ENTRIES, build_decoder_graphs
+
+    gx, _ = build_decoder_graphs(13, 13, 0.001)
+    _assert_oracle(gx, [0, gx.n_nodes // 2, gx.boundary_node])
+    assert len(gx._memo_dist) == MEMO_ENTRIES // gx.n_nodes < gx.n_nodes
+    assert gx._memo_dist.size + gx._memo_pred.size <= 2 * MEMO_ENTRIES
+
+
+def _networkx_weight(graph, events):
+    nx = pytest.importorskip("networkx")
+    dist, _ = _oracle_paths(graph, events)
+    bnd = graph.boundary_node
+    g = nx.Graph()
+    for i in range(len(events)):
+        g.add_edge(("event", i), ("twin", i), weight=float(dist[i, bnd]))
+        for j in range(i + 1, len(events)):
+            g.add_edge(("event", i), ("event", j), weight=float(dist[i, events[j]]))
+            g.add_edge(("twin", i), ("twin", j), weight=0.0)
+    matching = nx.min_weight_matching(g)
+    assert 2 * len(matching) == g.number_of_nodes()
+    return sum(g[a][b]["weight"] for a, b in matching)
+
+
+def test_mwpm_equals_networkx_beyond_brute_force(layout5, circuit5):
+    # windows with more than 10 events, where brute_force_matching refuses
+    pytest.importorskip("networkx")
+    from surfdec.graph import build_decoder_graphs
+
+    gx, gz = build_decoder_graphs(5, 5, 0.01)
+    rng = np.random.default_rng(31)
+    params = NoiseParams(0.01)
+    checked = 0
+    while checked < 30:
+        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5, True)
+        for g, events in ((gx, hist.x_lattice_events), (gz, hist.z_lattice_events)):
+            ev = sorted(events_to_nodes(g, events))
+            if len(ev) <= 10:
+                continue
+            want = _networkx_weight(g, ev)
+            assert mwpm(g, ev).total_weight == pytest.approx(want, abs=1e-9)
+            checked += 1
