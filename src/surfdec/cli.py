@@ -23,6 +23,7 @@ from .experiments import (
     threshold_scan,
 )
 from .graph import build_decoder_graphs, graph_to_dict
+from .irmwpm import STOPPING_MODES
 from .noise import enumerate_single_faults
 from .verify import run_verification
 
@@ -115,9 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rounds", type=int, default=None, help="default: distance")
     sp.add_argument("--max-iters", type=int, default=10)
     sp.add_argument(
-        "--stopping",
-        choices=("consecutive", "algorithm1-literal", "weight-stable"),
-        default="consecutive",
+        "--stopping", choices=STOPPING_MODES, default="consecutive"
     )
     sp.add_argument("--reweight-boundary", type=_bool_flag, default=True)
     sp.add_argument("--out", required=True, help="CSV output path")

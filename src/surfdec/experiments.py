@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .code import build_layout, build_se_circuit, ideal_syndrome
 from .graph import build_code_capacity_pair, build_decoder_graphs
-from .irmwpm import decode
+from .irmwpm import STOPPING_MODES, decode
 from .matcher import events_to_nodes
 from .noise import NoiseParams, sample_faults, simulate
 from .pauli import PauliOperator, commutation_parity, multiply
@@ -46,7 +46,6 @@ class SimConfig:
     threads: int | None = None  # default: available parallelism
     idle_noise: bool = True
     reweight_boundary: bool = True
-    virtual_decoder: str | None = None  # lifetime ideal decoder; default = decoder
     lifetime_cap: int = 1_000_000
     # lifetime window closure: "ideal" appends the virtual perfect round to
     # each working decode (standard lifetime methodology); "open" commits
@@ -68,6 +67,14 @@ class SimConfig:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if self.closure not in ("ideal", "open"):
             raise ValueError("closure must be 'ideal' or 'open'")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+        if self.stopping not in STOPPING_MODES:
+            raise ValueError(f"stopping must be one of {STOPPING_MODES}")
+        if self.check_period is not None and self.check_period < 1:
+            raise ValueError("check_period must be >= 1")
+        if self.lifetime_cap < 1:
+            raise ValueError("lifetime_cap must be >= 1")
 
     @property
     def rounds(self) -> int:
@@ -233,7 +240,6 @@ def run_lifetime_trial(ctx: _Context, rng: np.random.Generator):
     layout, circuit = ctx.layout, ctx.circuit
     T = cfg.rounds
     check_period = cfg.check_period or cfg.L
-    vdec = cfg.virtual_decoder or cfg.decoder
     open_windows = cfg.closure == "open"
     n_x = len(layout.x_stabilizers)
     n_z = len(layout.z_stabilizers)
@@ -274,7 +280,7 @@ def run_lifetime_trial(ctx: _Context, rng: np.random.Generator):
                 ctx.gx_cc.node_id(i, 1) for i in range(n_z) if syn_now[n_x + i]
             ]
             v_x, v_z, _ = _decode_events(
-                ctx, ctx.gx_cc, ctx.gz_cc, ev_x_cc, ev_z_cc, vdec
+                ctx, ctx.gx_cc, ctx.gz_cc, ev_x_cc, ev_z_cc, cfg.decoder
             )
             if _logical_failure(layout, residual, v_x, v_z):
                 return rounds, False

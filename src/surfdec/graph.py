@@ -36,7 +36,6 @@ space or time boundary) keep the letter and carry a boundary flag.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,10 +165,6 @@ class DecodingGraph:
     def node_pos(self, node: int) -> tuple[int, int]:
         """(stabilizer, round) of a non-boundary node id."""
         return node % self.n_stabs, node // self.n_stabs + 1
-
-    @property
-    def base_weights(self) -> np.ndarray:
-        return np.array([e.weight for e in self.edges])
 
     def finalize(self) -> None:
         """Build the sparse adjacency used for shortest-path queries."""
@@ -812,9 +807,3 @@ def graph_to_dict(graph: DecodingGraph) -> dict:
             for e in graph.edges
         ],
     }
-
-
-def dump_graph_json(graph: DecodingGraph, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -1,9 +1,12 @@
 """Iteratively reweighted minimum-weight perfect matching.
 
-Decoding alternates between the two lattices: after the initial independent
-matchings, the Z lattice is reweighted using the X matching and re-matched,
-then the X lattice is reweighted using the new Z matching, and so on until
-the estimate pair repeats or the iteration cap is reached.
+Decoding alternates between the two lattices.  After the initial independent
+matchings, each half iteration reweights one lattice from the other's latest
+matching and matches it again: the Z lattice from the X matching, then the X
+lattice from the new Z matching, and so on until the estimate pair repeats
+or the iteration cap is reached.  A lattice whose new overlay equals the one
+its current matching was made with is not matched again: matching is
+deterministic, so the call would return the same matching.
 
 Reweighting always starts from the pristine base graph: every edge in the
 dual correction pulls each of its correlated primal edges down to
@@ -91,10 +94,9 @@ def correction_weight(e_x: PauliOperator, e_z: PauliOperator) -> int:
 
 def reweight(
     base_graph: DecodingGraph,
+    dual_graph: DecodingGraph,
     dual_matching: MatchingResult,
-    correlation_map,
     reweight_boundary: bool = True,
-    dual_graph: DecodingGraph | None = None,
 ) -> dict[int, float]:
     """Overlay for ``base_graph`` from a matching on its dual lattice.
 
@@ -105,21 +107,19 @@ def reweight(
     out of the correction, and discounting its correlates would let the
     next matching add a data qubit outside the joint estimate at no cost.
 
-    ``correlation_map`` is the dual graph's edge -> [(primal edge,
-    conditional)] table.  With ``reweight_boundary`` off, dual edges
+    ``dual_graph.corr_to_dual`` maps each dual edge to its (primal edge,
+    conditional) pairs.  With ``reweight_boundary`` off, dual edges
     incident to the virtual boundary node do not trigger updates.
     """
-    overlay: dict[int, float] = {}
+    correlation_map = dual_graph.corr_to_dual
     if correlation_map is None:
         raise ValueError("correlation map has not been derived for the dual graph")
+    overlay: dict[int, float] = {}
     code_capacity = base_graph.mode == "code_capacity"
+    skip_node = None if reweight_boundary else dual_graph.boundary_node
     for eid, traversals in Counter(dual_matching.all_edge_ids()).items():
-        if traversals % 2 == 0:
+        if traversals % 2 == 0 or dual_graph.edges[eid].v == skip_node:
             continue
-        if not reweight_boundary and dual_graph is not None:
-            e = dual_graph.edges[eid]
-            if e.v == dual_graph.boundary_node:
-                continue
         for primal_eid, cond in correlation_map[eid]:
             w = 0.0 if code_capacity else -math.log(float(cond))
             if w < overlay.get(primal_eid, math.inf):
@@ -179,101 +179,65 @@ def decode(
     """
     if stopping not in STOPPING_MODES:
         raise ValueError(f"stopping mode must be one of {STOPPING_MODES}")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
+    graphs = (graph_x, graph_z)
+    events = (events_x, events_z)
+    # per lattice, X then Z: the overlay its matching was made with ({} is
+    # the base weights), that matching, and its estimate
+    overlays: list[dict[int, float]] = [{}, {}]
+    matchings = [mwpm(g, ev, {}, prune_neighbors) for g, ev in zip(graphs, events)]
+    estimates = [
+        matching_to_correction(g, m, layout) for g, m in zip(graphs, matchings)
+    ]
     trace = IterationTrace()
 
-    m_x = mwpm(graph_x, events_x, prune_neighbors=prune_neighbors)
-    m_z = mwpm(graph_z, events_z, prune_neighbors=prune_neighbors)
-    e_x = matching_to_correction(graph_x, m_x, layout)
-    e_z = matching_to_correction(graph_z, m_z, layout)
-    w = correction_weight(e_x, e_z)
-    trace.steps.append(
-        IterationStep(
-            0.0,
-            e_x.x_mask,
-            e_z.z_mask,
-            w,
-            _matching_base_weight(graph_x, m_x) + _matching_base_weight(graph_z, m_z),
-        )
-    )
-
-    if (not events_x and not events_z) or max_iterations == 0:
-        trace.stop_reason = "no_events" if not (events_x or events_z) else "max_iters"
-        return e_x, e_z, trace
-
-    def check_monotone(w_new: int, w_old: int, idx: float):
-        if w_new > w_old:
+    def record(index: float) -> IterationStep:
+        e_x, e_z = estimates
+        w = correction_weight(e_x, e_z)
+        if trace.steps and w > trace.steps[-1].pauli_weight:
             trace.monotonic = False
             if raise_on_violation:
                 raise MonotonicityError(
-                    f"joint weight rose from {w_old} to {w_new} at step {idx}"
+                    f"joint weight rose from {trace.steps[-1].pauli_weight} "
+                    f"to {w} at step {index}"
                 )
+        base = sum(_matching_base_weight(g, m) for g, m in zip(graphs, matchings))
+        trace.steps.append(IterationStep(index, e_x.x_mask, e_z.z_mask, w, base))
+        return trace.steps[-1]
 
-    ex_history = [e_x.x_mask]
-    ez_history = [e_z.z_mask]
-    w_prev_full = w
+    prev = record(0.0)
+    if not (events_x or events_z):
+        trace.stop_reason = "no_events"
+        return (*estimates, trace)
 
+    ex_history = [prev.ex_mask]
+    ez_history = [prev.ez_mask]
     for k in range(1, max_iterations + 1):
-        # Z step: reweight the base Z lattice with the current X matching.
-        ovl_z = reweight(
-            graph_z, m_x, graph_x.corr_to_dual, reweight_boundary, graph_x
-        )
-        m_z_new = mwpm(graph_z, events_z, ovl_z, prune_neighbors)
-        e_z_new = matching_to_correction(graph_z, m_z_new, layout)
-        w_half = correction_weight(e_x, e_z_new)
-        check_monotone(w_half, trace.steps[-1].pauli_weight, k - 0.5)
-        trace.steps.append(
-            IterationStep(
-                k - 0.5,
-                e_x.x_mask,
-                e_z_new.z_mask,
-                w_half,
-                _matching_base_weight(graph_x, m_x)
-                + _matching_base_weight(graph_z, m_z_new),
-            )
-        )
-
-        # X step: reweight the base X lattice with the new Z matching.
-        ovl_x = reweight(
-            graph_x, m_z_new, graph_z.corr_to_dual, reweight_boundary, graph_z
-        )
-        m_x_new = mwpm(graph_x, events_x, ovl_x, prune_neighbors)
-        e_x_new = matching_to_correction(graph_x, m_x_new, layout)
-        w_full = correction_weight(e_x_new, e_z_new)
-        check_monotone(w_full, trace.steps[-1].pauli_weight, float(k))
-        trace.steps.append(
-            IterationStep(
-                float(k),
-                e_x_new.x_mask,
-                e_z_new.z_mask,
-                w_full,
-                _matching_base_weight(graph_x, m_x_new)
-                + _matching_base_weight(graph_z, m_z_new),
-            )
-        )
+        # Z step from the X matching, then X step from the new Z matching
+        for lat, index in ((1, k - 0.5), (0, float(k))):
+            graph, dual = graphs[lat], 1 - lat
+            overlay = reweight(graph, graphs[dual], matchings[dual], reweight_boundary)
+            if overlay != overlays[lat]:
+                overlays[lat] = overlay
+                matchings[lat] = mwpm(graph, events[lat], overlay, prune_neighbors)
+                estimates[lat] = matching_to_correction(graph, matchings[lat], layout)
+            step = record(index)
 
         halt = stopping_criterion(
-            stopping,
-            e_x_new.x_mask,
-            e_z_new.z_mask,
-            ex_history[-1],
-            ez_history[-1],
-            ex_history,
-            ez_history,
-            w_full,
-            w_prev_full,
+            stopping, step.ex_mask, step.ez_mask, prev.ex_mask, prev.ez_mask,
+            ex_history, ez_history, step.pauli_weight, prev.pauli_weight,
         )
-        m_x, m_z = m_x_new, m_z_new
-        e_x, e_z = e_x_new, e_z_new
-        ex_history.append(e_x.x_mask)
-        ez_history.append(e_z.z_mask)
-        w_prev_full = w_full
+        ex_history.append(step.ex_mask)
+        ez_history.append(step.ez_mask)
+        prev = step
         trace.extra_iterations = k
         if halt:
             trace.stop_reason = "converged"
-            return e_x, e_z, trace
+            return (*estimates, trace)
 
     trace.stop_reason = "max_iters"
-    return e_x, e_z, trace
+    return (*estimates, trace)
 
 
 def decode_mwpm(

@@ -117,10 +117,6 @@ class SyndromeHistory:
     z_lattice_events: tuple[tuple[int, int], ...]
     residual: PauliOperator
 
-    @property
-    def rounds_measured(self) -> int:
-        return self.T + (1 if self.final_round_perfect else 0)
-
 
 def sample_faults(
     circuit: SECircuit,

@@ -15,14 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .code import build_layout, build_se_circuit, ideal_syndrome
-from .graph import (
-    GEOMETRY_LETTERS,
-    INTERIOR_COEFFS,
-    build_decoder_graphs,
-    build_graph,
-)
+from .graph import build_decoder_graphs
 from .matcher import brute_force_matching, events_to_nodes, mwpm
-from .noise import NoiseParams, enumerate_single_faults, sample_faults, simulate
+from .noise import NoiseParams, sample_faults, simulate
 from .pauli import PauliOperator
 
 #: interior conditional-probability rows: primal type -> sorted multiset of

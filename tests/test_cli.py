@@ -151,6 +151,18 @@ def test_usage_error_exit_codes(tmp_path):
          "--out", str(tmp_path / "x.csv")]
     )
     assert rc == 2
+    # a negative iteration cap used to run plain MWPM and exit 0
+    rc = main(
+        ["simulate", "--distance", "3", "--p", "0.01", "--trials", "50",
+         "--max-iters", "-1", "--out", str(tmp_path / "neg.csv")]
+    )
+    assert rc == 2
+    assert not (tmp_path / "neg.csv").exists()
+    rc = main(
+        ["lifetime", "--distance", "3", "--p", "0.01", "--trials", "5",
+         "--check-period", "0", "--out", str(tmp_path / "lt.csv")]
+    )
+    assert rc == 2
 
 
 def test_config_file_defaults_and_override(tmp_path):
@@ -211,24 +223,44 @@ def test_threshold_command_smoke(tmp_path):
 
 
 #: sha256 of short results files, recorded before the base-weight
-#: shortest-path memo; performance work must leave them byte-identical
+#: shortest-path memo (the three simulate variants: before the IRMWPM decode
+#: loop became one alternating half-step); performance work must leave them
+#: byte-identical
 RESULTS_SHA256 = {
     "simulate.csv": "6bb6b899df585f100d55cf6e8aac47e31888e8717540791c41c851a19565b687",
     "simulate.json": "cf727738eca6d9e21d5557a8224f3de79bad53bf8b02a8831cff734ff05b9d3b",
     "lifetime-ideal.csv": "55eb3804df579ff2d5be28cf4bc3eafb332f75045a59c9c39b84747e58edfd20",
     "lifetime-open.csv": "9d806344817eaa53747e7e6016937e1d25fb4bc77565d0b17bb3109c84a2a636",
+    "stopping-algorithm1-literal.json":
+        "09920c756752244050141adf698bf90a53dd2284f20ef857288a9031039d188d",
+    "stopping-weight-stable.json":
+        "29de092bdc02da510b3c02eb2b6c98e0ac5b9584cfe34c4281d6eb8630f6026e",
+    "boundary-off.json":
+        "aaa9b659e86ba5bd1fbdfd7c7074c8cde0930c318c21882e32ec778704e78fe0",
+}
+
+#: the pinned simulate run again, with one non-default IRMWPM setting each
+SIMULATE_VARIANTS = {
+    "stopping-algorithm1-literal.json": ["--stopping", "algorithm1-literal"],
+    "stopping-weight-stable.json": ["--stopping", "weight-stable"],
+    "boundary-off.json": ["--reweight-boundary", "off"],
 }
 
 
 def test_results_files_are_pinned(tmp_path):
+    simulate = [
+        "simulate", "--distance", "5", "--rounds", "5", "--p", "0.005",
+        "--trials", "400", "--seed", "42", "--decoder", "irmwpm", "--threads", "1",
+    ]
     assert main(
-        [
-            "simulate", "--distance", "5", "--rounds", "5", "--p", "0.005",
-            "--trials", "400", "--seed", "42", "--decoder", "irmwpm",
-            "--threads", "1", "--out", str(tmp_path / "simulate.csv"),
-            "--json", str(tmp_path / "simulate.json"),
-        ]
+        simulate + ["--out", str(tmp_path / "simulate.csv"),
+                    "--json", str(tmp_path / "simulate.json")]
     ) == 0
+    for name, flags in SIMULATE_VARIANTS.items():
+        assert main(
+            simulate + flags + ["--out", str(tmp_path / f"{name}.csv"),
+                                "--json", str(tmp_path / name)]
+        ) == 0
     for closure, trials in (("ideal", "4"), ("open", "10")):
         assert main(
             [

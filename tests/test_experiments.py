@@ -27,6 +27,14 @@ def test_config_validation():
         SimConfig(L=3, p=0.01, trials=0)
     with pytest.raises(ValueError):
         SimConfig(L=3, p=0.01, trials=10, decoder="magic")
+    for bad in (
+        dict(max_iterations=-1),
+        dict(stopping="never"),
+        dict(check_period=0),
+        dict(lifetime_cap=0),
+    ):
+        with pytest.raises(ValueError):
+            SimConfig(L=3, p=0.01, trials=10, **bad)
     cfg = SimConfig(L=3, p=0.01, trials=10)
     assert cfg.rounds == 3  # defaults to L
 

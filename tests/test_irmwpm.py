@@ -40,7 +40,7 @@ def test_correction_weight_trivial():
 
 def test_reweight_empty_matching(graphs3):
     gx, gz = graphs3
-    overlay = reweight(gz, mwpm(gx, []), gx.corr_to_dual)
+    overlay = reweight(gz, gx, mwpm(gx, []))
     assert len(overlay) == 0
 
 
@@ -53,7 +53,7 @@ def test_reweight_temporal_edge_value(graphs5, layout5):
     a_edge = next(e for e in interior_edges(gx) if e.letter == "a")
     m = mwpm(gx, [a_edge.u, a_edge.v])
     assert m.path_edges[(a_edge.u, a_edge.v)] == (a_edge.index,)
-    overlay = reweight(gz, m, gx.corr_to_dual)
+    overlay = reweight(gz, gx, m)
     expected = -math.log(3 / 31)
     d_targets = [
         deid
@@ -71,7 +71,7 @@ def test_reweight_code_capacity_zeroes(cc_pair3, layout3):
     err = PauliOperator.single(13, layout3.data_index[(2, 2)], "X")
     ev_x, _ = _cc_events(cc_pair3, layout3, err)
     m = mwpm(gx, ev_x)
-    overlay = reweight(gz, m, gx.corr_to_dual)
+    overlay = reweight(gz, gx, m)
     assert overlay
     assert all(w == 0.0 for w in overlay.values())
 
@@ -154,6 +154,8 @@ def test_decode_rejects_bad_mode(graphs3, layout3):
     gx, gz = graphs3
     with pytest.raises(ValueError):
         decode(gx, gz, [], [], layout3, stopping="bogus")
+    with pytest.raises(ValueError):
+        decode(gx, gz, [], [], layout3, max_iterations=-1)
 
 
 def test_trace_indices_and_cap(layout5, cc_pair5):
@@ -199,8 +201,8 @@ def test_reweight_skips_edges_that_cancel(cc_pair5):
     gx, gz = cc_pair5
     once = MatchingResult(path_edges={(5, 9): (13,)})
     twice = MatchingResult(path_edges={(5, 9): (13,), (9, 5): (13,)})
-    assert reweight(gz, once, gx.corr_to_dual) == {16: 0.0}
-    assert len(reweight(gz, twice, gx.corr_to_dual)) == 0
+    assert reweight(gz, gx, once) == {16: 0.0}
+    assert len(reweight(gz, gx, twice)) == 0
 
 
 def test_shared_dual_edge_keeps_code_capacity_monotone(cc_pair5, layout5):
@@ -265,3 +267,39 @@ def test_decoding_radius_weight_one_d3(cc_pair3, layout3):
                 assert all(b == 0 for b in ideal_syndrome(layout3, total))
                 assert commutation_parity(total, layout3.logical_x) == 0
                 assert commutation_parity(total, layout3.logical_z) == 0
+
+
+def test_decode_never_repeats_a_matching(monkeypatch, layout5, circuit5):
+    # a lattice is matched again only when its overlay changed, and matching
+    # is deterministic, so no call within one decode repeats an earlier one
+    from surfdec import irmwpm
+    from surfdec.graph import build_decoder_graphs
+
+    gx, gz = build_decoder_graphs(5, 5, 0.005)
+    real_mwpm = irmwpm.mwpm
+    calls = []
+
+    def counting_mwpm(graph, events, overlay=None, prune_neighbors=None):
+        key = (id(graph), tuple(sorted(events)), tuple(sorted((overlay or {}).items())))
+        calls.append(key)
+        return real_mwpm(graph, events, overlay, prune_neighbors)
+
+    monkeypatch.setattr(irmwpm, "mwpm", counting_mwpm)
+    params = NoiseParams(0.005)
+    iterated = 0
+    for i in range(200):
+        rng = np.random.default_rng([9, 5, i])
+        faults = sample_faults(circuit5, params, 5, rng)
+        hist = simulate(layout5, circuit5, faults, 5, True)
+        calls.clear()
+        _, _, trace = decode(
+            gx,
+            gz,
+            events_to_nodes(gx, hist.x_lattice_events),
+            events_to_nodes(gz, hist.z_lattice_events),
+            layout5,
+            raise_on_violation=False,
+        )
+        iterated += trace.extra_iterations >= 2
+        assert len(set(calls)) == len(calls), f"window {i} repeats a matching"
+    assert iterated >= 20  # 35 of these 200 windows
