@@ -128,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iters", type=int, default=10)
     sp.add_argument("--check-period", type=int, default=None, help="default: distance")
     sp.add_argument("--cap", type=int, default=1_000_000)
-    sp.add_argument(
-        "--closure", choices=("ideal", "open"), default="ideal",
-        help="window closure: virtual perfect readout (ideal) or fully noisy",
-    )
     sp.add_argument("--out", required=True, help="CSV output path")
 
     sp = sub.add_parser("threshold", help="crossing-point scan over (p, L)")
@@ -285,7 +281,6 @@ def _cmd_lifetime(args) -> int:
         threads=args.threads,
         idle_noise=args.idle_noise,
         lifetime_cap=args.cap,
-        closure=args.closure,
         prune_neighbors=args.prune,
     )
     _progress(f"lifetime: L={cfg.L} p={cfg.p} trials={cfg.trials}")
@@ -369,7 +364,7 @@ def _cmd_enumerate(args) -> int:
     T = args.rounds if args.rounds is not None else L
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(layout, circuit, T, True, args.idle_noise)
+    records = enumerate_single_faults(layout, circuit, T, args.idle_noise)
     _write_json(
         args.out,
         {
@@ -399,7 +394,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_dump_graph(args) -> int:
     L = args.distance
     T = args.rounds if args.rounds is not None else L
-    gx, gz = build_decoder_graphs(L, T, args.p, True, args.idle_noise)
+    gx, gz = build_decoder_graphs(L, T, args.p, args.idle_noise)
     graph = gx if args.lattice == "X" else gz
     _write_json(args.out, graph_to_dict(graph))
     _progress(f"dumped {args.lattice} lattice: {len(graph.edges)} edges")

@@ -47,10 +47,6 @@ class SimConfig:
     idle_noise: bool = True
     reweight_boundary: bool = True
     lifetime_cap: int = 1_000_000
-    # lifetime window closure: "ideal" appends the virtual perfect round to
-    # each working decode (standard lifetime methodology); "open" commits
-    # fully-noisy windows and lets the next window pick up the leftovers
-    closure: str = "ideal"
     # keep only each event's m nearest partners in matching (None = exact)
     prune_neighbors: int | None = None
 
@@ -65,8 +61,6 @@ class SimConfig:
             raise ValueError("rounds must be >= 1")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
-        if self.closure not in ("ideal", "open"):
-            raise ValueError("closure must be 'ideal' or 'open'")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.stopping not in STOPPING_MODES:
@@ -147,8 +141,6 @@ class _Context:
     circuit: object
     gx: object
     gz: object
-    gx_open: object = None  # lifetime windows: no perfect final round
-    gz_open: object = None
     gx_cc: object = None  # 2D virtual-check lattices
     gz_cc: object = None
 
@@ -156,18 +148,9 @@ class _Context:
 def _build_context(config: SimConfig, lifetime: bool = False) -> _Context:
     layout = build_layout(config.L)
     circuit = build_se_circuit(layout)
-    gx, gz = build_decoder_graphs(
-        config.L, config.rounds, config.p, True, config.idle_noise
-    )
+    gx, gz = build_decoder_graphs(config.L, config.rounds, config.p, config.idle_noise)
     ctx = _Context(config, layout, circuit, gx, gz)
     if lifetime:
-        if config.closure == "open":
-            # steady-state open windows: no perfect final round; mechanisms
-            # from the previous window's tail explain inherited detections
-            ctx.gx_open, ctx.gz_open = build_decoder_graphs(
-                config.L, config.rounds, config.p, False, config.idle_noise,
-                warmup_rounds=2,
-            )
         ctx.gx_cc, ctx.gz_cc = build_code_capacity_pair(config.L)
     return ctx
 
@@ -229,18 +212,14 @@ def run_lifetime_trial(ctx: _Context, rng: np.random.Generator):
     Returns (rounds_survived, capped).  Every T rounds the working decoder
     consumes the accumulated window syndromes and its correction is applied
     to the running state; the periodic 2D virtual decode only checks for a
-    logical failure and never disturbs the state.
-
-    With ``closure="ideal"`` each window decode also sees the virtual
-    perfect readout as its final layer (the usual lifetime methodology);
-    with ``closure="open"`` windows are committed from noisy rounds alone
-    and leftovers surface as inherited detections in the next window.
+    logical failure and never disturbs the state.  Each window decode also
+    sees the virtual perfect readout as its final layer (the usual lifetime
+    methodology).
     """
     cfg = ctx.config
     layout, circuit = ctx.layout, ctx.circuit
     T = cfg.rounds
     check_period = cfg.check_period or cfg.L
-    open_windows = cfg.closure == "open"
     n_x = len(layout.x_stabilizers)
     n_z = len(layout.z_stabilizers)
     residual = PauliOperator.identity(layout.n_data)
@@ -248,23 +227,19 @@ def run_lifetime_trial(ctx: _Context, rng: np.random.Generator):
     ref_z = np.zeros(n_z, dtype=np.uint8)
     rounds = 0
     params = NoiseParams(cfg.p)
-    g_x = ctx.gx_open if open_windows else ctx.gx
-    g_z = ctx.gz_open if open_windows else ctx.gz
 
     while rounds < cfg.lifetime_cap:
         faults = sample_faults(circuit, params, T, rng, cfg.idle_noise)
-        hist = simulate(
-            layout, circuit, faults, T, not open_windows, initial_error=residual
-        )
+        hist = simulate(layout, circuit, faults, T, True, initial_error=residual)
         rounds += T
         ev_x = _events_vs_reference(hist.z_anc_outcomes, ref_z)  # X errors
         ev_z = _events_vs_reference(hist.x_anc_outcomes, ref_x)  # Z errors
         e_x, e_z, _ = _decode_events(
             ctx,
-            g_x,
-            g_z,
-            events_to_nodes(g_x, ev_x),
-            events_to_nodes(g_z, ev_z),
+            ctx.gx,
+            ctx.gz,
+            events_to_nodes(ctx.gx, ev_x),
+            events_to_nodes(ctx.gz, ev_z),
             cfg.decoder,
         )
         residual = multiply(multiply(hist.residual, e_x), e_z)

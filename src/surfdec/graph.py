@@ -14,10 +14,10 @@ gives every fault of round 1 with its events in rounds 1 and 2, and
 ``pool_round`` groups those records once by signature, adding rates in
 integer units of p/15 (CNOT payload 1, idle Pauli 5, measurement flip 15).
 The window's edges, their correlation rows and everything attached to them
-come from repeating the pooled classes at every fault round of the window:
-shifted in time, with the events of the warm-up rounds before the window
-dropped and those past its last layer cut off.  Fractions are formed only
-for the edge coefficients and the conditionals.
+come from repeating the pooled classes at every fault round of the window,
+shifted in time.  Every window closes with a perfect readout layer, so a
+fault's events always lie inside it.  Fractions are formed only for the
+edge coefficients and the conditionals.
 
 Interior edges fall into six space-time geometry classes, labelled a-f:
 
@@ -118,8 +118,7 @@ class DecodingGraph:
 
     Nodes are (stabilizer, round) pairs, ``node_id = (t - 1) * n_stabs + s``
     for rounds 1..n_layers, plus the boundary node ``n_layers * n_stabs``.
-    A steady-state window has ``warmup_rounds`` fault rounds before its
-    first layer.
+    A circuit window has T noisy layers and a perfect readout layer.
 
     The edges and the base adjacency ``_csr`` are immutable after
     ``finalize``.  Two per-graph buffers are mutable: the memo of
@@ -141,7 +140,6 @@ class DecodingGraph:
     # conditional probabilities toward the dual lattice:
     # edge index -> tuple of (dual edge index, conditional probability)
     corr_to_dual: list[tuple[tuple[int, Fraction], ...]] | None = None
-    warmup_rounds: int = 0
     _csr: sp.csr_matrix | None = field(default=None, repr=False)
     _edge_data_pos: np.ndarray | None = field(default=None, repr=False)
     _work: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
@@ -392,19 +390,18 @@ def _place(
     n_stabs: int,
     n_layers: int,
     fault_rounds: int,
-    warmup: int,
     kind: str,
 ):
     """Every signature class repeated at every fault round of a window.
 
     An event of round t of a class placed at fault round r lies on layer
-    t + r - 1 - warmup; events off layers 1..n_layers are dropped.  Returns
+    t + r - 1; events off layers 1..n_layers are dropped.  Returns
     (fault round, class, u, v) arrays over the placements that keep an
     event, v being the boundary node for a single event.
     """
     boundary = n_stabs * n_layers
     r = np.arange(1, fault_rounds + 1)[:, None, None]
-    layer = classes.rounds + (r - 1 - warmup)
+    layer = classes.rounds + (r - 1)
     inside = (classes.stabs >= 0) & (layer >= 1) & (layer <= n_layers)
     count = inside.sum(axis=2)
     if count.size and count.max() > 2:
@@ -419,11 +416,6 @@ def _place(
     return rr + 1, cc, nodes[rr, cc, 0], nodes[rr, cc, 1]
 
 
-def _fault_rounds(graph: DecodingGraph) -> int:
-    """Fault rounds whose faults reach the graph's layers."""
-    return graph.T + graph.warmup_rounds if graph.mode == "circuit" else 1
-
-
 def _pool_edges(
     pool: RoundPool,
     kind: str,
@@ -431,25 +423,21 @@ def _pool_edges(
     n_layers: int,
     n_stabs: int,
     fault_rounds: int,
-    warmup: int,
     p: float,
     mode: str,
-    check_logical: bool = True,
 ) -> tuple[list[Edge], dict]:
     """Edges of one lattice from the pooled classes placed over the window.
 
     An edge's rate is the sum over every placed class whose signature is
     its node pair.  Its correction is the residual of the highest-rate
     fault behind it, the earliest round and then record order breaking
-    ties.  With ``check_logical`` (any window closed by a perfect round)
-    every fault behind an edge must share the same logical action, so that
-    correction is well defined.  Open-time-boundary windows genuinely mix
-    interpretations near the last round; there the highest-rate fault
-    supplies the correction.
+    ties.  Every fault behind an edge must share the same logical action,
+    so that correction is well defined; a conflict raises
+    ``GraphBuildError``.
     """
     classes = pool.lattice(kind)
     boundary = n_stabs * n_layers
-    rr, cc, u, v = _place(classes, n_stabs, n_layers, fault_rounds, warmup, kind)
+    rr, cc, u, v = _place(classes, n_stabs, n_layers, fault_rounds, kind)
     keys, edge = np.unique(u * (boundary + 1) + v, return_inverse=True)
     n_edges = len(keys)
     units = np.zeros(n_edges, dtype=np.int64)
@@ -457,22 +445,21 @@ def _pool_edges(
     order = np.lexsort((classes.best_order[cc], rr, -classes.best_units[cc], edge))
     rep = cc[order[np.searchsorted(edge[order], np.arange(n_edges))]]
 
-    if check_logical:
-        logical = layout.logical_z.z_mask if kind == "X" else layout.logical_x.x_mask
-        # bit 1: some fault leaves even logical parity, bit 2: odd
-        class_parity = np.array(
-            [sum({1 << ((r & logical).bit_count() & 1) for r in rs})
-             for rs in classes.residuals],
-            dtype=np.int64,
+    logical = layout.logical_z.z_mask if kind == "X" else layout.logical_x.x_mask
+    # bit 1: some fault leaves even logical parity, bit 2: odd
+    class_parity = np.array(
+        [sum({1 << ((r & logical).bit_count() & 1) for r in rs})
+         for rs in classes.residuals],
+        dtype=np.int64,
+    )
+    parity = np.zeros(n_edges, dtype=np.int64)
+    np.bitwise_or.at(parity, edge, class_parity[cc])
+    conflicts = np.nonzero(parity == 3)[0]
+    if len(conflicts):
+        key = divmod(int(keys[conflicts[0]]), boundary + 1)
+        raise GraphBuildError(
+            f"edge {key} has contributing faults with conflicting logical action"
         )
-        parity = np.zeros(n_edges, dtype=np.int64)
-        np.bitwise_or.at(parity, edge, class_parity[cc])
-        conflicts = np.nonzero(parity == 3)[0]
-        if len(conflicts):
-            key = divmod(int(keys[conflicts[0]]), boundary + 1)
-            raise GraphBuildError(
-                f"edge {key} has contributing faults with conflicting logical action"
-            )
 
     # distinct (fault round, location) pairs behind each edge
     n_locs = np.diff(classes.loc_start)[cc]
@@ -530,8 +517,6 @@ def build_graph(
     T: int,
     lattice_kind: str,
     pool: RoundPool,
-    final_round_perfect: bool = True,
-    warmup_rounds: int = 0,
 ) -> DecodingGraph:
     """Assemble the decoding lattice for one error type of a T-round window.
 
@@ -540,12 +525,9 @@ def build_graph(
     classes are repeated at each of the window's fault rounds and summed
     into edges in integer units of p/15 (see ``_pool_edges``).  Edge probabilities
     are direct first-order sums of contributing fault rates (valid for
-    small p; every edge probability must stay below 1).
-
-    ``warmup_rounds`` > 0 builds the steady-state window variant: that many
-    fault rounds precede the window, and their faults keep only the
-    detections that fall inside it, which yields the time-boundary edges
-    that explain detections inherited from the previous window.
+    small p; every edge probability must stay below 1).  The window's
+    T noisy rounds are followed by a perfect readout layer, so the graph
+    has T + 1 layers.
     """
     if lattice_kind not in ("X", "Z"):
         raise ValueError(f"lattice kind must be 'X' or 'Z', got {lattice_kind!r}")
@@ -553,13 +535,11 @@ def build_graph(
         raise ValueError(f"T must be >= 1, got {T}")
     if params.p <= 0.0:
         raise DegenerateWeightError("p must be positive to form -ln weights")
-    n_layers = T + (1 if final_round_perfect else 0)
+    n_layers = T + 1
     coords = layout.z_anc_coords if lattice_kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
     edges, lookup = _pool_edges(
-        pool, lattice_kind, layout, n_layers, n_stabs,
-        T + warmup_rounds, warmup_rounds, params.p, "circuit",
-        check_logical=final_round_perfect,
+        pool, lattice_kind, layout, n_layers, n_stabs, T, params.p, "circuit"
     )
     g = DecodingGraph(
         kind=lattice_kind,
@@ -572,7 +552,6 @@ def build_graph(
         stab_coords=coords,
         edges=edges,
         edge_lookup=lookup,
-        warmup_rounds=warmup_rounds,
     )
     classify_edges(g)
     g.finalize()
@@ -654,11 +633,8 @@ def derive_correlations(
 
 def _edge_ids(graph: DecodingGraph, classes: LatticeClasses) -> np.ndarray:
     """Edge index of each class placed at each fault round; -1 where none."""
-    rounds = _fault_rounds(graph)
-    rr, cc, u, v = _place(
-        classes, graph.n_stabs, graph.n_layers, rounds, graph.warmup_rounds,
-        graph.kind,
-    )
+    rounds = graph.T if graph.mode == "circuit" else 1
+    rr, cc, u, v = _place(classes, graph.n_stabs, graph.n_layers, rounds, graph.kind)
     ids = np.full((rounds, len(classes.units)), -1, dtype=np.int64)
     if not graph.edges:
         return ids
@@ -715,8 +691,7 @@ def build_code_capacity_graph(
     coords = layout.z_anc_coords if lattice_kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
     edges, lookup = _pool_edges(
-        pool, lattice_kind, layout, 1, n_stabs, 1, 0, 0.0,
-        "code_capacity",
+        pool, lattice_kind, layout, 1, n_stabs, 1, 0.0, "code_capacity"
     )
     g = DecodingGraph(
         kind=lattice_kind,
@@ -738,9 +713,7 @@ def build_decoder_graphs(
     L: int,
     T: int,
     p: float,
-    final_round_perfect: bool = True,
     include_idle: bool = True,
-    warmup_rounds: int = 0,
 ) -> tuple[DecodingGraph, DecodingGraph]:
     """Both lattices plus cross-correlations for a distance-L, T-round window.
 
@@ -749,10 +722,10 @@ def build_decoder_graphs(
     """
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    pool = pool_round(enumerate_single_faults(layout, circuit, 1, True, include_idle))
+    pool = pool_round(enumerate_single_faults(layout, circuit, 1, include_idle))
     params = NoiseParams(p)
-    gx = build_graph(layout, params, T, "X", pool, final_round_perfect, warmup_rounds)
-    gz = build_graph(layout, params, T, "Z", pool, final_round_perfect, warmup_rounds)
+    gx = build_graph(layout, params, T, "X", pool)
+    gz = build_graph(layout, params, T, "Z", pool)
     derive_correlations(gx, gz, pool)
     derive_correlations(gz, gx, pool)
     return gx, gz

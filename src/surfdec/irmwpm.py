@@ -135,8 +135,6 @@ def stopping_criterion(
     mode: str,
     ex_mask: int,
     ez_mask: int,
-    prev_ex: int,
-    prev_ez: int,
     ex_history: list[int],
     ez_history: list[int],
     w_now: int,
@@ -144,13 +142,14 @@ def stopping_criterion(
 ) -> bool:
     """Halt decision after a completed full iteration.
 
-    "consecutive" compares the estimate pair with the previous iteration;
-    "algorithm1-literal" halts when either estimate repeats any earlier one
-    of its type; "weight-stable" halts when the joint weight stops
-    decreasing.
+    The histories hold the estimates of every earlier full iteration, the
+    initial decode first.  "consecutive" halts when the estimate pair
+    repeats an earlier pair (a fixed point or a cycle); "algorithm1-literal"
+    halts when either estimate repeats any earlier one of its type;
+    "weight-stable" halts when the joint weight stops decreasing.
     """
     if mode == "consecutive":
-        return ex_mask == prev_ex and ez_mask == prev_ez
+        return (ex_mask, ez_mask) in zip(ex_history, ez_history)
     if mode == "algorithm1-literal":
         return ex_mask in ex_history or ez_mask in ez_history
     if mode == "weight-stable":
@@ -176,6 +175,20 @@ def decode(
     ``max_iterations`` caps the full reweighting iterations after the
     initial matching; 0 reproduces the plain MWPM decoder.  Returns the two
     estimates and the iteration trace.
+
+    Under ``stopping="consecutive"`` the loop halts when a full iteration's
+    estimate pair repeats an earlier one (the initial decode's included) and
+    returns the lowest-joint-weight pair of the cycle it closes, the earliest
+    on ties.  At a fixed point that is the current pair (stop reason
+    "converged"); a longer cycle stops with reason "cycle".  The paper's
+    Algorithm 1 halts when an estimate repeats ("algorithm1-literal"), and
+    converges in finite time because the estimates range over a finite set;
+    pairs do too, so a repeat is certain, whereas comparing with the
+    previous pair alone left period-2 cycles running to the cap.  Algorithm
+    1 does not say which pair of a cycle to keep.  The lightest follows its
+    weight-descent argument: under normalized weights the joint weight never
+    rises, so a cycle's pairs weigh the same; under -ln weights the decoder
+    keeps the one that flips the fewest qubits.
     """
     if stopping not in STOPPING_MODES:
         raise ValueError(f"stopping mode must be one of {STOPPING_MODES}")
@@ -206,13 +219,11 @@ def decode(
         trace.steps.append(IterationStep(index, e_x.x_mask, e_z.z_mask, w, base))
         return trace.steps[-1]
 
-    prev = record(0.0)
+    full = [record(0.0)]  # the step after each full iteration, initial decode first
     if not (events_x or events_z):
         trace.stop_reason = "no_events"
         return (*estimates, trace)
 
-    ex_history = [prev.ex_mask]
-    ez_history = [prev.ez_mask]
     for k in range(1, max_iterations + 1):
         # Z step from the X matching, then X step from the new Z matching
         for lat, index in ((1, k - 0.5), (0, float(k))):
@@ -224,17 +235,29 @@ def decode(
                 estimates[lat] = matching_to_correction(graph, matchings[lat], layout)
             step = record(index)
 
+        ex_history = [s.ex_mask for s in full]
+        ez_history = [s.ez_mask for s in full]
         halt = stopping_criterion(
-            stopping, step.ex_mask, step.ez_mask, prev.ex_mask, prev.ez_mask,
-            ex_history, ez_history, step.pauli_weight, prev.pauli_weight,
+            stopping, step.ex_mask, step.ez_mask, ex_history, ez_history,
+            step.pauli_weight, full[-1].pauli_weight,
         )
-        ex_history.append(step.ex_mask)
-        ez_history.append(step.ez_mask)
-        prev = step
         trace.extra_iterations = k
         if halt:
             trace.stop_reason = "converged"
+            if stopping == "consecutive":
+                # the cycle the repeated pair closes (one pair at a fixed point)
+                pairs = list(zip(ex_history, ez_history))
+                cycle = full[pairs.index((step.ex_mask, step.ez_mask)) :]
+                best = min(cycle, key=lambda s: s.pauli_weight)
+                if len(cycle) > 1:
+                    trace.stop_reason = "cycle"
+                n = layout.n_data
+                estimates = [
+                    PauliOperator(n, best.ex_mask, 0),
+                    PauliOperator(n, 0, best.ez_mask),
+                ]
             return (*estimates, trace)
+        full.append(step)
 
     trace.stop_reason = "max_iters"
     return (*estimates, trace)

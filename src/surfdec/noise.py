@@ -110,7 +110,6 @@ class SyndromeHistory:
     """
 
     T: int
-    final_round_perfect: bool
     x_anc_outcomes: np.ndarray  # (rounds, n_x) X-ancilla outcomes
     z_anc_outcomes: np.ndarray  # (rounds, n_z) Z-ancilla outcomes
     x_lattice_events: tuple[tuple[int, int], ...]
@@ -264,7 +263,6 @@ def simulate(
 
     return SyndromeHistory(
         T=T,
-        final_round_perfect=final_round_perfect,
         x_anc_outcomes=out_x,
         z_anc_outcomes=out_z,
         x_lattice_events=_events_from_outcomes(out_z),
@@ -405,7 +403,6 @@ def enumerate_single_faults(
     layout: CodeLayout,
     circuit: SECircuit,
     T: int,
-    final_round_perfect: bool = True,
     include_idle: bool = True,
 ) -> list[FaultRecord]:
     """Every possible single fault once, with its signature and residual.
@@ -420,14 +417,13 @@ def enumerate_single_faults(
 
     One round is propagated (see ``_round_signatures``); single-fault
     signatures are time-translation invariant, so the fault of round t has
-    the round-1 events shifted by t - 1 and the same residual.  Without a
-    perfect final round the events past round T are dropped.
+    the round-1 events shifted by t - 1 and the same residual.  The window
+    closes with a perfect readout round T + 1, so no event is cut off.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     faults = _round_faults(circuit, include_idle)
     x_events, z_events, x_res, z_res = _round_signatures(circuit, faults)
-    last = T + 1 if final_round_perfect else T
     records = []
     for t in range(1, T + 1):
         shift = t - 1
@@ -435,11 +431,8 @@ def enumerate_single_faults(
             faults, x_events, z_events, x_res, z_res
         ):
             if shift:
-                xe = tuple((s, r + shift) for s, r in xe if r + shift <= last)
-                ze = tuple((s, r + shift) for s, r in ze if r + shift <= last)
-            elif last < 2:
-                xe = tuple(e for e in xe if e[1] <= last)
-                ze = tuple(e for e in ze if e[1] <= last)
+                xe = tuple((s, r + shift) for s, r in xe)
+                ze = tuple((s, r + shift) for s, r in ze)
             fault = FaultEvent(t, kind, index, pay)
             records.append(FaultRecord(fault, xe, ze, _COEFFS[kind], xr, zr))
     return records

@@ -163,6 +163,18 @@ def test_usage_error_exit_codes(tmp_path):
          "--check-period", "0", "--out", str(tmp_path / "lt.csv")]
     )
     assert rc == 2
+    # lifetime windows always close with the ideal readout
+    with pytest.raises(SystemExit) as exc:
+        main(["lifetime", "--distance", "3", "--p", "0.01", "--closure", "open",
+              "--out", str(tmp_path / "lt.csv")])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "open.cfg"
+    cfgfile.write_text("closure = open\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["lifetime", "--config", str(cfgfile), "--distance", "3",
+              "--p", "0.01", "--out", str(tmp_path / "lt.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "lt.csv").exists()
 
 
 def test_config_file_defaults_and_override(tmp_path):
@@ -230,7 +242,6 @@ RESULTS_SHA256 = {
     "simulate.csv": "6bb6b899df585f100d55cf6e8aac47e31888e8717540791c41c851a19565b687",
     "simulate.json": "cf727738eca6d9e21d5557a8224f3de79bad53bf8b02a8831cff734ff05b9d3b",
     "lifetime-ideal.csv": "55eb3804df579ff2d5be28cf4bc3eafb332f75045a59c9c39b84747e58edfd20",
-    "lifetime-open.csv": "9d806344817eaa53747e7e6016937e1d25fb4bc77565d0b17bb3109c84a2a636",
     "stopping-algorithm1-literal.json":
         "09920c756752244050141adf698bf90a53dd2284f20ef857288a9031039d188d",
     "stopping-weight-stable.json":
@@ -261,14 +272,13 @@ def test_results_files_are_pinned(tmp_path):
             simulate + flags + ["--out", str(tmp_path / f"{name}.csv"),
                                 "--json", str(tmp_path / name)]
         ) == 0
-    for closure, trials in (("ideal", "4"), ("open", "10")):
-        assert main(
-            [
-                "lifetime", "--distance", "5", "--p", "0.005", "--trials", trials,
-                "--seed", "7", "--closure", closure, "--threads", "1",
-                "--out", str(tmp_path / f"lifetime-{closure}.csv"),
-            ]
-        ) == 0
+    assert main(
+        [
+            "lifetime", "--distance", "5", "--p", "0.005", "--trials", "4",
+            "--seed", "7", "--threads", "1",
+            "--out", str(tmp_path / "lifetime-ideal.csv"),
+        ]
+    ) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in RESULTS_SHA256

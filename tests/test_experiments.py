@@ -130,16 +130,6 @@ def test_lifetime_grows_below_threshold():
     assert lt5.mean_rounds > 1.5 * lt3.mean_rounds
 
 
-def test_lifetime_open_windows_run():
-    lt = estimate_lifetime(
-        SimConfig(
-            L=3, p=0.005, trials=8, seed=7, threads=2, lifetime_cap=3000,
-            decoder="mwpm", closure="open",
-        )
-    )
-    assert lt.mean_rounds >= 3
-
-
 def test_iteration_stats():
     stats = iteration_stats({0: 10, 1: 5, 2: 5})
     assert stats["count"] == 20

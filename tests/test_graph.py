@@ -223,23 +223,8 @@ def test_graph_dump_round_trips(tmp_path, graphs3):
 # -- reference: Fraction pooling over every record of the full window ---------
 
 
-def _reference_window(layout, circuit, T, final_round_perfect, include_idle, warmup):
-    """All records of the T + warmup enumerated rounds, re-anchored so the
-    first ``warmup`` rounds precede the window (their events dropped)."""
-    records = enumerate_single_faults(
-        layout, circuit, T + warmup, final_round_perfect, include_idle
-    )
-    out = []
-    for rec in records:
-        x = tuple((s, t - warmup) for s, t in rec.x_events if t > warmup)
-        z = tuple((s, t - warmup) for s, t in rec.z_events if t > warmup)
-        if x or z:
-            out.append((rec, x, z))
-    return out
-
-
-def _reference_graph(layout, window, kind, T, p, final_round_perfect):
-    n_layers = T + (1 if final_round_perfect else 0)
+def _reference_graph(layout, records, kind, T, p):
+    n_layers = T + 1
     coords = layout.z_anc_coords if kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
     boundary = n_stabs * n_layers
@@ -249,8 +234,8 @@ def _reference_graph(layout, window, kind, T, p, final_round_perfect):
         return PauliOperator(layout.n_data, *((mask, 0) if kind == "X" else (0, mask)))
 
     pooled = {}
-    for rec, x, z in window:
-        sig = x if kind == "X" else z
+    for rec in records:
+        sig = rec.x_events if kind == "X" else rec.z_events
         if not sig:
             continue
         assert len(sig) <= 2
@@ -266,10 +251,9 @@ def _reference_graph(layout, window, kind, T, p, final_round_perfect):
                 "locs": set(),
             },
         )
-        if final_round_perfect:
-            assert commutation_parity(pauli(residual), logical) == commutation_parity(
-                pauli(entry["residual"]), logical
-            )
+        assert commutation_parity(pauli(residual), logical) == commutation_parity(
+            pauli(entry["residual"]), logical
+        )
         if rec.coeff > entry["rep"]:
             entry["residual"], entry["rep"] = residual, rec.coeff
         entry["coeff"] += rec.coeff
@@ -297,7 +281,7 @@ def _reference_graph(layout, window, kind, T, p, final_round_perfect):
     return classify_edges(g)
 
 
-def _reference_correlations(primal, dual, window):
+def _reference_correlations(primal, dual, records):
     def edge_of(graph, sig):
         if not sig:
             return None
@@ -308,9 +292,9 @@ def _reference_correlations(primal, dual, window):
         return graph.edge_lookup[key]
 
     joint = {}
-    for rec, x, z in window:
-        pe = edge_of(primal, x if primal.kind == "X" else z)
-        de = edge_of(dual, x if dual.kind == "X" else z)
+    for rec in records:
+        pe = edge_of(primal, rec.x_events if primal.kind == "X" else rec.z_events)
+        de = edge_of(dual, rec.x_events if dual.kind == "X" else rec.z_events)
         if pe is not None and de is not None:
             joint[(pe, de)] = joint.get((pe, de), Fraction(0)) + rec.coeff
     table = [[] for _ in primal.edges]
@@ -320,24 +304,17 @@ def _reference_correlations(primal, dual, window):
 
 
 @pytest.mark.parametrize("include_idle", [True, False])
-@pytest.mark.parametrize(
-    "final_round_perfect,warmup", [(True, 0), (False, 2)], ids=["closed", "open"]
-)
 @pytest.mark.parametrize("L", [3, 5])
-def test_one_round_build_equals_full_window_reference(
-    L, final_round_perfect, warmup, include_idle
-):
+def test_one_round_build_equals_full_window_reference(L, include_idle):
     T, p = L, 0.001
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    window = _reference_window(
-        layout, circuit, T, final_round_perfect, include_idle, warmup
-    )
-    ref_x = _reference_graph(layout, window, "X", T, p, final_round_perfect)
-    ref_z = _reference_graph(layout, window, "Z", T, p, final_round_perfect)
-    _reference_correlations(ref_x, ref_z, window)
-    _reference_correlations(ref_z, ref_x, window)
-    gx, gz = build_decoder_graphs(L, T, p, final_round_perfect, include_idle, warmup)
+    records = enumerate_single_faults(layout, circuit, T, include_idle)
+    ref_x = _reference_graph(layout, records, "X", T, p)
+    ref_z = _reference_graph(layout, records, "Z", T, p)
+    _reference_correlations(ref_x, ref_z, records)
+    _reference_correlations(ref_z, ref_x, records)
+    gx, gz = build_decoder_graphs(L, T, p, include_idle)
     assert graph_to_dict(gx) == graph_to_dict(ref_x)
     assert graph_to_dict(gz) == graph_to_dict(ref_z)
 
@@ -383,10 +360,9 @@ def _loop_finalize(graph):
     [
         lambda: build_decoder_graphs(3, 3, 0.001),
         lambda: build_decoder_graphs(5, 5, 0.001),
-        lambda: build_decoder_graphs(5, 5, 0.001, False, True, 2),
         lambda: build_code_capacity_pair(5),
     ],
-    ids=["d3-closed", "d5-closed", "d5-open-warmup2", "code-capacity"],
+    ids=["d3-closed", "d5-closed", "code-capacity"],
 )
 def test_finalize_matches_slot_loop(build):
     for graph in build():

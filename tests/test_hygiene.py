@@ -36,3 +36,51 @@ def test_unused_import_check_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unread_fields(sources: list[str], cls: str) -> list[str]:
+    """Annotated fields of class ``cls`` that no source reads as an attribute.
+
+    Reads inside the class's ``__post_init__`` do not count: a field that
+    is only validated configures nothing.
+    """
+    fields: list[str] = []
+    read: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        validation: set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == cls:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign):
+                        fields.append(stmt.target.id)
+                    elif getattr(stmt, "name", None) == "__post_init__":
+                        validation |= {id(n) for n in ast.walk(stmt)}
+        read |= {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load)
+            and id(n) not in validation
+        }
+    return [name for name in fields if name not in read]
+
+
+def test_unread_field_check_sees_unread_fields():
+    src = (
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    c: int = 1\n"
+        "    def __post_init__(self):\n"
+        "        assert self.b >= 0\n"
+        "def f(cfg):\n"
+        "    return cfg.a\n"
+    )
+    assert _unread_fields([src], "C") == ["b", "c"]
+
+
+def test_every_simconfig_field_is_read():
+    # a configuration field nothing reads is a dead option
+    sources = [path.read_text() for path in MODULES]
+    assert _unread_fields(sources, "SimConfig") == []

@@ -127,27 +127,51 @@ def test_planted_y_pattern_differs_and_improves(cc_pair3, layout3):
 
 
 def test_stopping_consecutive():
-    assert stopping_criterion("consecutive", 3, 5, 3, 5, [3], [5], 2, 2)
-    assert not stopping_criterion("consecutive", 3, 5, 3, 6, [3], [6], 2, 2)
+    assert stopping_criterion("consecutive", 3, 5, [3], [5], 2, 2)
+    assert not stopping_criterion("consecutive", 3, 5, [3], [6], 2, 2)
+    # pairs cycling A, B, A: the second A repeats an earlier pair
+    assert stopping_criterion("consecutive", 1, 7, [1, 2], [7, 6], 2, 2)
 
 
 def test_stopping_literal_catches_cycles():
-    # estimates cycling A, B, A: the literal rule halts at the second A
+    # X estimates cycling A, B, A: the literal rule halts at the second A
     ex_history = [0b01, 0b10]  # A, B
     assert stopping_criterion(
-        "algorithm1-literal", 0b01, 0b111, 0b10, 0b110, ex_history, [7, 6], 2, 2
+        "algorithm1-literal", 0b01, 0b101, ex_history, [7, 6], 2, 2
     )
-    # consecutive comparison does not
+    # the pair (A, 0b101) is new, so the pair rule does not
     assert not stopping_criterion(
-        "consecutive", 0b01, 0b111, 0b10, 0b110, ex_history, [7, 6], 2, 2
+        "consecutive", 0b01, 0b101, ex_history, [7, 6], 2, 2
     )
 
 
 def test_stopping_weight_stable():
-    assert not stopping_criterion("weight-stable", 1, 1, 0, 0, [], [], 3, 5)
-    assert stopping_criterion("weight-stable", 1, 1, 0, 0, [], [], 4, 4)
+    assert not stopping_criterion("weight-stable", 1, 1, [], [], 3, 5)
+    assert stopping_criterion("weight-stable", 1, 1, [], [], 4, 4)
     with pytest.raises(ValueError):
-        stopping_criterion("nonsense", 0, 0, 0, 0, [], [], 0, 0)
+        stopping_criterion("nonsense", 0, 0, [], [], 0, 0)
+
+
+def test_consecutive_stops_a_period_two_cycle(layout5, circuit5):
+    # this window's full-iteration pairs alternate between joint weights 6
+    # and 5; the pair rule stops at the first repeat and keeps the lighter
+    from surfdec.graph import build_decoder_graphs
+
+    gx, gz = build_decoder_graphs(5, 5, 0.005)
+    rng = np.random.default_rng([12, 1, 538])
+    faults = sample_faults(circuit5, NoiseParams(0.005), 5, rng)
+    hist = simulate(layout5, circuit5, faults, 5, True)
+    ev_x = events_to_nodes(gx, hist.x_lattice_events)
+    ev_z = events_to_nodes(gz, hist.z_lattice_events)
+    e_x, e_z, trace = decode(gx, gz, ev_x, ev_z, layout5, raise_on_violation=False)
+    full = [s for s in trace.steps if s.index == int(s.index)]
+    assert [s.pauli_weight for s in full] == [6, 5, 6]
+    assert (full[2].ex_mask, full[2].ez_mask) == (full[0].ex_mask, full[0].ez_mask)
+    assert trace.stop_reason == "cycle"
+    assert trace.extra_iterations == 2
+    assert correction_weight(e_x, e_z) == 5
+    assert (e_x.x_mask, e_z.z_mask) == (full[1].ex_mask, full[1].ez_mask)
+    assert e_x.z_mask == 0 and e_z.x_mask == 0
 
 
 def test_decode_rejects_bad_mode(graphs3, layout3):
@@ -169,7 +193,7 @@ def test_trace_indices_and_cap(layout5, cc_pair5):
     assert indices[0] == 0.0
     assert indices == sorted(indices)
     assert trace.extra_iterations <= 4
-    assert trace.stop_reason in ("converged", "max_iters", "no_events")
+    assert trace.stop_reason in ("converged", "cycle", "max_iters", "no_events")
 
 
 def test_code_capacity_monotone_exhaustive(cc_pair3, layout3):

@@ -232,13 +232,11 @@ def test_monte_carlo_single_fault_signatures(layout3, circuit3):
         assert abs(counts[sig] - expect) <= 3 * sigma, (sig, counts[sig], expect)
 
 
-def _simulated_records(layout, circuit, T, final_round_perfect, include_idle):
+def _simulated_records(layout, circuit, T, include_idle):
     """The enumeration's faults, each propagated on its own by ``simulate``."""
     out = []
-    for rec in enumerate_single_faults(
-        layout, circuit, T, final_round_perfect, include_idle
-    ):
-        hist = simulate(layout, circuit, [rec.fault], T, final_round_perfect)
+    for rec in enumerate_single_faults(layout, circuit, T, include_idle):
+        hist = simulate(layout, circuit, [rec.fault], T, True)
         out.append(
             FaultRecord(
                 fault=rec.fault,
@@ -252,47 +250,39 @@ def _simulated_records(layout, circuit, T, final_round_perfect, include_idle):
     return out
 
 
-@pytest.mark.parametrize("final_round_perfect", [True, False])
+@pytest.mark.parametrize("include_idle", [True, False])
 @pytest.mark.parametrize("T", [1, 3])
 @pytest.mark.parametrize("L", [3, 5])
-def test_enumeration_equals_per_fault_simulation(L, T, final_round_perfect):
+def test_enumeration_equals_per_fault_simulation(L, T, include_idle):
     # the one-round propagation shifted in time, record for record, against
     # one simulate call per fault
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(layout, circuit, T, final_round_perfect)
-    assert records == _simulated_records(layout, circuit, T, final_round_perfect, True)
+    records = enumerate_single_faults(layout, circuit, T, include_idle)
+    assert records == _simulated_records(layout, circuit, T, include_idle)
 
 
 @lru_cache(maxsize=None)
-def _enumeration(L, T, final_round_perfect, include_idle):
+def _enumeration(L, T, include_idle):
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(
-        layout, circuit, T, final_round_perfect, include_idle
-    )
-    return layout, circuit, records
+    return layout, circuit, enumerate_single_faults(layout, circuit, T, include_idle)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
     L=st.sampled_from([3, 5]),
     T=st.integers(1, 4),
-    final_round_perfect=st.booleans(),
     include_idle=st.booleans(),
     picks=st.lists(st.floats(0, 1, exclude_max=True), max_size=8),
 )
-def test_simulation_is_sum_of_enumerated_signatures(
-    L, T, final_round_perfect, include_idle, picks
-):
+def test_simulation_is_sum_of_enumerated_signatures(L, T, include_idle, picks):
     # frames are linear: any fault set's events are the symmetric difference
     # of its faults' enumerated signatures, its residual their product
-    layout, circuit, records = _enumeration(L, T, final_round_perfect, include_idle)
+    layout, circuit, records = _enumeration(L, T, include_idle)
     chosen = [records[int(u * len(records))] for u in picks]
     chosen = list({id(r): r for r in chosen}.values())  # each record at most once
-    hist = simulate(
-        layout, circuit, [r.fault for r in chosen], T, final_round_perfect
-    )
+    hist = simulate(layout, circuit, [r.fault for r in chosen], T, True)
     x, z = set(), set()
     residual = PauliOperator.identity(layout.n_data)
     for r in chosen:
