@@ -126,7 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, trials_default=100)
     sp.add_argument("--rounds", type=int, default=None, help="default: distance")
     sp.add_argument("--max-iters", type=int, default=10)
-    sp.add_argument("--check-period", type=int, default=None, help="default: distance")
+    sp.add_argument(
+        "--check-period", type=int, default=None,
+        help="rounds between checks, a multiple of --rounds (default: distance)",
+    )
     sp.add_argument("--cap", type=int, default=1_000_000)
     sp.add_argument("--out", required=True, help="CSV output path")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code import build_layout, build_se_circuit, ideal_syndrome
-from .graph import build_code_capacity_pair, build_decoder_graphs
+from .graph import build_decoder_graphs
 from .irmwpm import STOPPING_MODES, decode
 from .matcher import events_to_nodes
 from .noise import NoiseParams, sample_faults, simulate
@@ -42,7 +42,7 @@ class SimConfig:
     decoder: str = "irmwpm"
     max_iterations: int = 10
     stopping: str = "consecutive"
-    check_period: int | None = None  # lifetime virtual-check period; default L
+    check_period: int | None = None  # lifetime check period, multiple of T; default L
     threads: int | None = None  # default: available parallelism
     idle_noise: bool = True
     reweight_boundary: bool = True
@@ -65,8 +65,9 @@ class SimConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.stopping not in STOPPING_MODES:
             raise ValueError(f"stopping must be one of {STOPPING_MODES}")
-        if self.check_period is not None and self.check_period < 1:
-            raise ValueError("check_period must be >= 1")
+        for name in ("check_period", "threads", "prune_neighbors"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.lifetime_cap < 1:
             raise ValueError("lifetime_cap must be >= 1")
 
@@ -76,9 +77,7 @@ class SimConfig:
 
     @property
     def n_threads(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        return max(1, os.cpu_count() or 1)
+        return self.threads or max(1, os.cpu_count() or 1)
 
 
 @dataclass
@@ -141,42 +140,46 @@ class _Context:
     circuit: object
     gx: object
     gz: object
-    gx_cc: object = None  # 2D virtual-check lattices
-    gz_cc: object = None
 
 
-def _build_context(config: SimConfig, lifetime: bool = False) -> _Context:
+def _build_context(config: SimConfig) -> _Context:
     layout = build_layout(config.L)
     circuit = build_se_circuit(layout)
     gx, gz = build_decoder_graphs(config.L, config.rounds, config.p, config.idle_noise)
-    ctx = _Context(config, layout, circuit, gx, gz)
-    if lifetime:
-        ctx.gx_cc, ctx.gz_cc = build_code_capacity_pair(config.L)
-    return ctx
+    return _Context(config, layout, circuit, gx, gz)
 
 
-def _decode_events(ctx: _Context, graph_x, graph_z, events_x, events_z, decoder):
+def _run_window(ctx: _Context, rng: np.random.Generator, initial_error=None):
+    """T noisy rounds from ``initial_error`` plus a perfect readout, decoded.
+
+    Returns (residual after correction, trace).
+    """
     cfg = ctx.config
-    max_iters = 0 if decoder == "mwpm" else cfg.max_iterations
-    return decode(
-        graph_x,
-        graph_z,
-        events_x,
-        events_z,
+    faults = sample_faults(
+        ctx.circuit, NoiseParams(cfg.p), cfg.rounds, rng, cfg.idle_noise
+    )
+    hist = simulate(
+        ctx.layout, ctx.circuit, faults, cfg.rounds, True, initial_error=initial_error
+    )
+    e_x, e_z, trace = decode(
+        ctx.gx,
+        ctx.gz,
+        events_to_nodes(ctx.gx, hist.x_lattice_events),
+        events_to_nodes(ctx.gz, hist.z_lattice_events),
         ctx.layout,
-        max_iterations=max_iters,
+        max_iterations=0 if cfg.decoder == "mwpm" else cfg.max_iterations,
         stopping=cfg.stopping,
         reweight_boundary=cfg.reweight_boundary,
         raise_on_violation=False,
         prune_neighbors=cfg.prune_neighbors,
     )
+    return multiply(multiply(hist.residual, e_x), e_z), trace
 
 
-def _logical_failure(layout, residual: PauliOperator, e_x, e_z) -> bool:
-    total = multiply(multiply(residual, e_x), e_z)
+def _logical_failure(layout, residual: PauliOperator) -> bool:
     return bool(
-        commutation_parity(total, layout.logical_x)
-        or commutation_parity(total, layout.logical_z)
+        commutation_parity(residual, layout.logical_x)
+        or commutation_parity(residual, layout.logical_z)
     )
 
 
@@ -185,79 +188,41 @@ def run_memory_trial(ctx: _Context, rng: np.random.Generator):
 
     Returns (failed, extra_iterations, monotone, converged).
     """
-    cfg = ctx.config
-    faults = sample_faults(
-        ctx.circuit, NoiseParams(cfg.p), cfg.rounds, rng, cfg.idle_noise
-    )
-    hist = simulate(ctx.layout, ctx.circuit, faults, cfg.rounds, True)
-    ev_x = events_to_nodes(ctx.gx, hist.x_lattice_events)
-    ev_z = events_to_nodes(ctx.gz, hist.z_lattice_events)
-    e_x, e_z, trace = _decode_events(ctx, ctx.gx, ctx.gz, ev_x, ev_z, cfg.decoder)
-    failed = _logical_failure(ctx.layout, hist.residual, e_x, e_z)
-    converged = trace.stop_reason != "max_iters" or cfg.decoder == "mwpm"
+    residual, trace = _run_window(ctx, rng)
+    failed = _logical_failure(ctx.layout, residual)
+    converged = trace.stop_reason != "max_iters" or ctx.config.decoder == "mwpm"
     return failed, trace.extra_iterations, trace.monotonic, converged
 
 
-def _events_vs_reference(outcomes: np.ndarray, reference: np.ndarray):
-    diffs = outcomes.copy()
-    diffs[0] ^= reference
-    diffs[1:] ^= outcomes[:-1]
-    ts, ss = np.nonzero(diffs)
-    return [(int(s), int(t) + 1) for t, s in zip(ts, ss)]
+def _check_period(config: SimConfig) -> int:
+    """The lifetime check period; checks run only at window ends."""
+    period, T = config.check_period or config.L, config.rounds
+    if period % T:
+        near = " or ".join(str(k * T) for k in (period // T, period // T + 1) if k)
+        raise ValueError(f"check period {period} not a multiple of T={T}; use {near}")
+    return period
 
 
 def run_lifetime_trial(ctx: _Context, rng: np.random.Generator):
-    """Noisy windows with periodic ideal 2D checks; rounds until failure.
+    """Memory windows, each started from the last one's residual; rounds
+    until a check finds a logical failure.
 
-    Returns (rounds_survived, capped).  Every T rounds the working decoder
-    consumes the accumulated window syndromes and its correction is applied
-    to the running state; the periodic 2D virtual decode only checks for a
-    logical failure and never disturbs the state.  Each window decode also
-    sees the virtual perfect readout as its final layer (the usual lifetime
-    methodology).
+    Returns (rounds_survived, capped).  At every check period (a multiple
+    of T) the residual must have no syndrome, since every edge's correction
+    has the syndrome of its endpoints (RuntimeError otherwise); the trial
+    fails when the residual anticommutes with a logical operator.
     """
     cfg = ctx.config
-    layout, circuit = ctx.layout, ctx.circuit
-    T = cfg.rounds
-    check_period = cfg.check_period or cfg.L
-    n_x = len(layout.x_stabilizers)
-    n_z = len(layout.z_stabilizers)
-    residual = PauliOperator.identity(layout.n_data)
-    ref_x = np.zeros(n_x, dtype=np.uint8)
-    ref_z = np.zeros(n_z, dtype=np.uint8)
+    period = _check_period(cfg)
+    residual = PauliOperator.identity(ctx.layout.n_data)
     rounds = 0
-    params = NoiseParams(cfg.p)
-
     while rounds < cfg.lifetime_cap:
-        faults = sample_faults(circuit, params, T, rng, cfg.idle_noise)
-        hist = simulate(layout, circuit, faults, T, True, initial_error=residual)
-        rounds += T
-        ev_x = _events_vs_reference(hist.z_anc_outcomes, ref_z)  # X errors
-        ev_z = _events_vs_reference(hist.x_anc_outcomes, ref_x)  # Z errors
-        e_x, e_z, _ = _decode_events(
-            ctx,
-            ctx.gx,
-            ctx.gz,
-            events_to_nodes(ctx.gx, ev_x),
-            events_to_nodes(ctx.gz, ev_z),
-            cfg.decoder,
-        )
-        residual = multiply(multiply(hist.residual, e_x), e_z)
-        # corrections shift the syndrome reference for the next window
-        syn = ideal_syndrome(layout, multiply(e_x, e_z))
-        ref_x = hist.x_anc_outcomes[-1] ^ np.array(syn[:n_x], dtype=np.uint8)
-        ref_z = hist.z_anc_outcomes[-1] ^ np.array(syn[n_x:], dtype=np.uint8)
-
-        if rounds % check_period == 0:
-            syn_now = ideal_syndrome(layout, residual)
-            ev_z_cc = [ctx.gz_cc.node_id(i, 1) for i in range(n_x) if syn_now[i]]
-            ev_x_cc = [
-                ctx.gx_cc.node_id(i, 1) for i in range(n_z) if syn_now[n_x + i]
-            ]
-            v_x, v_z, _ = _decode_events(
-                ctx, ctx.gx_cc, ctx.gz_cc, ev_x_cc, ev_z_cc, cfg.decoder
-            )
-            if _logical_failure(layout, residual, v_x, v_z):
+        residual, _ = _run_window(ctx, rng, residual)
+        rounds += cfg.rounds
+        if rounds % period == 0:
+            if any(ideal_syndrome(ctx.layout, residual)):
+                raise RuntimeError(f"the residual after round {rounds} has a syndrome")
+            if _logical_failure(ctx.layout, residual):
                 return rounds, False
     return rounds, True
 
@@ -368,7 +333,8 @@ class LifetimeEstimate:
 
 def estimate_lifetime(config: SimConfig) -> LifetimeEstimate:
     """Average logical-qubit lifetime in SE rounds."""
-    ctx = _build_context(config, lifetime=True)
+    _check_period(config)
+    ctx = _build_context(config)
     results = _parallel_chunks(ctx, config.trials, _run_lifetime_chunk)
     rounds = []
     capped = 0

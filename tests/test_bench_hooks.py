@@ -1,0 +1,76 @@
+"""The benchmark in ``bench/`` patches library functions by name and checks
+the keywords of the first ``decode`` call; these tests keep the library
+fitting those hooks, so a refactor cannot break ``bench/run.py --trace 1``
+unnoticed.  Nothing under ``bench/`` is changed."""
+
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from surfdec import experiments, graph, irmwpm
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's ``workloads`` and ``spans`` modules."""
+    # importing workloads pins these to one thread; restore them afterwards
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads"), importlib.import_module("spans")
+
+
+def test_tracer_installs_and_uninstalls(bench):
+    _, spans = bench
+    originals = (
+        experiments.decode, experiments.ideal_syndrome, graph.build_code_capacity_pair
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert experiments.decode is not originals[0]
+    finally:
+        tracer.uninstall()
+    assert (experiments.decode, experiments.ideal_syndrome,
+            graph.build_code_capacity_pair) == originals
+    assert experiments.decode is irmwpm.decode
+
+
+@pytest.mark.parametrize("name", ["life-d5-p005-irmwpm", "mem-d7-p001-mwpm"])
+def test_first_decode_call_passes_the_benchmark_keywords(bench, monkeypatch, name):
+    workloads, spans = bench
+    wl = workloads.WORKLOADS[name]
+    cfg = wl.config(1, 0)
+    seen = []
+    real = experiments.decode
+
+    def recording(*args, **kwargs):
+        seen.append((len(args), kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "decode", recording)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span(spans.ESTIMATE):
+            if wl.kind == "memory":
+                experiments.estimate_rate(cfg)
+            else:
+                experiments.estimate_lifetime(cfg)
+    finally:
+        tracer.uninstall()
+    assert seen and seen[0] == (5, workloads.decode_kwargs(cfg))
+    counts = {}
+    for span in tracer.spans:
+        counts[span[spans.NAME]] = counts.get(span[spans.NAME], 0) + 1
+    windows = counts["noise.sample_faults"]
+    # one decode per window; a lifetime window (T = check period) ends in
+    # one syndrome check, a memory window in none
+    assert counts["irmwpm.decode"] == windows == len(seen)
+    checks = windows if wl.kind == "lifetime" else 0
+    assert counts.get("code.ideal_syndrome", 0) == checks

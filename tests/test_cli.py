@@ -174,7 +174,35 @@ def test_usage_error_exit_codes(tmp_path):
         main(["lifetime", "--config", str(cfgfile), "--distance", "3",
               "--p", "0.01", "--out", str(tmp_path / "lt.csv")])
     assert exc.value.code == 2
+    # checks run only at window ends: a period of 5 with 3-round windows
+    # used to check every 15 rounds
+    rc = main(
+        ["lifetime", "--distance", "5", "--p", "0.01", "--trials", "2",
+         "--rounds", "3", "--out", str(tmp_path / "lt.csv")]
+    )
+    assert rc == 2
     assert not (tmp_path / "lt.csv").exists()
+    # thread and prune counts below 1 used to run as 1
+    for flag, value in (("--threads", "0"), ("--threads", "-3"),
+                        ("--prune", "0"), ("--prune", "-1")):
+        rc = main(
+            ["simulate", "--distance", "5", "--p", "0.01", "--trials", "30",
+             "--seed", "1", flag, value, "--out", str(tmp_path / "bad.csv")]
+        )
+        assert rc == 2, (flag, value)
+        assert not (tmp_path / "bad.csv").exists()
+
+
+def test_lifetime_check_period_a_multiple_of_rounds_runs(tmp_path):
+    out = tmp_path / "lt.csv"
+    rc = main(
+        ["lifetime", "--distance", "5", "--p", "0.01", "--trials", "1", "--seed", "1",
+         "--rounds", "3", "--check-period", "6", "--threads", "1", "--out", str(out)]
+    )
+    assert rc == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[:4] == ["5", "0.01", "irmwpm", "1"]
+    assert float(row[4]) % 6 == 0  # one trial: its rounds, failed at a check
 
 
 def test_config_file_defaults_and_override(tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from surfdec import experiments
+from surfdec.code import ideal_syndrome
 from surfdec.experiments import (
     FitError,
     FitParams,
@@ -12,6 +14,7 @@ from surfdec.experiments import (
     estimate_rate,
     fit_scaling,
     iteration_stats,
+    run_lifetime_trial,
     run_memory_trial,
     threshold_scan,
     wilson_interval,
@@ -32,11 +35,17 @@ def test_config_validation():
         dict(stopping="never"),
         dict(check_period=0),
         dict(lifetime_cap=0),
+        dict(threads=0),
+        dict(threads=-3),
+        dict(prune_neighbors=0),
+        dict(prune_neighbors=-1),
     ):
         with pytest.raises(ValueError):
             SimConfig(L=3, p=0.01, trials=10, **bad)
     cfg = SimConfig(L=3, p=0.01, trials=10)
     assert cfg.rounds == 3  # defaults to L
+    assert cfg.n_threads >= 1 and cfg.prune_neighbors is None
+    assert SimConfig(L=3, p=0.01, trials=10, threads=1, prune_neighbors=1).n_threads == 1
 
 
 def test_wilson_interval_basics():
@@ -68,6 +77,7 @@ def test_single_fault_within_radius_never_fails(layout3, circuit3):
     from surfdec.irmwpm import decode
     from surfdec.graph import build_decoder_graphs
     from surfdec.experiments import _logical_failure
+    from surfdec.pauli import multiply
 
     gx, gz = build_decoder_graphs(3, 3, 0.001)
     records = enumerate_single_faults(layout3, circuit3, 3)
@@ -81,7 +91,8 @@ def test_single_fault_within_radius_never_fails(layout3, circuit3):
             layout3,
             raise_on_violation=False,
         )
-        assert not _logical_failure(layout3, hist.residual, e_x, e_z)
+        residual = multiply(multiply(hist.residual, e_x), e_z)
+        assert not _logical_failure(layout3, residual)
 
 
 def test_mwpm_rate_in_sane_band():
@@ -230,3 +241,109 @@ def test_memory_trial_direct(layout3):
     assert isinstance(failed, bool)
     assert extra >= 0
     assert converged in (True, False)
+
+
+def test_lifetime_check_period_must_be_a_multiple_of_rounds(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("graphs built before the check period was validated")
+
+    monkeypatch.setattr(experiments, "build_decoder_graphs", no_build)
+    with pytest.raises(ValueError, match="use 3 or 6"):
+        estimate_lifetime(SimConfig(L=5, p=0.01, trials=1, T=3))
+    with pytest.raises(ValueError, match="use 3$"):
+        estimate_lifetime(SimConfig(L=5, p=0.01, trials=1, T=3, check_period=2))
+
+
+def _parent_lifetime_trial(ctx, cc_pair, rng):
+    """The lifetime loop before windows reused the memory-window path: a
+    syndrome reference carried between windows and a code-capacity decode
+    of the residual's syndrome at every check."""
+    from surfdec.matcher import events_to_nodes
+    from surfdec.noise import NoiseParams, sample_faults, simulate
+    from surfdec.irmwpm import decode
+    from surfdec.pauli import PauliOperator, commutation_parity, multiply
+
+    cfg, layout = ctx.config, ctx.layout
+    kwargs = dict(
+        max_iterations=0 if cfg.decoder == "mwpm" else cfg.max_iterations,
+        stopping=cfg.stopping,
+        reweight_boundary=cfg.reweight_boundary,
+        raise_on_violation=False,
+        prune_neighbors=cfg.prune_neighbors,
+    )
+
+    def events(outcomes, reference):
+        diffs = outcomes.copy()
+        diffs[0] ^= reference
+        diffs[1:] ^= outcomes[:-1]
+        ts, ss = np.nonzero(diffs)
+        return [(int(s), int(t) + 1) for t, s in zip(ts, ss)]
+
+    T, period = cfg.rounds, cfg.check_period or cfg.L
+    n_x, n_z = len(layout.x_stabilizers), len(layout.z_stabilizers)
+    gx_cc, gz_cc = cc_pair
+    residual = PauliOperator.identity(layout.n_data)
+    ref_x = np.zeros(n_x, dtype=np.uint8)
+    ref_z = np.zeros(n_z, dtype=np.uint8)
+    rounds = 0
+    while rounds < cfg.lifetime_cap:
+        faults = sample_faults(ctx.circuit, NoiseParams(cfg.p), T, rng, cfg.idle_noise)
+        hist = simulate(layout, ctx.circuit, faults, T, True, initial_error=residual)
+        rounds += T
+        e_x, e_z, _ = decode(
+            ctx.gx, ctx.gz,
+            events_to_nodes(ctx.gx, events(hist.z_anc_outcomes, ref_z)),
+            events_to_nodes(ctx.gz, events(hist.x_anc_outcomes, ref_x)),
+            layout, **kwargs,
+        )
+        residual = multiply(multiply(hist.residual, e_x), e_z)
+        syn = ideal_syndrome(layout, multiply(e_x, e_z))
+        ref_x = hist.x_anc_outcomes[-1] ^ np.array(syn[:n_x], dtype=np.uint8)
+        ref_z = hist.z_anc_outcomes[-1] ^ np.array(syn[n_x:], dtype=np.uint8)
+        if rounds % period == 0:
+            syn_now = ideal_syndrome(layout, residual)
+            ev_z = [gz_cc.node_id(i, 1) for i in range(n_x) if syn_now[i]]
+            ev_x = [gx_cc.node_id(i, 1) for i in range(n_z) if syn_now[n_x + i]]
+            v_x, v_z, _ = decode(gx_cc, gz_cc, ev_x, ev_z, layout, **kwargs)
+            total = multiply(multiply(residual, v_x), v_z)
+            if commutation_parity(total, layout.logical_x) or commutation_parity(
+                total, layout.logical_z
+            ):
+                return rounds, False
+    return rounds, True
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(L=3, p=0.02, trials=20),
+        dict(L=5, p=0.01, trials=6),
+        dict(L=5, p=0.01, trials=6, T=2, check_period=4),
+        dict(L=5, p=0.008, trials=4, decoder="mwpm"),
+    ],
+    ids=["d3-p02", "d5-p01", "d5-p01-T2-period4", "d5-p008-mwpm"],
+)
+def test_lifetime_trial_equals_the_reference_loop(cfg, cc_pair3, cc_pair5):
+    config = SimConfig(seed=3, **cfg)
+    ctx = _build_context(config)
+    cc_pair = cc_pair3 if config.L == 3 else cc_pair5
+    for trial in range(config.trials):
+        got = run_lifetime_trial(ctx, np.random.default_rng([config.seed, trial]))
+        want = _parent_lifetime_trial(
+            ctx, cc_pair, np.random.default_rng([config.seed, trial])
+        )
+        assert got == want, trial
+        assert not got[1]
+
+
+def test_lifetime_trial_raises_on_a_residual_syndrome(monkeypatch):
+    from surfdec.pauli import PauliOperator
+
+    def no_correction(graph_x, graph_z, events_x, events_z, layout, **kwargs):
+        identity = PauliOperator.identity(layout.n_data)
+        return identity, identity, None
+
+    ctx = _build_context(SimConfig(L=3, p=0.02, trials=1, seed=1))
+    monkeypatch.setattr(experiments, "decode", no_correction)
+    with pytest.raises(RuntimeError, match="has a syndrome"):
+        run_lifetime_trial(ctx, np.random.default_rng([1, 0]))

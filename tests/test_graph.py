@@ -378,3 +378,19 @@ def test_setup_computes_no_shortest_paths():
     for graph in (*build_decoder_graphs(3, 3, 0.001), *build_code_capacity_pair(3)):
         assert graph._memo_slot is None and graph._memo_rows == 0
         assert graph._work is None
+
+
+@pytest.mark.parametrize("L, T", [(3, 3), (3, 2), (5, 5), (5, 2)])
+def test_edge_correction_has_the_syndrome_of_its_endpoints(L, T):
+    # so any perfect matching leaves a residual with no syndrome, which is
+    # what lets a lifetime window start from the last window's residual
+    layout = build_layout(L)
+    for g in build_decoder_graphs(L, T, 0.005):
+        stabs = layout.z_stabilizers if g.kind == "X" else layout.x_stabilizers
+        for e in g.edges:
+            syndrome = [sum((e.correction >> q) & 1 for q in s) % 2 for s in stabs]
+            expected = [0] * len(stabs)
+            for node in (e.u, e.v):
+                if node != g.boundary_node:
+                    expected[g.node_pos(node)[0]] ^= 1
+            assert syndrome == expected, (g.kind, e)
