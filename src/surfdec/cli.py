@@ -17,6 +17,7 @@ import sys
 from .code import build_layout, build_se_circuit, layout_to_dict
 from .experiments import (
     SimConfig,
+    check_threshold_grid,
     estimate_lifetime,
     estimate_rate,
     fit_scaling,
@@ -298,6 +299,8 @@ def _cmd_lifetime(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    # reject a grid the scan cannot use before simulating any of its points
+    check_threshold_grid(args.distances, args.p_grid)
     rates = {}
     rows = []
     for L in args.distances:
@@ -326,6 +329,9 @@ def _cmd_threshold(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
             "decoder": args.decoder,
+            "max_iterations": args.max_iters,
+            "idle_noise": args.idle_noise,
+            "prune_neighbors": args.prune,
         },
         "points": rows,
         "threshold": result.to_dict(),

@@ -20,7 +20,7 @@ from .code import build_layout, build_se_circuit, ideal_syndrome
 from .graph import build_decoder_graphs
 from .irmwpm import STOPPING_MODES, decode
 from .matcher import events_to_nodes
-from .noise import NoiseParams, sample_faults, simulate
+from .noise import NoiseParams, fault_row, sample_faults, simulate
 from .pauli import PauliOperator, commutation_parity, multiply
 
 DECODERS = ("mwpm", "irmwpm")
@@ -152,20 +152,33 @@ def _build_context(config: SimConfig) -> _Context:
 def _run_window(ctx: _Context, rng: np.random.Generator, initial_error=None):
     """T noisy rounds from ``initial_error`` plus a perfect readout, decoded.
 
+    A memory window (no ``initial_error``) reads its detection events and
+    residual from the graphs' one-round single-fault table: frames are
+    linear, so they are the XOR of its faults' signatures shifted to their
+    rounds.  A window that starts from an initial error is frame-simulated.
     Returns (residual after correction, trace).
     """
     cfg = ctx.config
     faults = sample_faults(
         ctx.circuit, NoiseParams(cfg.p), cfg.rounds, rng, cfg.idle_noise
     )
-    hist = simulate(
-        ctx.layout, ctx.circuit, faults, cfg.rounds, True, initial_error=initial_error
-    )
+    if initial_error is None:
+        rows = [(fault_row(ctx.circuit, f), f.round) for f in faults]
+        ev_x, x_mask = ctx.gx.window_events(rows)
+        ev_z, z_mask = ctx.gz.window_events(rows)
+        residual = PauliOperator(ctx.layout.n_data, x_mask, z_mask)
+    else:
+        hist = simulate(
+            ctx.layout, ctx.circuit, faults, cfg.rounds, True, initial_error=initial_error
+        )
+        ev_x = events_to_nodes(ctx.gx, hist.x_lattice_events)
+        ev_z = events_to_nodes(ctx.gz, hist.z_lattice_events)
+        residual = hist.residual
     e_x, e_z, trace = decode(
         ctx.gx,
         ctx.gz,
-        events_to_nodes(ctx.gx, hist.x_lattice_events),
-        events_to_nodes(ctx.gz, hist.z_lattice_events),
+        ev_x,
+        ev_z,
         ctx.layout,
         max_iterations=0 if cfg.decoder == "mwpm" else cfg.max_iterations,
         stopping=cfg.stopping,
@@ -173,7 +186,7 @@ def _run_window(ctx: _Context, rng: np.random.Generator, initial_error=None):
         raise_on_violation=False,
         prune_neighbors=cfg.prune_neighbors,
     )
-    return multiply(multiply(hist.residual, e_x), e_z), trace
+    return multiply(multiply(residual, e_x), e_z), trace
 
 
 def _logical_failure(layout, residual: PauliOperator) -> bool:
@@ -410,6 +423,17 @@ class ThresholdEstimate:
         }
 
 
+def check_threshold_grid(distances, ps) -> tuple[list[int], list[float]]:
+    """The distinct distances and rates of a threshold grid, ascending.
+
+    Raises ValueError unless there are at least 2 distances and 4 rates.
+    """
+    Ls, ps = sorted(set(distances)), sorted(set(ps))
+    if len(Ls) < 2 or len(ps) < 4:
+        raise ValueError("need >= 2 distances and >= 4 p points")
+    return Ls, ps
+
+
 def threshold_scan(
     rates: dict[tuple[int, float], RateEstimate],
     bootstrap: int = 1000,
@@ -422,11 +446,8 @@ def threshold_scan(
     uncertainty comes from binomial bootstrap resampling of the failure
     counts.  Absence of a crossing is reported, not raised.
     """
-    Ls = sorted({L for (L, _p) in rates})
-    ps = sorted({p for (_L, p) in rates})
+    Ls, ps = check_threshold_grid([L for L, _p in rates], [p for _L, p in rates])
     decoder = next(iter(rates.values())).decoder
-    if len(Ls) < 2 or len(ps) < 4:
-        raise ValueError("need >= 2 distances and >= 4 p points")
     curves = {L: [rates[(L, p)].rate for p in ps] for L in Ls}
 
     pairwise = {}

@@ -49,6 +49,7 @@ from .noise import (
     RATE_UNITS,
     FaultEvent,
     FaultRecord,
+    InvalidFaultError,
     NoiseParams,
     enumerate_single_faults,
 )
@@ -125,6 +126,13 @@ class DecodingGraph:
     base-weight shortest-path rows (``base_paths``), filled lazily and
     capped at ``MEMO_ENTRIES`` entries, and the work adjacency that
     ``csr_with_weights`` rewrites for each reweighted matching.
+
+    Circuit graphs from ``build_decoder_graphs`` also carry one round's
+    single-fault table, read by ``window_events``: for each round-1 record,
+    in ``noise.fault_row`` order, the node ids of its events on this lattice
+    (``fault_nodes``) and its residual mask on this lattice's error type
+    (``fault_residuals``: X on the X lattice, Z on the Z lattice).  Both are
+    None on code-capacity graphs.
     """
 
     kind: str
@@ -148,6 +156,10 @@ class DecodingGraph:
     _memo_dist: np.ndarray | None = field(default=None, repr=False, compare=False)
     _memo_pred: np.ndarray | None = field(default=None, repr=False, compare=False)
     _memo_rows: int = field(default=0, repr=False, compare=False)
+    fault_nodes: list[tuple[int, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
+    fault_residuals: list[int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -239,6 +251,31 @@ class DecodingGraph:
         self._memo_slot[missing[:stored]] = np.arange(start, start + stored)
         self._memo_rows = start + stored
         return dist, pred
+
+    def window_events(self, faults) -> tuple[list[int], int]:
+        """Event node ids and residual mask of a window's faults, from the table.
+
+        ``faults`` holds a (row, round) pair per fault, the row as
+        ``noise.fault_row`` gives it.  Frames are linear over GF(2): the
+        events are the symmetric difference of the faults' one-round events,
+        each shifted by ``(round - 1) * n_stabs``, and the residual is the XOR
+        of their masks.  Node ids ascend, the (round, stabilizer) order in
+        which ``noise.simulate`` reports events.
+        """
+        table, residuals = self.fault_nodes, self.fault_residuals
+        if table is None:
+            raise ValueError(f"the {self.mode} graph has no single-fault table")
+        events: set[int] = set()
+        residual = 0
+        for row, t in faults:
+            if not 0 <= row < len(table):
+                raise InvalidFaultError(f"no single fault at row {row} of the table")
+            if not 1 <= t <= self.T:
+                raise InvalidFaultError(f"fault round {t} outside 1..{self.T}")
+            shift = (t - 1) * self.n_stabs
+            events.symmetric_difference_update([v + shift for v in table[row]])
+            residual ^= residuals[row]
+        return sorted(events), residual
 
     def edge_between(self, u: int, v: int) -> int:
         """Edge index for a node pair; raises KeyError if absent."""
@@ -718,17 +755,49 @@ def build_decoder_graphs(
     """Both lattices plus cross-correlations for a distance-L, T-round window.
 
     One round of single faults is enumerated and pooled once; both
-    lattices and both correlation tables repeat that pool over the window.
+    lattices and both correlation tables repeat that pool over the window,
+    and each lattice keeps the records' event nodes and residual masks as
+    its single-fault table (``DecodingGraph.window_events``).
     """
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    pool = pool_round(enumerate_single_faults(layout, circuit, 1, include_idle))
+    records = enumerate_single_faults(layout, circuit, 1, include_idle)
+    pool = pool_round(records)
+    # X errors show on the Z stabilizers and vice versa
+    tables = [
+        _fault_table(records, "X", circuit.n_z),
+        _fault_table(records, "Z", circuit.n_x),
+    ]
+    del records  # freed before the graphs: held longer, it sets the build's peak memory
     params = NoiseParams(p)
     gx = build_graph(layout, params, T, "X", pool)
     gz = build_graph(layout, params, T, "Z", pool)
     derive_correlations(gx, gz, pool)
     derive_correlations(gz, gx, pool)
+    for g, (nodes, residuals) in zip((gx, gz), tables):
+        g.fault_nodes, g.fault_residuals = nodes, residuals
     return gx, gz
+
+
+def _fault_table(
+    records: list[FaultRecord], kind: str, n_stabs: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each round-1 record's event node ids and residual mask on one lattice.
+
+    Records share few distinct signatures, so each signature's node tuple
+    is built once.
+    """
+    x = kind == "X"
+    nodes_of: dict[tuple, tuple[int, ...]] = {}
+    nodes, residuals = [], []
+    for rec in records:
+        events = rec.x_events if x else rec.z_events
+        ids = nodes_of.get(events)
+        if ids is None:
+            ids = nodes_of[events] = tuple((t - 1) * n_stabs + s for s, t in events)
+        nodes.append(ids)
+        residuals.append(rec.x_residual if x else rec.z_residual)
+    return nodes, residuals
 
 
 def build_code_capacity_pair(L: int) -> tuple[DecodingGraph, DecodingGraph]:

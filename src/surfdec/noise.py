@@ -15,6 +15,14 @@ to control.  Z-basis ancilla outcomes read the X frame, X-basis outcomes
 read the Z frame; ancillas are reset after each measurement.  Frames are
 exact for Pauli faults on Clifford circuits, and the map from fault sets to
 detection events is linear over GF(2).
+
+That linearity is what the decoding windows use: ``enumerate_single_faults``
+gives every fault of one round with its events and residual, and a memory
+window's events are the symmetric difference of its faults' one-round
+signatures shifted to their rounds (``fault_row`` locates a sampled fault in
+that table; ``graph.DecodingGraph.window_events`` reads it).  ``simulate``
+stays as the oracle for that table and as the path of windows that start
+from an initial data error.
 """
 
 from __future__ import annotations
@@ -156,29 +164,20 @@ def sample_faults(
 def _group_faults(circuit: SECircuit, faults, T: int):
     """Index faults by (round, phase) for the simulation loop."""
     flat = circuit.cnot_flat
-    n_data = circuit.layout.n_data
     grouped: dict[tuple[int, str], list] = {}
     for f in faults:
         if not 1 <= f.round <= T:
             raise InvalidFaultError(f"fault round {f.round} outside 1..{T}")
+        fault_row(circuit, f)  # raises on a bad kind, index or payload
         if f.kind == "cnot":
-            if not 0 <= f.index < len(flat):
-                raise InvalidFaultError(f"cnot index {f.index} out of range")
             layer, c, t = flat[f.index]
             grouped.setdefault((f.round, f"cnot{layer}"), []).append(
                 (c, t, f.payload)
             )
         elif f.kind == "idle":
-            if not 0 <= f.index < n_data:
-                raise InvalidFaultError(f"idle qubit {f.index} out of range")
             grouped.setdefault((f.round, "idle"), []).append((f.index, f.payload))
-        elif f.kind in ("meas_x", "meas_z"):
-            limit = circuit.n_x if f.kind == "meas_x" else circuit.n_z
-            if not 0 <= f.index < limit:
-                raise InvalidFaultError(f"{f.kind} index {f.index} out of range")
-            grouped.setdefault((f.round, f.kind), []).append(f.index)
         else:
-            raise InvalidFaultError(f"unknown fault kind {f.kind!r}")
+            grouped.setdefault((f.round, f.kind), []).append(f.index)
     return grouped
 
 
@@ -297,6 +296,36 @@ def _round_faults(circuit: SECircuit, include_idle: bool) -> list[tuple[str, int
     if include_idle:
         faults += [("idle", q, pay) for q in range(n_data) for pay in range(3)]
     return faults
+
+
+def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
+    """Position of a fault's location and payload among one round's records.
+
+    Rows follow ``_round_faults``: CNOT ``i`` with payload ``k`` is row
+    ``15 i + k``, then one row per X and per Z measurement flip, then the
+    idle Pauli ``k`` of data qubit ``q`` at ``3 q + k`` past those.  The
+    fault's round is not looked at.  Raises ``InvalidFaultError`` for an
+    unknown kind or an index or payload out of range (measurement flips
+    take payload 0).
+    """
+    kind, index, pay = fault.kind, fault.index, fault.payload
+    n_cnot, n_x = circuit.n_cnots_per_round, circuit.n_x
+    if kind == "cnot":
+        count, payloads, start = n_cnot, 15, 0
+    elif kind == "meas_x":
+        count, payloads, start = n_x, 1, 15 * n_cnot
+    elif kind == "meas_z":
+        count, payloads, start = circuit.n_z, 1, 15 * n_cnot + n_x
+    elif kind == "idle":
+        count, payloads = circuit.layout.n_data, 3
+        start = 15 * n_cnot + n_x + circuit.n_z
+    else:
+        raise InvalidFaultError(f"unknown fault kind {kind!r}")
+    if not 0 <= index < count:
+        raise InvalidFaultError(f"{kind} index {index} out of range")
+    if not 0 <= pay < payloads:
+        raise InvalidFaultError(f"{kind} payload {pay} out of range")
+    return start + payloads * index + pay
 
 
 #: fault columns propagated together; bounds the frame matrices' size

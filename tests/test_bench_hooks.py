@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from surfdec import experiments, graph, irmwpm
+from surfdec import experiments, graph, irmwpm, noise
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,18 +27,23 @@ def bench(monkeypatch):
 
 def test_tracer_installs_and_uninstalls(bench):
     _, spans = bench
+    # the tracer wraps experiments.simulate by name, so the lifetime path
+    # must keep calling it from there
     originals = (
-        experiments.decode, experiments.ideal_syndrome, graph.build_code_capacity_pair
+        experiments.decode, experiments.ideal_syndrome, graph.build_code_capacity_pair,
+        experiments.simulate,
     )
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert experiments.decode is not originals[0]
+        assert experiments.simulate is not originals[3]
     finally:
         tracer.uninstall()
     assert (experiments.decode, experiments.ideal_syndrome,
-            graph.build_code_capacity_pair) == originals
+            graph.build_code_capacity_pair, experiments.simulate) == originals
     assert experiments.decode is irmwpm.decode
+    assert experiments.simulate is noise.simulate
 
 
 @pytest.mark.parametrize("name", ["life-d5-p005-irmwpm", "mem-d7-p001-mwpm"])
@@ -74,3 +79,7 @@ def test_first_decode_call_passes_the_benchmark_keywords(bench, monkeypatch, nam
     assert counts["irmwpm.decode"] == windows == len(seen)
     checks = windows if wl.kind == "lifetime" else 0
     assert counts.get("code.ideal_syndrome", 0) == checks
+    # memory windows read the single-fault table; a lifetime window starts
+    # from the last residual and is frame-simulated
+    simulated = windows if wl.kind == "lifetime" else 0
+    assert counts.get("noise.simulate", 0) == simulated

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from surfdec import cli
 from surfdec.cli import main
 
 
@@ -137,7 +138,7 @@ def test_fit_roundtrip(tmp_path):
     assert blob["predictions"][0]["distance"] == 31
 
 
-def test_usage_error_exit_codes(tmp_path):
+def test_usage_error_exit_codes(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--distance", "3"])  # missing required --p
     assert exc.value.code == 2
@@ -191,6 +192,19 @@ def test_usage_error_exit_codes(tmp_path):
         )
         assert rc == 2, (flag, value)
         assert not (tmp_path / "bad.csv").exists()
+    # a threshold grid the scan cannot use used to be rejected only after
+    # every one of its points had been simulated
+    def no_estimate(config):
+        raise AssertionError(f"simulated {config} before the grid was checked")
+
+    monkeypatch.setattr(cli, "estimate_rate", no_estimate)
+    for distances, grid in ((["3", "5"], ["0.01", "0.02", "0.03"]),
+                            (["5", "5"], ["0.01", "0.02", "0.03", "0.04"]),
+                            (["3", "5"], ["0.01", "0.02", "0.02", "0.03"])):
+        rc = main(["threshold", "--distances", *distances, "--p-grid", *grid,
+                   "--trials", "200", "--out", str(tmp_path / "th.json")])
+        assert rc == 2, (distances, grid)
+        assert not (tmp_path / "th.json").exists()
 
 
 def test_lifetime_check_period_a_multiple_of_rounds_runs(tmp_path):
@@ -260,6 +274,17 @@ def test_threshold_command_smoke(tmp_path):
     blob = json.loads(out.read_text())
     assert len(blob["points"]) == 8
     assert "threshold" in blob
+    # every setting that changes the numbers is echoed
+    assert blob["config"] == {
+        "distances": [3, 5],
+        "p_grid": [0.004, 0.008, 0.012, 0.016],
+        "trials": 150,
+        "seed": 2,
+        "decoder": "mwpm",
+        "max_iterations": 10,
+        "idle_noise": True,
+        "prune_neighbors": None,
+    }
 
 
 #: sha256 of short results files, recorded before the base-weight

@@ -243,6 +243,95 @@ def test_memory_trial_direct(layout3):
     assert converged in (True, False)
 
 
+def _simulated_window(ctx, rng):
+    """The memory window as it was before it read the single-fault table:
+    one frame simulation of the sampled faults, its events converted to
+    node ids.  Returns (residual after correction, trace)."""
+    from surfdec.irmwpm import decode
+    from surfdec.matcher import events_to_nodes
+    from surfdec.noise import NoiseParams, sample_faults, simulate
+    from surfdec.pauli import multiply
+
+    cfg = ctx.config
+    faults = sample_faults(
+        ctx.circuit, NoiseParams(cfg.p), cfg.rounds, rng, cfg.idle_noise
+    )
+    hist = simulate(ctx.layout, ctx.circuit, faults, cfg.rounds, True)
+    e_x, e_z, trace = decode(
+        ctx.gx,
+        ctx.gz,
+        events_to_nodes(ctx.gx, hist.x_lattice_events),
+        events_to_nodes(ctx.gz, hist.z_lattice_events),
+        ctx.layout,
+        max_iterations=0 if cfg.decoder == "mwpm" else cfg.max_iterations,
+        stopping=cfg.stopping,
+        reweight_boundary=cfg.reweight_boundary,
+        raise_on_violation=False,
+        prune_neighbors=cfg.prune_neighbors,
+    )
+    return multiply(multiply(hist.residual, e_x), e_z), trace
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(L=3, p=0.02, trials=150),
+        dict(L=5, p=0.01, trials=40, T=2),
+        dict(L=3, p=0.02, trials=100, idle_noise=False),
+        dict(L=3, p=0.02, trials=100, reweight_boundary=False),
+        dict(L=7, p=0.001, trials=100, decoder="mwpm"),
+    ],
+    ids=["d3-p02", "d5-T2", "idle-off", "boundary-off", "d7-p001-mwpm"],
+)
+def test_memory_trial_equals_the_simulated_window(cfg):
+    # the single-fault table gives every window the events, residual and
+    # decode that frame simulation gives it
+    config = SimConfig(seed=4, **cfg)
+    ctx = _build_context(config)
+    for trial in range(config.trials):
+        residual, trace = experiments._run_window(
+            ctx, np.random.default_rng([config.seed, trial])
+        )
+        want_residual, want_trace = _simulated_window(
+            ctx, np.random.default_rng([config.seed, trial])
+        )
+        assert residual == want_residual, trial
+        assert trace.to_dict() == want_trace.to_dict(), trial
+        failed, extra, monotone, converged = run_memory_trial(
+            ctx, np.random.default_rng([config.seed, trial])
+        )
+        assert failed == experiments._logical_failure(ctx.layout, want_residual)
+        assert (extra, monotone) == (want_trace.extra_iterations, want_trace.monotonic)
+        assert converged == (
+            want_trace.stop_reason != "max_iters" or config.decoder == "mwpm"
+        )
+
+
+def test_estimate_rate_enumerates_once_and_never_simulates(monkeypatch):
+    from surfdec import graph
+
+    calls = {"simulate": 0, "enumerate": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        experiments, "simulate", counting("simulate", experiments.simulate)
+    )
+    monkeypatch.setattr(
+        graph,
+        "enumerate_single_faults",
+        counting("enumerate", graph.enumerate_single_faults),
+    )
+    est = estimate_rate(SimConfig(L=3, p=0.02, trials=200, seed=1, threads=1))
+    assert est.trials == 200 and est.failures > 0
+    assert calls == {"simulate": 0, "enumerate": 1}
+
+
 def test_lifetime_check_period_must_be_a_multiple_of_rounds(monkeypatch):
     def no_build(*args):
         raise AssertionError("graphs built before the check period was validated")

@@ -1,9 +1,12 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfdec.code import build_layout, build_se_circuit
 from surfdec.graph import (
@@ -20,7 +23,17 @@ from surfdec.graph import (
     graph_to_dict,
     pool_round,
 )
-from surfdec.noise import NoiseParams, enumerate_single_faults
+from surfdec.matcher import events_to_nodes
+from surfdec.noise import (
+    FaultEvent,
+    InvalidFaultError,
+    NoiseParams,
+    _round_faults,
+    enumerate_single_faults,
+    fault_row,
+    sample_faults,
+    simulate,
+)
 from surfdec.pauli import PauliOperator, commutation_parity
 from surfdec.verify import (
     INTERIOR_CONDITIONAL_ROWS,
@@ -394,3 +407,66 @@ def test_edge_correction_has_the_syndrome_of_its_endpoints(L, T):
                 if node != g.boundary_node:
                     expected[g.node_pos(node)[0]] ^= 1
             assert syndrome == expected, (g.kind, e)
+
+
+@lru_cache(maxsize=None)
+def _table_graphs(L, T, include_idle):
+    layout = build_layout(L)
+    circuit = build_se_circuit(layout)
+    return (layout, circuit, *build_decoder_graphs(L, T, 0.001, include_idle))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    L=st.sampled_from([3, 5, 7]),
+    rounds=st.sampled_from(["1", "2", "d"]),
+    include_idle=st.booleans(),
+    p=st.sampled_from([0.0, 0.002, 0.01, 0.04]),
+    seed=st.integers(0, 2**32 - 1),
+    last_round=st.lists(st.floats(0, 1, exclude_max=True), max_size=4),
+)
+def test_window_events_equal_simulation(L, rounds, include_idle, p, seed, last_round):
+    # a window's events and residual read from the single-fault table equal
+    # frame simulation's, order included; faults of round T put their later
+    # events on the perfect layer T + 1, and p = 0 gives an empty window
+    T = L if rounds == "d" else int(rounds)
+    layout, circuit, gx, gz = _table_graphs(L, T, include_idle)
+    faults = sample_faults(
+        circuit, NoiseParams(p), T, np.random.default_rng(seed), include_idle
+    )
+    locations = _round_faults(circuit, include_idle)
+    faults += [FaultEvent(T, *locations[int(u * len(locations))]) for u in last_round]
+    hist = simulate(layout, circuit, faults, T, True)
+    rows = [(fault_row(circuit, f), f.round) for f in faults]
+    assert gx.window_events(rows) == (
+        events_to_nodes(gx, hist.x_lattice_events), hist.residual.x_mask
+    )
+    assert gz.window_events(rows) == (
+        events_to_nodes(gz, hist.z_lattice_events), hist.residual.z_mask
+    )
+
+
+def test_window_events_reject_faults_outside_the_table():
+    layout, circuit, gx, _ = _table_graphs(3, 2, False)
+    idle = fault_row(circuit, FaultEvent(1, "idle", 0, 0))
+    assert gx.window_events([]) == ([], 0)
+    with pytest.raises(InvalidFaultError, match="row"):
+        gx.window_events([(idle, 1)])  # idle noise is off
+    with pytest.raises(InvalidFaultError, match="row"):
+        gx.window_events([(-1, 1)])
+    for t in (0, 3):
+        with pytest.raises(InvalidFaultError, match="round"):
+            gx.window_events([(0, t)])
+
+
+def test_single_fault_table_only_on_circuit_graphs(graphs3, cc_pair3):
+    layout = build_layout(3)
+    n_records = len(enumerate_single_faults(layout, build_se_circuit(layout), 1))
+    for g in graphs3:
+        assert len(g.fault_nodes) == len(g.fault_residuals) == n_records
+        assert "fault_nodes" not in graph_to_dict(g)
+        assert "fault_residuals" not in graph_to_dict(g)
+    for g in cc_pair3:
+        assert g.fault_nodes is None and g.fault_residuals is None
+        with pytest.raises(ValueError, match="no single-fault table"):
+            g.window_events([])

@@ -16,8 +16,10 @@ from surfdec.noise import (
     InvalidFaultError,
     InvalidNoiseError,
     NoiseParams,
+    _round_faults,
     enumerate_single_faults,
     fault_locations_per_round,
+    fault_row,
     sample_faults,
     simulate,
 )
@@ -114,6 +116,46 @@ def test_invalid_fault_location(layout3, circuit3):
         simulate(layout3, circuit3, [FaultEvent(1, "cnot", 10**6, 0)], 2, True)
     with pytest.raises(InvalidFaultError):
         simulate(layout3, circuit3, [FaultEvent(9, "idle", 0, 0)], 2, True)
+
+
+@pytest.mark.parametrize("include_idle", [True, False])
+def test_fault_row_is_the_position_in_the_round_records(circuit3, include_idle):
+    faults = _round_faults(circuit3, include_idle)
+    for row, (kind, index, pay) in enumerate(faults):
+        for t in (1, 4):
+            assert fault_row(circuit3, FaultEvent(t, kind, index, pay)) == row
+
+
+@pytest.mark.parametrize(
+    "kind, index, payload, match",
+    [
+        ("reset", 0, 0, "unknown fault kind"),
+        ("cnot", -1, 0, "index"),
+        ("cnot", "n_cnot", 0, "index"),
+        ("cnot", 0, 15, "payload"),
+        ("cnot", 0, -1, "payload"),
+        ("meas_x", "n_x", 0, "index"),
+        ("meas_x", 0, 1, "payload"),
+        ("meas_z", "n_z", 0, "index"),
+        ("meas_z", -1, 0, "index"),
+        ("idle", "n_data", 0, "index"),
+        ("idle", 0, 3, "payload"),
+    ],
+)
+def test_bad_faults_are_rejected(layout3, circuit3, kind, index, payload, match):
+    # a bad fault must not read another fault's row of the table, nor be
+    # simulated as another fault (a CNOT payload of -1 used to act as 14)
+    limits = {
+        "n_cnot": circuit3.n_cnots_per_round,
+        "n_x": circuit3.n_x,
+        "n_z": circuit3.n_z,
+        "n_data": circuit3.layout.n_data,
+    }
+    fault = FaultEvent(1, kind, limits.get(index, index), payload)
+    with pytest.raises(InvalidFaultError, match=match):
+        fault_row(circuit3, fault)
+    with pytest.raises(InvalidFaultError, match=match):
+        simulate(layout3, circuit3, [fault], 1, True)
 
 
 def _events_sets(hist):
