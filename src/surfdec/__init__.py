@@ -45,7 +45,6 @@ from .irmwpm import (
     MonotonicityError,
     correction_weight,
     decode,
-    decode_mwpm,
     reweight,
     stopping_criterion,
 )
@@ -56,7 +55,6 @@ from .experiments import (
     estimate_lifetime,
     estimate_rate,
     fit_scaling,
-    iteration_stats,
     run_lifetime_trial,
     run_memory_trial,
     threshold_scan,
@@ -98,7 +96,6 @@ __all__ = [
     "MonotonicityError",
     "correction_weight",
     "decode",
-    "decode_mwpm",
     "reweight",
     "stopping_criterion",
     "FitParams",
@@ -107,7 +104,6 @@ __all__ = [
     "estimate_lifetime",
     "estimate_rate",
     "fit_scaling",
-    "iteration_stats",
     "run_lifetime_trial",
     "run_memory_trial",
     "threshold_scan",

@@ -3,10 +3,10 @@
 Classic O(n^3) formulation: maintain vertex/blossom dual variables, grow
 alternating trees from free vertices, shrink odd cycles (blossoms) on
 zero-slack edges, expand T-blossoms whose dual reaches zero, and augment
-along alternating paths.  With ``maxcardinality`` the matching is forced to
-maximum cardinality first, maximum weight among those second, which is how
-minimum-weight *perfect* matching is recovered on complete graphs:
-maximizing sum((W - w_e)) at fixed cardinality minimizes sum(w_e).
+along alternating paths.  The matching has maximum cardinality first,
+maximum weight among those second, which is how minimum-weight *perfect*
+matching is recovered: maximizing sum((W - w_e)) at fixed cardinality
+minimizes sum(w_e).
 
 Works with int or float weights; callers who need reproducible behaviour
 on near-ties should round weights beforehand.
@@ -15,10 +15,9 @@ on near-ties should round weights beforehand.
 from __future__ import annotations
 
 
-def max_weight_matching(
-    edges: list[tuple[int, int, float]], maxcardinality: bool = False
-) -> list[int]:
-    """Return mate[v] = vertex matched to v, or -1, maximizing total weight.
+def max_weight_matching(edges: list[tuple[int, int, float]]) -> list[int]:
+    """Return mate[v] = vertex matched to v, or -1, of a maximum-cardinality
+    matching of maximum total weight.
 
     ``edges`` lists undirected edges (i, j, weight) with i != j and at most
     one edge per vertex pair; vertices are 0..n-1 with n inferred.
@@ -344,9 +343,6 @@ def max_weight_matching(
 
             deltatype = -1
             delta = deltaedge = deltablossom = None
-            if not maxcardinality:
-                deltatype = 1
-                delta = min(dualvar[:nvertex])
             for v in range(nvertex):
                 if label[inblossom[v]] == 0 and bestedge[v] != -1:
                     d = slack(bestedge[v])
@@ -433,18 +429,18 @@ def min_weight_perfect_matching(
 ) -> list[tuple[int, int]]:
     """Minimum-weight perfect matching on an even-order graph.
 
-    Requires that a perfect matching exists (always true for complete
-    graphs on an even vertex count).  Returns vertex pairs (i, j), i < j.
+    Returns vertex pairs (i, j), i < j.  Raises RuntimeError when the graph
+    admits no perfect matching (a complete graph on an even vertex count
+    always admits one).
     """
     if n == 0:
         return []
     if n % 2:
         raise ValueError("perfect matching needs an even number of vertices")
-    shift = max(w for (_i, _j, w) in edges) + 1
+    shift = max((w for (_i, _j, w) in edges), default=0) + 1
     flipped = [(i, j, shift - w) for (i, j, w) in edges]
-    mate = max_weight_matching(flipped, maxcardinality=True)
-    if len(mate) < n:
-        mate = mate + list(range(len(mate), n))  # isolated trailing vertices
+    mate = max_weight_matching(flipped)
+    mate += [-1] * (n - len(mate))  # vertices past the last edge's are unmatched
     pairs = []
     for v in range(n):
         w = mate[v]

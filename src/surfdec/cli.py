@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import shlex
 import sys
 
 from .code import build_layout, build_se_circuit, layout_to_dict
@@ -73,19 +75,39 @@ def _bool_flag(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
 
 
-def _load_config_file(path: str) -> dict:
-    """Flat key=value file; keys use the long flag names without dashes."""
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
+def _with_config_flags(argv: list[str]) -> list[str]:
+    """Splice a ``--config FILE``'s settings into ``argv`` as flags.
+
+    Each ``key = value`` line becomes ``--key`` followed by the value split
+    as shell words, placed right after the subcommand.  Argparse then checks
+    the file's settings as it checks flags, and a flag given on the command
+    line overrides the file's, since the last occurrence wins.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    flags = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (eq and key):
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        if key == "config":
+            raise ValueError(f"{path}:{lineno}: config files do not nest")
+        try:
+            flags += ["--" + key.replace("_", "-"), *shlex.split(value)]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return argv[:1] + flags + argv[1:]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,61 +117,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, trials_default=1000):
-        sp.add_argument("--config", help="flat key=value file; flags override it")
-        sp.add_argument("--distance", type=int, required=True)
-        sp.add_argument("--p", type=float, required=True)
-        sp.add_argument("--trials", type=int, default=trials_default)
+    def add_run(name, help, trials):
+        """A Monte Carlo subcommand; a flag that sets a SimConfig field stores
+        to the field's name, which is how ``_sim_config`` finds it."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--config", help="key = value lines; flags override them")
+        sp.add_argument("--trials", type=int, default=trials)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--decoder", choices=("mwpm", "irmwpm"), default="irmwpm")
+        sp.add_argument("--max-iters", dest="max_iterations", type=int, default=10)
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument(
             "--idle-noise", type=_bool_flag, default=True,
             help="once-per-round data memory fault (on/off, default on)",
         )
         sp.add_argument(
-            "--prune", type=int, default=None, metavar="M",
+            "--prune", dest="prune_neighbors", type=int, default=None, metavar="M",
             help="match only each event's M nearest partners (default: exact)",
         )
+        return sp
 
-    sp = sub.add_parser("simulate", help="memory-trial logical error rate")
-    add_common(sp)
-    sp.add_argument("--rounds", type=int, default=None, help="default: distance")
-    sp.add_argument("--max-iters", type=int, default=10)
-    sp.add_argument(
-        "--stopping", choices=STOPPING_MODES, default="consecutive"
-    )
-    sp.add_argument("--reweight-boundary", type=_bool_flag, default=True)
-    sp.add_argument("--out", required=True, help="CSV output path")
-    sp.add_argument("--json", dest="json_out", help="optional JSON output path")
-
-    sp = sub.add_parser("lifetime", help="average logical-qubit lifetime")
-    add_common(sp, trials_default=100)
-    sp.add_argument("--rounds", type=int, default=None, help="default: distance")
-    sp.add_argument("--max-iters", type=int, default=10)
-    sp.add_argument(
+    simulate = add_run("simulate", "memory-trial logical error rate", 1000)
+    lifetime = add_run("lifetime", "average logical-qubit lifetime", 100)
+    for sp in (simulate, lifetime):
+        sp.add_argument("--distance", dest="L", type=int, required=True)
+        sp.add_argument("--p", type=float, required=True)
+        sp.add_argument("--rounds", dest="T", type=int, help="default: distance")
+        sp.add_argument("--out", required=True, help="CSV output path")
+    simulate.add_argument("--stopping", choices=STOPPING_MODES, default="consecutive")
+    simulate.add_argument("--reweight-boundary", type=_bool_flag, default=True)
+    simulate.add_argument("--json", help="optional JSON output path")
+    lifetime.add_argument(
         "--check-period", type=int, default=None,
         help="rounds between checks, a multiple of --rounds (default: distance)",
     )
-    sp.add_argument("--cap", type=int, default=1_000_000)
-    sp.add_argument("--out", required=True, help="CSV output path")
+    lifetime.add_argument("--cap", dest="lifetime_cap", type=int, default=1_000_000)
 
-    sp = sub.add_parser("threshold", help="crossing-point scan over (p, L)")
-    sp.add_argument("--config", help="flat key=value file; flags override it")
+    sp = add_run("threshold", "crossing-point scan over (p, L)", 2000)
     sp.add_argument("--distances", type=int, nargs="+", required=True)
     sp.add_argument("--p-grid", type=float, nargs="+", required=True)
-    sp.add_argument("--trials", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--decoder", choices=("mwpm", "irmwpm"), default="irmwpm")
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--idle-noise", type=_bool_flag, default=True)
-    sp.add_argument("--max-iters", type=int, default=10)
-    sp.add_argument(
-        "--prune", type=int, default=None, metavar="M",
-        help="match only each event's M nearest partners (default: exact)",
-    )
     sp.add_argument("--out", required=True, help="JSON output path")
-    sp.add_argument("--csv", dest="csv_out", help="optional per-point CSV path")
+    sp.add_argument("--csv", help="optional per-point CSV path")
 
     sp = sub.add_parser("fit", help="scaling-law fit of rate data")
     sp.add_argument("--in", dest="input", required=True, help="CSV from simulate runs")
@@ -186,68 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Read --config early and fold its values in as parser defaults."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        parser.error("--config needs a path")
-    values = _load_config_file(path)
-    known = {
-        a.dest
-        for sp in parser._subparsers._group_actions
-        for choice in sp.choices.values()
-        for a in choice._actions
-    }
-    for key in values:
-        if key not in known:
-            parser.error(f"unknown config key {key!r} in {path}")
-    # fold config values in as defaults on every subparser that knows them
-    for sp_action in parser._subparsers._group_actions:
-        for choice in sp_action.choices.values():
-            for action in choice._actions:
-                if action.dest in values:
-                    raw = values[action.dest]
-                    if action.type is not None:
-                        try:
-                            parsed = action.type(raw)
-                        except Exception:
-                            parser.error(
-                                f"bad value {raw!r} for config key {action.dest}"
-                            )
-                    else:
-                        parsed = raw
-                    choice.set_defaults(**{action.dest: parsed})
-    return argv
+_SIM_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
+
+
+def _sim_config(args, **point) -> SimConfig:
+    """The SimConfig that a run subcommand's flags, then ``point``, describe."""
+    flags = {k: v for k, v in vars(args).items() if k in _SIM_FIELDS}
+    return SimConfig(**flags, **point)
 
 
 def _cmd_simulate(args) -> int:
-    cfg = SimConfig(
-        L=args.distance,
-        p=args.p,
-        trials=args.trials,
-        seed=args.seed,
-        T=args.rounds,
-        decoder=args.decoder,
-        max_iterations=args.max_iters,
-        stopping=args.stopping,
-        threads=args.threads,
-        idle_noise=args.idle_noise,
-        reweight_boundary=args.reweight_boundary,
-        prune_neighbors=args.prune,
-    )
+    cfg = _sim_config(args)
     _progress(
         f"simulate: L={cfg.L} T={cfg.rounds} p={cfg.p} decoder={cfg.decoder} "
         f"trials={cfg.trials}"
     )
     est = estimate_rate(cfg)
     _write_csv(args.out, [est.to_row()])
-    if args.json_out:
+    if args.json:
         _write_json(
-            args.json_out,
+            args.json,
             {
                 "schema": RESULT_SCHEMA,
                 "config": {
@@ -273,20 +239,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_lifetime(args) -> int:
-    cfg = SimConfig(
-        L=args.distance,
-        p=args.p,
-        trials=args.trials,
-        seed=args.seed,
-        T=args.rounds,
-        decoder=args.decoder,
-        max_iterations=args.max_iters,
-        check_period=args.check_period,
-        threads=args.threads,
-        idle_noise=args.idle_noise,
-        lifetime_cap=args.cap,
-        prune_neighbors=args.prune,
-    )
+    cfg = _sim_config(args)
     _progress(f"lifetime: L={cfg.L} p={cfg.p} trials={cfg.trials}")
     est = estimate_lifetime(cfg)
     _write_csv(
@@ -305,17 +258,7 @@ def _cmd_threshold(args) -> int:
     rows = []
     for L in args.distances:
         for p in args.p_grid:
-            cfg = SimConfig(
-                L=L,
-                p=p,
-                trials=args.trials,
-                seed=args.seed,
-                decoder=args.decoder,
-                max_iterations=args.max_iters,
-                threads=args.threads,
-                idle_noise=args.idle_noise,
-                prune_neighbors=args.prune,
-            )
+            cfg = _sim_config(args, L=L, p=p)
             _progress(f"threshold point: L={L} p={p} trials={args.trials}")
             est = estimate_rate(cfg)
             rates[(L, p)] = est
@@ -329,16 +272,16 @@ def _cmd_threshold(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
             "decoder": args.decoder,
-            "max_iterations": args.max_iters,
+            "max_iterations": args.max_iterations,
             "idle_noise": args.idle_noise,
-            "prune_neighbors": args.prune,
+            "prune_neighbors": args.prune_neighbors,
         },
         "points": rows,
         "threshold": result.to_dict(),
     }
     _write_json(args.out, out)
-    if args.csv_out:
-        _write_csv(args.csv_out, rows)
+    if args.csv:
+        _write_csv(args.csv, rows)
     if result.no_crossing:
         _progress("no crossing found in the scanned range")
     else:
@@ -347,12 +290,16 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    points = []
-    with open(args.input) as fh:
-        for row in csv.DictReader(fh):
-            points.append(
+    try:
+        with open(args.input, newline="") as fh:
+            points = [
                 (float(row["p"]), int(row["distance"]), float(row["rate"]))
-            )
+                for row in csv.DictReader(fh)
+            ]
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.input}: {exc.strerror}") from None
+    except (KeyError, TypeError):
+        raise ValueError(f"{args.input}: rows need p, distance and rate") from None
     fit = fit_scaling(points)
     out = {
         "schema": RESULT_SCHEMA,
@@ -446,9 +393,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)  # exits 2 on usage errors
     try:
+        args = parser.parse_args(_with_config_flags(argv))  # exits 2 on usage errors
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         # invalid parameter combinations are usage errors

@@ -61,10 +61,6 @@ class CodeLayout:
     def n_data(self) -> int:
         return len(self.data_coords)
 
-    @property
-    def n_stabilizers(self) -> int:
-        return len(self.x_stabilizers) + len(self.z_stabilizers)
-
     def stabilizer_pauli(self, kind: str, idx: int) -> PauliOperator:
         """The idx-th X- or Z-type stabilizer generator as a Pauli."""
         support = (self.x_stabilizers if kind == "x" else self.z_stabilizers)[idx]

@@ -366,13 +366,6 @@ def estimate_lifetime(config: SimConfig) -> LifetimeEstimate:
     )
 
 
-def iteration_stats(iter_hist: dict[int, int]) -> dict:
-    """Histogram plus mean of additional iterations beyond the first decode."""
-    total = sum(iter_hist.values())
-    mean = sum(k * n for k, n in iter_hist.items()) / total if total else 0.0
-    return {"histogram": dict(sorted(iter_hist.items())), "mean": mean, "count": total}
-
-
 # ---------------------------------------------------------------------------
 # threshold estimation
 

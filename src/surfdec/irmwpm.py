@@ -261,14 +261,3 @@ def decode(
 
     trace.stop_reason = "max_iters"
     return (*estimates, trace)
-
-
-def decode_mwpm(
-    graph_x: DecodingGraph,
-    graph_z: DecodingGraph,
-    events_x: list[int],
-    events_z: list[int],
-    layout,
-) -> tuple[PauliOperator, PauliOperator, IterationTrace]:
-    """Plain MWPM baseline: independent matchings, no reweighting."""
-    return decode(graph_x, graph_z, events_x, events_z, layout, max_iterations=0)

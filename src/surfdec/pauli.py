@@ -70,11 +70,6 @@ class PauliOperator:
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 
-    def support(self) -> list[int]:
-        """Indices of qubits acted on nontrivially."""
-        m = self.x_mask | self.z_mask
-        return [k for k in range(self.n) if (m >> k) & 1]
-
 
 def weight(p: PauliOperator) -> int:
     """Number of nontrivial tensor factors (size of the support)."""

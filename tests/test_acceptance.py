@@ -30,7 +30,7 @@ from surfdec.experiments import (
     threshold_scan,
 )
 from surfdec.graph import build_code_capacity_pair, build_decoder_graphs
-from surfdec.irmwpm import correction_weight, decode, decode_mwpm
+from surfdec.irmwpm import correction_weight, decode
 from surfdec.matcher import brute_force_matching, events_to_nodes, mwpm
 from surfdec.noise import (
     NoiseParams,
@@ -247,7 +247,7 @@ def _radius_case(cc_pair, layout, err):
     gx, gz = cc_pair
     ev_x, ev_z = _cc_events(cc_pair, layout, err)
     ex_i, ez_i, _ = decode(gx, gz, ev_x, ev_z, layout, max_iterations=15)
-    ex_m, ez_m, _ = decode_mwpm(gx, gz, ev_x, ev_z, layout)
+    ex_m, ez_m, _ = decode(gx, gz, ev_x, ev_z, layout, max_iterations=0)
     results = []
     for ex, ez in ((ex_i, ez_i), (ex_m, ez_m)):
         total = multiply(err, multiply(ex, ez))

@@ -246,6 +246,68 @@ def test_config_file_unknown_key(tmp_path):
     assert exc.value.code == 2
 
 
+def test_config_file_holds_required_and_output_flags(tmp_path):
+    js = tmp_path / "run dir" / "r.json"
+    js.parent.mkdir()
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(
+        f"distance = 3\np = 0.01  # required flags\ntrials = 40\njson = '{js}'\n"
+    )
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "r.csv")])
+    assert rc == 0
+    config = json.loads(js.read_text())["config"]
+    assert (config["distance"], config["p"], config["trials"]) == (3, 0.01, 40)
+
+
+def test_config_file_lists_match_flags_and_yield_to_them(tmp_path):
+    grid = ["--p-grid", "0.004", "0.008", "0.012", "0.016"]
+    common = ["--trials", "60", "--seed", "2", "--decoder", "mwpm"]
+    same, other = tmp_path / "same.cfg", tmp_path / "other.cfg"
+    same.write_text("distances = 3 5\np_grid = 0.004 0.008 0.012 0.016\n")
+    other.write_text("distances = 3 5\np-grid = 0.001 0.002 0.003 0.004\n")
+    runs = {
+        "flags": ["--distances", "3", "5", *grid],
+        "file": ["--config", str(same)],
+        "file overridden": ["--config", str(other), *grid],
+    }
+    blobs = {}
+    for name, args in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["threshold", *args, *common, "--out", str(out)]) == 0
+        blobs[name] = out.read_bytes()
+    assert blobs["file"] == blobs["flags"]
+    assert blobs["file overridden"] == blobs["flags"]
+
+
+def test_config_file_errors_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    run = ["simulate", "--distance", "3", "--p", "0.01", "--out", str(out)]
+    bad = tmp_path / "bad.cfg"
+    for text in ("trials 60\n", "= 60\n", "out = 'unclosed\n", "config = x.cfg\n"):
+        bad.write_text(text)
+        assert main(["simulate", "--config", str(bad), *run[1:]]) == 2, text
+    assert main(["simulate", "--config", str(tmp_path / "missing.cfg"), *run[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("usage error: ") for line in err)
+    assert not out.exists()
+    # only the Monte Carlo subcommands read a config file
+    bad.write_text("distance = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-layout", "--config", str(bad), "--out", str(tmp_path / "l.json")])
+    assert exc.value.code == 2
+
+
+def test_fit_input_errors_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    no_rate = tmp_path / "no_rate.csv"
+    no_rate.write_text("distance,p\n5,0.01\n")
+    for path in (tmp_path / "missing.csv", no_rate):
+        assert main(["fit", "--in", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("usage error: ") for line in err)
+    assert not out.exists()
+
+
 def test_lifetime_command(tmp_path):
     out = tmp_path / "lt.csv"
     rc = main(

@@ -13,7 +13,6 @@ from surfdec.experiments import (
     estimate_lifetime,
     estimate_rate,
     fit_scaling,
-    iteration_stats,
     run_lifetime_trial,
     run_memory_trial,
     threshold_scan,
@@ -139,13 +138,6 @@ def test_lifetime_grows_below_threshold():
     lt3 = estimate_lifetime(SimConfig(L=3, p=0.005, **caps))
     lt5 = estimate_lifetime(SimConfig(L=5, p=0.005, **caps))
     assert lt5.mean_rounds > 1.5 * lt3.mean_rounds
-
-
-def test_iteration_stats():
-    stats = iteration_stats({0: 10, 1: 5, 2: 5})
-    assert stats["count"] == 20
-    assert stats["mean"] == pytest.approx(0.75)
-    assert stats["histogram"] == {0: 10, 1: 5, 2: 5}
 
 
 def test_fit_scaling_recovers_exact_parameters():

@@ -9,6 +9,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "surfdec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+BENCH = SRC.parents[1] / "bench"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -84,3 +85,41 @@ def test_every_simconfig_field_is_read():
     # a configuration field nothing reads is a dead option
     sources = [path.read_text() for path in MODULES]
     assert _unread_fields(sources, "SimConfig") == []
+
+
+def _unread_names(sources: list[str], names: list[str]) -> list[str]:
+    """Names that no source reads, as a variable or as an attribute.
+
+    Definitions and imports do not count: an export that nothing calls is
+    dead code, whatever re-exports it.
+    """
+    read: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in names if name not in read]
+
+
+def test_unread_name_check_sees_unread_names():
+    src = (
+        "from m import a, b\n"
+        "def c():\n"
+        "    return a\n"
+        "class D:\n"
+        "    pass\n"
+        "print(m.e)\n"
+    )
+    assert _unread_names([src], ["a", "b", "c", "D", "e"]) == ["b", "c", "D"]
+
+
+def test_every_export_is_read():
+    # an exported helper that neither the package nor the benchmark uses
+    # is an interface to maintain for nothing
+    import surfdec
+
+    paths = MODULES + sorted(BENCH.glob("*.py"))
+    sources = [path.read_text() for path in paths]
+    assert _unread_names(sources, surfdec.__all__) == []

@@ -9,7 +9,6 @@ from surfdec.irmwpm import (
     MonotonicityError,
     correction_weight,
     decode,
-    decode_mwpm,
     reweight,
     stopping_criterion,
 )
@@ -101,7 +100,7 @@ def test_single_x_error_irmwpm_equals_mwpm(layout3, circuit3, graphs3):
         assert hist.z_lattice_events == ()
         ev_x = events_to_nodes(gx, hist.x_lattice_events)
         ex_i, ez_i, _ = decode(gx, gz, ev_x, [], layout3)
-        ex_m, ez_m, _ = decode_mwpm(gx, gz, ev_x, [], layout3)
+        ex_m, ez_m, _ = decode(gx, gz, ev_x, [], layout3, max_iterations=0)
         assert ex_i == ex_m and ez_i == ez_m
 
 
@@ -119,7 +118,7 @@ def test_planted_y_pattern_differs_and_improves(cc_pair3, layout3):
     for err in patterns:
         ev_x, ev_z = _cc_events(cc_pair3, layout3, err)
         ex_i, ez_i, _ = decode(gx, gz, ev_x, ev_z, layout3)
-        ex_m, ez_m, _ = decode_mwpm(gx, gz, ev_x, ev_z, layout3)
+        ex_m, ez_m, _ = decode(gx, gz, ev_x, ev_z, layout3, max_iterations=0)
         if (ex_i, ez_i) != (ex_m, ez_m):
             differing += 1
             assert correction_weight(ex_i, ez_i) <= correction_weight(ex_m, ez_m)
@@ -285,7 +284,7 @@ def test_decoding_radius_weight_one_d3(cc_pair3, layout3):
             err = PauliOperator.single(n, q, k)
             ev_x, ev_z = _cc_events(cc_pair3, layout3, err)
             ex_i, ez_i, _ = decode(gx, gz, ev_x, ev_z, layout3)
-            ex_m, ez_m, _ = decode_mwpm(gx, gz, ev_x, ev_z, layout3)
+            ex_m, ez_m, _ = decode(gx, gz, ev_x, ev_z, layout3, max_iterations=0)
             for ex, ez in ((ex_i, ez_i), (ex_m, ez_m)):
                 total = multiply(err, multiply(ex, ez))
                 assert all(b == 0 for b in ideal_syndrome(layout3, total))

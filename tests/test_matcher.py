@@ -22,7 +22,8 @@ from surfdec.code import ideal_syndrome
 # ---------------------------------------------------------------------------
 # blossom core
 
-def _brute_max(edges, n, maxcard):
+def _brute_max(edges, n):
+    """(cardinality, weight) of a maximum-cardinality maximum-weight matching."""
     adj = {}
     for i, j, w in edges:
         adj[(i, j)] = adj[(j, i)] = w
@@ -35,18 +36,13 @@ def _brute_max(edges, n, maxcard):
         for k, u in enumerate(rest):
             if (v, u) in adj:
                 c, w = rec(rest[:k] + rest[k + 1 :])
-                cand = (c + 1, w + adj[(v, u)])
-                if maxcard:
-                    best = max(best, cand)
-                elif cand[1] > best[1]:
-                    best = cand
+                best = max(best, (c + 1, w + adj[(v, u)]))
         return best
 
     return rec(tuple(range(n)))
 
 
-@pytest.mark.parametrize("maxcard", [False, True])
-def test_blossom_against_brute_force(maxcard):
+def test_blossom_against_brute_force():
     rng = np.random.default_rng(20_24)
     for _ in range(250):
         n = int(rng.integers(2, 9))
@@ -54,17 +50,13 @@ def test_blossom_against_brute_force(maxcard):
         rng.shuffle(pairs)
         m = int(rng.integers(1, len(pairs) + 1))
         edges = [(i, j, int(rng.integers(-20, 61))) for i, j in pairs[:m]]
-        mate = max_weight_matching(edges, maxcard)
+        mate = max_weight_matching(edges)
         tot = cnt = 0
         for i, j, w in edges:
             if i < len(mate) and mate[i] == j:
                 tot += w
                 cnt += 1
-        bc, bw = _brute_max(edges, n, maxcard)
-        if maxcard:
-            assert (cnt, tot) == (bc, bw)
-        else:
-            assert tot == bw
+        assert (cnt, tot) == _brute_max(edges, n)
 
 
 def test_min_weight_perfect_matching_floats():
@@ -99,6 +91,19 @@ def test_min_weight_perfect_matching_floats():
 def test_perfect_matching_odd_rejected():
     with pytest.raises(ValueError):
         min_weight_perfect_matching(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (2, []),
+        (4, [(0, 1, 1.0)]),  # vertices 2 and 3 lie past every edge
+        (4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]),
+    ],
+)
+def test_perfect_matching_absent_raises(n, edges):
+    with pytest.raises(RuntimeError, match="no perfect matching"):
+        min_weight_perfect_matching(n, edges)
 
 
 # ---------------------------------------------------------------------------
