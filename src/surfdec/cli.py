@@ -256,8 +256,9 @@ def _cmd_threshold(args) -> int:
     check_threshold_grid(args.distances, args.p_grid)
     rates = {}
     rows = []
-    for L in args.distances:
-        for p in args.p_grid:
+    # a repeated distance or rate is one grid point, simulated once
+    for L in dict.fromkeys(args.distances):
+        for p in dict.fromkeys(args.p_grid):
             cfg = _sim_config(args, L=L, p=p)
             _progress(f"threshold point: L={L} p={p} trials={args.trials}")
             est = estimate_rate(cfg)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .pauli import PauliOperator, commutation_parity, multiply
 DECODERS = ("mwpm", "irmwpm")
 
 
-class FitError(RuntimeError):
+class FitError(ValueError):
     """The scaling fit is ill-posed for the supplied data."""
 
 
@@ -246,66 +247,43 @@ def run_lifetime_trial(ctx: _Context, rng: np.random.Generator):
 _WORKER_CTX: _Context | None = None
 
 
-def _run_memory_chunk(args):
-    lo, hi = args
+def _run_chunk(args):
+    trial_fn, lo, hi = args
     ctx = _WORKER_CTX
-    failures = 0
-    iter_hist: dict[int, int] = {}
-    violations = 0
-    nonconverged = 0
-    for trial in range(lo, hi):
-        rng = np.random.default_rng([ctx.config.seed, trial])
-        failed, extra, monotone, converged = run_memory_trial(ctx, rng)
-        failures += int(failed)
-        iter_hist[extra] = iter_hist.get(extra, 0) + 1
-        violations += int(not monotone)
-        nonconverged += int(not converged)
-    return failures, iter_hist, violations, nonconverged
+    return [
+        trial_fn(ctx, np.random.default_rng([ctx.config.seed, trial]))
+        for trial in range(lo, hi)
+    ]
 
 
-def _run_lifetime_chunk(args):
-    lo, hi = args
-    ctx = _WORKER_CTX
-    out = []
-    for trial in range(lo, hi):
-        rng = np.random.default_rng([ctx.config.seed, trial])
-        out.append(run_lifetime_trial(ctx, rng))
-    return out
-
-
-def _parallel_chunks(ctx: _Context, n_trials: int, chunk_fn):
-    """Run trial chunks, in-process or across forked workers."""
+def _run_trials(ctx: _Context, trial_fn) -> list:
+    """Each trial's ``trial_fn(ctx, rng)``, in trial order, run in-process
+    or in chunks across forked workers."""
     global _WORKER_CTX
-    threads = ctx.config.n_threads
+    n_trials, threads = ctx.config.trials, ctx.config.n_threads
     chunk = max(1, min(512, (n_trials + 4 * threads - 1) // (4 * threads)))
-    spans = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
+    spans = [
+        (trial_fn, lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)
+    ]
     _WORKER_CTX = ctx
     try:
         if threads == 1 or len(spans) == 1:
-            return [chunk_fn(s) for s in spans]
-        import multiprocessing as mp
+            chunks = [_run_chunk(s) for s in spans]
+        else:
+            import multiprocessing as mp
 
-        mp_ctx = mp.get_context("fork")
-        with mp_ctx.Pool(threads) as pool:
-            return pool.map(chunk_fn, spans)
+            with mp.get_context("fork").Pool(threads) as pool:
+                chunks = pool.map(_run_chunk, spans)
     finally:
         _WORKER_CTX = None
+    return [result for results in chunks for result in results]
 
 
 def estimate_rate(config: SimConfig) -> RateEstimate:
     """Memory-trial logical error rate for one configuration."""
-    ctx = _build_context(config)
-    results = _parallel_chunks(ctx, config.trials, _run_memory_chunk)
-    failures = sum(r[0] for r in results)
-    iter_hist: dict[int, int] = {}
-    violations = 0
-    nonconverged = 0
-    for _, h, v, nc in results:
-        violations += v
-        nonconverged += nc
-        for k, n in h.items():
-            iter_hist[k] = iter_hist.get(k, 0) + n
-    total_extra = sum(k * n for k, n in iter_hist.items())
+    results = _run_trials(_build_context(config), run_memory_trial)
+    failures = sum(failed for failed, _, _, _ in results)
+    extras = [extra for _, extra, _, _ in results]
     lo, hi = wilson_interval(failures, config.trials)
     return RateEstimate(
         L=config.L,
@@ -314,12 +292,12 @@ def estimate_rate(config: SimConfig) -> RateEstimate:
         decoder=config.decoder,
         trials=config.trials,
         failures=failures,
-        mean_extra_iterations=total_extra / config.trials,
-        monotonicity_violations=violations,
-        nonconverged=nonconverged,
+        mean_extra_iterations=sum(extras) / config.trials,
+        monotonicity_violations=sum(not monotone for _, _, monotone, _ in results),
+        nonconverged=sum(not converged for _, _, _, converged in results),
         ci_low=lo,
         ci_high=hi,
-        iteration_histogram=iter_hist,
+        iteration_histogram=Counter(extras),
     )
 
 
@@ -347,21 +325,15 @@ class LifetimeEstimate:
 def estimate_lifetime(config: SimConfig) -> LifetimeEstimate:
     """Average logical-qubit lifetime in SE rounds."""
     _check_period(config)
-    ctx = _build_context(config)
-    results = _parallel_chunks(ctx, config.trials, _run_lifetime_chunk)
-    rounds = []
-    capped = 0
-    for chunk in results:
-        for r, c in chunk:
-            rounds.append(r)
-            capped += int(c)
+    results = _run_trials(_build_context(config), run_lifetime_trial)
+    rounds = [r for r, _ in results]
     return LifetimeEstimate(
         L=config.L,
         p=config.p,
         decoder=config.decoder,
         trials=config.trials,
         mean_rounds=sum(rounds) / len(rounds),
-        capped=capped,
+        capped=sum(capped for _, capped in results),
         rounds=rounds,
     )
 
@@ -498,15 +470,7 @@ class FitParams:
         return 10.0 ** exponent
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "e": self.e,
-            "f": self.f,
-            "g": self.g,
-            "residual_rms": self.residual_rms,
-        }
+        return asdict(self)
 
 
 def fit_scaling(points: list[tuple[float, int, float]]) -> FitParams:

@@ -432,24 +432,26 @@ def _place(
     """Every signature class repeated at every fault round of a window.
 
     An event of round t of a class placed at fault round r lies on layer
-    t + r - 1; events off layers 1..n_layers are dropped.  Returns
-    (fault round, class, u, v) arrays over the placements that keep an
-    event, v being the boundary node for a single event.
+    t + r - 1, always one of layers 1..n_layers: circuit classes have
+    events of round 1 or 2, placed at fault rounds 1..T of T + 1 layers,
+    and code-capacity ones round-1 events at round 1 of one layer.  Returns
+    (fault round, class, u, v) arrays over the placements of classes with
+    an event, v being the boundary node for a single event.
     """
     boundary = n_stabs * n_layers
-    r = np.arange(1, fault_rounds + 1)[:, None, None]
-    layer = classes.rounds + (r - 1)
-    inside = (classes.stabs >= 0) & (layer >= 1) & (layer <= n_layers)
-    count = inside.sum(axis=2)
+    present = classes.stabs >= 0
+    count = present.sum(axis=1)
     if count.size and count.max() > 2:
         raise GraphBuildError(
             f"single fault produced {count.max()} events on the {kind} lattice"
         )
+    r = np.arange(1, fault_rounds + 1)[:, None, None]
+    layer = classes.rounds + (r - 1)
     # the boundary id exceeds every node id, so it sorts behind real events
     nodes = np.sort(
-        np.where(inside, (layer - 1) * n_stabs + classes.stabs, boundary), axis=2
+        np.where(present, (layer - 1) * n_stabs + classes.stabs, boundary), axis=2
     )
-    rr, cc = np.nonzero(count)
+    rr, cc = np.nonzero(np.broadcast_to(count > 0, nodes.shape[:2]))
     return rr + 1, cc, nodes[rr, cc, 0], nodes[rr, cc, 1]
 
 

@@ -125,6 +125,19 @@ class SyndromeHistory:
     residual: PauliOperator
 
 
+def _fault_kinds(circuit: SECircuit, include_idle: bool) -> list[tuple[str, int, int]]:
+    """(kind, locations, payloads) of one round's fault kinds, in record
+    order; the sampler, ``_round_faults`` and ``fault_row`` all read it."""
+    kinds = [
+        ("cnot", circuit.n_cnots_per_round, 15),
+        ("meas_x", circuit.n_x, 1),
+        ("meas_z", circuit.n_z, 1),
+    ]
+    if include_idle:
+        kinds.append(("idle", circuit.layout.n_data, 3))
+    return kinds
+
+
 def sample_faults(
     circuit: SECircuit,
     params: NoiseParams,
@@ -134,30 +147,29 @@ def sample_faults(
 ) -> list[FaultEvent]:
     """Draw independent faults for T rounds of the schedule.
 
-    Locations are consumed in a fixed order (rounds ascending; within a
-    round: CNOTs in schedule order, X measurements, Z measurements, data
-    idles), so equal generators give equal fault lists.  ``include_idle``
-    switches the once-per-round data memory fault on or off.
+    Rounds ascending, each in ``_fault_kinds`` order: one ``rng.random``
+    call picks a kind's faulty locations, one ``rng.integers`` call their
+    payloads (none for no hits or one payload), so equal generators give
+    equal fault lists.  ``include_idle`` switches the once-per-round data
+    memory fault on or off.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     p = params.p
-    n_cnot = circuit.n_cnots_per_round
-    n_x, n_z = circuit.n_x, circuit.n_z
-    n_data = circuit.layout.n_data
     faults: list[FaultEvent] = []
     if p == 0.0:
         return faults
+    kinds = _fault_kinds(circuit, include_idle)
     for t in range(1, T + 1):
-        for i in np.nonzero(rng.random(n_cnot) < p)[0]:
-            faults.append(FaultEvent(t, "cnot", int(i), int(rng.integers(0, 15))))
-        for i in np.nonzero(rng.random(n_x) < p)[0]:
-            faults.append(FaultEvent(t, "meas_x", int(i)))
-        for i in np.nonzero(rng.random(n_z) < p)[0]:
-            faults.append(FaultEvent(t, "meas_z", int(i)))
-        if include_idle:
-            for i in np.nonzero(rng.random(n_data) < p)[0]:
-                faults.append(FaultEvent(t, "idle", int(i), int(rng.integers(0, 3))))
+        for kind, count, payloads in kinds:
+            hits = np.nonzero(rng.random(count) < p)[0]
+            if not len(hits):
+                continue
+            if payloads > 1:
+                pays = rng.integers(0, payloads, size=len(hits)).tolist()
+            else:
+                pays = [0] * len(hits)
+            faults += [FaultEvent(t, kind, i, k) for i, k in zip(hits.tolist(), pays)]
     return faults
 
 
@@ -289,43 +301,35 @@ class FaultRecord:
 
 def _round_faults(circuit: SECircuit, include_idle: bool) -> list[tuple[str, int, int]]:
     """(kind, index, payload) of every fault of one round, in record order."""
-    n_cnot, n_data = circuit.n_cnots_per_round, circuit.layout.n_data
-    faults = [("cnot", i, pay) for i in range(n_cnot) for pay in range(15)]
-    faults += [("meas_x", i, 0) for i in range(circuit.n_x)]
-    faults += [("meas_z", i, 0) for i in range(circuit.n_z)]
-    if include_idle:
-        faults += [("idle", q, pay) for q in range(n_data) for pay in range(3)]
-    return faults
+    return [
+        (kind, index, pay)
+        for kind, count, payloads in _fault_kinds(circuit, include_idle)
+        for index in range(count)
+        for pay in range(payloads)
+    ]
 
 
 def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
     """Position of a fault's location and payload among one round's records.
 
-    Rows follow ``_round_faults``: CNOT ``i`` with payload ``k`` is row
-    ``15 i + k``, then one row per X and per Z measurement flip, then the
-    idle Pauli ``k`` of data qubit ``q`` at ``3 q + k`` past those.  The
+    Rows follow ``_round_faults``: the kinds of ``_fault_kinds``, idles
+    included, one after the other, and within a kind location ``i`` with
+    payload ``k`` at ``payloads * i + k`` past the kind's first row.  The
     fault's round is not looked at.  Raises ``InvalidFaultError`` for an
     unknown kind or an index or payload out of range (measurement flips
     take payload 0).
     """
     kind, index, pay = fault.kind, fault.index, fault.payload
-    n_cnot, n_x = circuit.n_cnots_per_round, circuit.n_x
-    if kind == "cnot":
-        count, payloads, start = n_cnot, 15, 0
-    elif kind == "meas_x":
-        count, payloads, start = n_x, 1, 15 * n_cnot
-    elif kind == "meas_z":
-        count, payloads, start = circuit.n_z, 1, 15 * n_cnot + n_x
-    elif kind == "idle":
-        count, payloads = circuit.layout.n_data, 3
-        start = 15 * n_cnot + n_x + circuit.n_z
-    else:
-        raise InvalidFaultError(f"unknown fault kind {kind!r}")
-    if not 0 <= index < count:
-        raise InvalidFaultError(f"{kind} index {index} out of range")
-    if not 0 <= pay < payloads:
-        raise InvalidFaultError(f"{kind} payload {pay} out of range")
-    return start + payloads * index + pay
+    start = 0
+    for name, count, payloads in _fault_kinds(circuit, True):
+        if name == kind:
+            if not 0 <= index < count:
+                raise InvalidFaultError(f"{kind} index {index} out of range")
+            if not 0 <= pay < payloads:
+                raise InvalidFaultError(f"{kind} payload {pay} out of range")
+            return start + payloads * index + pay
+        start += count * payloads
+    raise InvalidFaultError(f"unknown fault kind {kind!r}")
 
 
 #: fault columns propagated together; bounds the frame matrices' size
@@ -437,9 +441,8 @@ def enumerate_single_faults(
     """Every possible single fault once, with its signature and residual.
 
     The returned list covers every (round, location, payload) triple of the
-    noise model exactly once, rounds ascending; within a round CNOTs in
-    schedule order (payloads 0-14 each), X and Z measurement flips, then
-    data idles (payloads X, Y, Z), the last only with ``include_idle``, the
+    noise model exactly once, rounds ascending; within a round in
+    ``_round_faults`` order, idles only with ``include_idle``, the
     sampler's idle-noise switch.  Signatures are sorted event tuples; the
     linearity of frame propagation makes them the exact first-order
     detection pattern of the fault.
@@ -466,10 +469,3 @@ def enumerate_single_faults(
             records.append(FaultRecord(fault, xe, ze, _COEFFS[kind], xr, zr))
     return records
 
-
-def fault_locations_per_round(circuit: SECircuit, include_idle: bool = True) -> int:
-    """Number of independent fault locations in one round of the schedule."""
-    n = circuit.n_cnots_per_round + circuit.n_x + circuit.n_z
-    if include_idle:
-        n += circuit.layout.n_data
-    return n

@@ -308,6 +308,39 @@ def test_fit_input_errors_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_with_too_few_points_is_a_usage_error(tmp_path, capsys):
+    rates = tmp_path / "two.csv"
+    rates.write_text("distance,p,rate\n3,0.01,0.1\n5,0.01,0.05\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(rates), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "usage error: need >= 6 positive-rate points over >= 2 distances, got 2"
+    ]
+    assert not out.exists()
+
+
+def test_threshold_simulates_each_grid_point_once(tmp_path, monkeypatch):
+    points = []
+
+    def recording(config):
+        points.append((config.L, config.p))
+        return estimate_rate(config)
+
+    estimate_rate = cli.estimate_rate
+    monkeypatch.setattr(cli, "estimate_rate", recording)
+    out = tmp_path / "th.json"
+    grid = ["0.01", "0.02", "0.03", "0.04", "0.04"]
+    assert main(
+        ["threshold", "--distances", "3", "5", "--p-grid", *grid, "--trials", "20",
+         "--decoder", "mwpm", "--threads", "1", "--out", str(out)]
+    ) == 0
+    assert points == [(L, p) for L in (3, 5) for p in (0.01, 0.02, 0.03, 0.04)]
+    blob = json.loads(out.read_text())
+    assert [(row["distance"], row["p"]) for row in blob["points"]] == points
+    assert blob["config"]["p_grid"] == [float(p) for p in grid]
+
+
 def test_lifetime_command(tmp_path):
     out = tmp_path / "lt.csv"
     rc = main(

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -62,6 +63,40 @@ def test_reproducible_across_thread_counts():
         estimate_rate(SimConfig(**base, threads=t)).to_row() for t in (1, 2, 3)
     ]
     assert rows[0] == rows[1] == rows[2]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimate_rate_aggregates_each_trial(threads):
+    config = SimConfig(L=3, p=0.03, trials=60, seed=5, threads=threads)
+    ctx = _build_context(config)
+    trials = [
+        run_memory_trial(ctx, np.random.default_rng([config.seed, trial]))
+        for trial in range(config.trials)
+    ]
+    failed, extra, monotone, converged = (list(column) for column in zip(*trials))
+    est = estimate_rate(config)
+    assert est.failures == sum(failed) > 0
+    assert est.iteration_histogram == Counter(extra)
+    assert len(est.iteration_histogram) > 1
+    assert est.mean_extra_iterations == sum(extra) / config.trials
+    assert est.monotonicity_violations == monotone.count(False)
+    assert est.nonconverged == converged.count(False)
+    assert (est.ci_low, est.ci_high) == wilson_interval(sum(failed), config.trials)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimate_lifetime_keeps_each_trials_rounds_in_order(threads):
+    config = SimConfig(L=3, p=0.02, trials=12, seed=4, threads=threads, lifetime_cap=300)
+    ctx = _build_context(config)
+    trials = [
+        run_lifetime_trial(ctx, np.random.default_rng([config.seed, trial]))
+        for trial in range(config.trials)
+    ]
+    est = estimate_lifetime(config)
+    assert est.rounds == [rounds for rounds, _ in trials]
+    assert len(set(est.rounds)) > 1
+    assert est.capped == sum(capped for _, capped in trials)
+    assert est.mean_rounds == sum(est.rounds) / config.trials
 
 
 def test_vanishing_noise_never_fails():

@@ -123,3 +123,41 @@ def test_every_export_is_read():
     paths = MODULES + sorted(BENCH.glob("*.py"))
     sources = [path.read_text() for path in paths]
     assert _unread_names(sources, surfdec.__all__) == []
+
+
+def _unread_definitions(defining: list[str], reading: list[str]) -> list[str]:
+    """Module-level functions and classes of ``defining`` that no source of
+    ``reading`` reads."""
+    defined = [
+        node.name
+        for source in defining
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    return _unread_names(reading, defined)
+
+
+def test_unread_definition_check_sees_unread_definitions():
+    src = (
+        "def used():\n"
+        "    def nested():\n"
+        "        pass\n"
+        "def unused():\n"
+        "    return used()\n"
+        "class Kept:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "class Dropped:\n"
+        "    pass\n"
+        "value = Kept\n"
+    )
+    assert _unread_definitions([src], [src]) == ["unused", "Dropped"]
+
+
+def test_every_module_level_definition_is_read():
+    # a function or class that neither the package nor the benchmark reads
+    # is dead code, whether or not it is exported
+    paths = MODULES + sorted(BENCH.glob("*.py"))
+    sources = [path.read_text() for path in paths]
+    defining = [path.read_text() for path in MODULES]
+    assert _unread_definitions(defining, sources) == []

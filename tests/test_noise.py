@@ -18,7 +18,6 @@ from surfdec.noise import (
     NoiseParams,
     _round_faults,
     enumerate_single_faults,
-    fault_locations_per_round,
     fault_row,
     sample_faults,
     simulate,
@@ -67,6 +66,41 @@ def test_idle_pauli_frequencies(circuit3):
     sigma = math.sqrt(n_loc * (p / 3) * (1 - p / 3))
     for payload in range(3):
         assert abs(counts[payload] - expect) < 3 * sigma
+
+
+def _per_fault_sampler(circuit, p, T, rng, include_idle):
+    """Reference sampler: one scalar ``rng.integers`` payload draw per fault."""
+    faults = []
+    for t in range(1, T + 1):
+        for i in np.nonzero(rng.random(circuit.n_cnots_per_round) < p)[0]:
+            faults.append(FaultEvent(t, "cnot", int(i), int(rng.integers(0, 15))))
+        for i in np.nonzero(rng.random(circuit.n_x) < p)[0]:
+            faults.append(FaultEvent(t, "meas_x", int(i)))
+        for i in np.nonzero(rng.random(circuit.n_z) < p)[0]:
+            faults.append(FaultEvent(t, "meas_z", int(i)))
+        if include_idle:
+            for i in np.nonzero(rng.random(circuit.layout.n_data) < p)[0]:
+                faults.append(FaultEvent(t, "idle", int(i), int(rng.integers(0, 3))))
+    return faults
+
+
+def test_batched_payload_draws_match_per_fault_draws():
+    # one rng.integers call per kind and round gives the same payloads, and
+    # leaves the generator in the same state, as one call per fault
+    circuits = [build_se_circuit(build_layout(d)) for d in (3, 5, 7)]
+    batched = 0
+    for seed in range(2400):
+        circuit = circuits[seed % 3]
+        p = (0.001, 0.01, 0.05)[seed // 3 % 3]
+        include_idle = seed // 9 % 2 == 0
+        T = 1 + seed % 4
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_faults(circuit, NoiseParams(p), T, got_rng, include_idle)
+        want = _per_fault_sampler(circuit, p, T, want_rng, include_idle)
+        assert got == want, seed
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
+        batched += len(got) > len({(f.round, f.kind) for f in got})
+    assert batched > 500  # many draws cover several faults of one kind
 
 
 def test_no_faults_no_events(layout3, circuit3):
@@ -232,9 +266,11 @@ def test_idle_noise_off_runs_clean(layout3, circuit3):
     faults = sample_faults(circuit3, NoiseParams(0.1), 3, rng, include_idle=False)
     assert all(f.kind != "idle" for f in faults)
     simulate(layout3, circuit3, faults, 3, True)
-    assert fault_locations_per_round(circuit3, include_idle=False) == (
-        fault_locations_per_round(circuit3) - layout3.n_data
-    )
+
+    def locations(include_idle):
+        return {(kind, index) for kind, index, _ in _round_faults(circuit3, include_idle)}
+
+    assert len(locations(False)) == len(locations(True)) - layout3.n_data
 
 
 def test_monte_carlo_single_fault_signatures(layout3, circuit3):
