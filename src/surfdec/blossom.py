@@ -10,6 +10,11 @@ minimizes sum(w_e).
 
 Works with int or float weights; callers who need reproducible behaviour
 on near-ties should round weights beforehand.
+
+``matcher.mwpm`` calls ``min_weight_perfect_matching`` on its dense event
+problem when enumeration does not settle it: on ties in the lightest
+pairing, above ``matcher.ENUMERATION_MAX_VERTICES`` vertices, and for
+pruned problems.  The tests hold both functions to brute force.
 """
 
 from __future__ import annotations
@@ -429,10 +434,14 @@ def min_weight_perfect_matching(
 ) -> list[tuple[int, int]]:
     """Minimum-weight perfect matching on an even-order graph.
 
-    Returns vertex pairs (i, j), i < j.  Raises RuntimeError when the graph
+    Returns vertex pairs (i, j), i < j, ascending by i.  Raises ValueError
+    for an edge endpoint outside 0..n-1, and RuntimeError when the graph
     admits no perfect matching (a complete graph on an even vertex count
     always admits one).
     """
+    for (i, j, _w) in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
     if n == 0:
         return []
     if n % 2:

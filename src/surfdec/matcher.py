@@ -17,13 +17,22 @@ Reweighted matchings run Dijkstra on the graph's one work adjacency, which
 ``DecodingGraph.csr_with_weights`` resets to the base weights and then
 writes the overlay into.
 
+The dense problem is solved exactly in one of two ways.  Up to
+``ENUMERATION_MAX_VERTICES`` vertices, ``lightest_unique_pairing`` scores
+every pairing at once from a fixed table and returns the lightest one when
+no other comes within ``UNIQUE_MARGIN`` of it.  Ties, larger problems and
+pruned problems go to blossom (``min_weight_perfect_matching``).  A unique
+minimum is what any exact matcher returns, so both ways give the same
+pairs; on a tie, blossom's own tie-break decides, as it always has.
+
 ``brute_force_matching`` enumerates every partition of the events into
 pairs and boundary singletons; it is the independent oracle for the blossom
-path and is kept free of any shared matching logic.
+and enumeration paths and is kept free of any shared matching logic.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +45,17 @@ from .pauli import PauliOperator
 #: weights are rounded to this many decimals before matching, so that
 #: dual-variable arithmetic inside blossom cannot drift across near-ties
 WEIGHT_DECIMALS = 12
+
+#: dense problems up to this many vertices are solved by scoring all
+#: (n-1)!! pairings (945 at 10); blossom is faster from 12 vertices on
+ENUMERATION_MAX_VERTICES = 10
+
+#: an enumerated lightest pairing is returned only when every other pairing
+#: is heavier by more than this, so that blossom would return it too.  The
+#: margin covers the rounding to WEIGHT_DECIMALS that blossom's edges get
+#: and enumeration skips (at most 5 pairs x 5e-13 per pairing) and
+#: blossom's own float error on weights below ~100, both far below 1e-9.
+UNIQUE_MARGIN = 1e-9
 
 
 class UnreachableNodeError(RuntimeError):
@@ -132,6 +152,60 @@ def _split_at_boundary(
     return None
 
 
+@functools.cache
+def _pairing_table(n: int) -> tuple[np.ndarray, tuple]:
+    """Every perfect matching of vertices 0..n-1 (n even), (n-1)!! of them.
+
+    Returns ``(flat, rows)``: ``rows[r]`` lists pairing r's pairs ``(a, b)``
+    with ``a < b``, ascending by ``a``, and column r of the read-only
+    ``flat`` holds their indices ``a * n + b`` into a flattened n-column
+    weight array (one row per pair slot, so totals sum over a short axis
+    of long contiguous rows).
+    """
+
+    def pairings(items):
+        if not items:
+            yield ()
+            return
+        a = items[0]
+        for i in range(1, len(items)):
+            for rest in pairings(items[1:i] + items[i + 1 :]):
+                yield ((a, items[i]),) + rest
+
+    rows = tuple(pairings(tuple(range(n))))
+    flat = np.array([[a * n + b for a, b in row] for row in rows], dtype=np.intp)
+    flat = np.ascontiguousarray(flat.T)
+    flat.flags.writeable = False
+    return flat, rows
+
+
+def lightest_unique_pairing(weights: np.ndarray) -> list[tuple[int, int]] | None:
+    """The minimum-weight perfect matching of a small dense problem, by
+    enumeration, or None when another pairing is within ``UNIQUE_MARGIN``.
+
+    ``weights`` has one column per vertex (an even count n) and at least
+    n - 1 rows; ``weights[a, b]`` for ``a < b`` is the cost of pairing a with
+    b, and nothing else is read.  Returns None as well when n exceeds
+    ``ENUMERATION_MAX_VERTICES``.  Pairs come as
+    ``min_weight_perfect_matching`` gives them: ``(a, b)`` with ``a < b``,
+    ascending by ``a``.
+    """
+    n = weights.shape[1]
+    if n > ENUMERATION_MAX_VERTICES:
+        return None
+    flat, rows = _pairing_table(n)
+    if len(rows) == 1:
+        return list(rows[0])
+    totals = np.take(weights, flat).sum(axis=0)
+    best = int(totals.argmin())
+    lightest = totals[best]
+    totals[best] = np.inf
+    # written so that a NaN total also falls through to blossom
+    if totals.min() - lightest > UNIQUE_MARGIN:
+        return list(rows[best])
+    return None
+
+
 def mwpm(
     graph: DecodingGraph,
     events: list[int],
@@ -141,8 +215,13 @@ def mwpm(
     """Minimum-weight perfect matching of events against each other/boundary.
 
     ``events`` are node indices; an empty list returns an empty matching.
-    Deterministic for a fixed event ordering: distances are pre-rounded to
-    12 decimals and the blossom search is order-stable.
+    With at most ``ENUMERATION_MAX_VERTICES`` dense vertices (events, plus
+    the virtual boundary vertex when their count is odd) and no pruning,
+    the pairing is found by enumeration if its minimum is unique; ties and
+    larger problems go to blossom.  Deterministic for a fixed set of events:
+    they are sorted, a unique minimum does not depend on the solver, and
+    on ties blossom runs on distances pre-rounded to 12 decimals and
+    visits vertices and edges in a fixed order.
 
     ``prune_neighbors`` keeps only each event's m nearest partners in the
     dense matching problem (boundary routes always kept), which speeds up
@@ -158,7 +237,10 @@ def mwpm(
         return result
     dist, pred = shortest_paths(graph, events, overlay=overlay)
     bnd = graph.boundary_node
-    event_dist = dist[:, events]  # (k, k) pairwise distances
+    # row a: a's distance to every event, then to the boundary if k is odd,
+    # so column k is the virtual boundary vertex
+    weights = dist[:, events + [bnd] if k % 2 else events]
+    event_dist = weights[:, :k]  # (k, k) pairwise distances
 
     def dense_edges(keep=None):
         out = []
@@ -176,7 +258,9 @@ def mwpm(
         return out
 
     nverts = k + (k % 2)
-    if prune_neighbors is not None and k > prune_neighbors + 2:
+    pruned = prune_neighbors is not None and k > prune_neighbors + 2
+    pairs = None if pruned else lightest_unique_pairing(weights)
+    if pruned:
         m = prune_neighbors
         keep = set()
         order = np.argsort(event_dist, axis=1, kind="stable")
@@ -194,7 +278,7 @@ def mwpm(
             pairs = min_weight_perfect_matching(nverts, dense_edges(keep))
         except RuntimeError:
             pairs = min_weight_perfect_matching(nverts, dense_edges())
-    else:
+    elif pairs is None:
         pairs = min_weight_perfect_matching(nverts, dense_edges())
 
     total = 0.0

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from surfdec import experiments, graph, irmwpm, noise
+from surfdec import experiments, graph, irmwpm, matcher, noise
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -83,3 +83,31 @@ def test_first_decode_call_passes_the_benchmark_keywords(bench, monkeypatch, nam
     # from the last residual and is frame-simulated
     simulated = windows if wl.kind == "lifetime" else 0
     assert counts.get("noise.simulate", 0) == simulated
+
+
+@pytest.mark.parametrize("k", [matcher.ENUMERATION_MAX_VERTICES + 1,
+                               matcher.ENUMERATION_MAX_VERTICES + 2])
+def test_large_dense_problems_reach_the_traced_blossom(bench, monkeypatch, k):
+    # the tracer's blossom span wraps matcher.min_weight_perfect_matching, so
+    # a dense problem above the enumeration cutoff (k events, plus the
+    # boundary vertex when k is odd) must look blossom up there at call time
+    _, spans = bench
+    gx, _ = graph.build_decoder_graphs(5, 5, 0.01)
+    events = list(range(0, 7 * k, 7))
+    sizes = []
+    real = matcher.min_weight_perfect_matching
+
+    def recording(n, edges):
+        sizes.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(matcher, "min_weight_perfect_matching", recording)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        irmwpm.mwpm(gx, events)
+    finally:
+        tracer.uninstall()
+    assert sizes == [k + k % 2]
+    names = [span[spans.NAME] for span in tracer.spans]
+    assert names.count("blossom.min_weight_perfect_matching") == 1

@@ -3,13 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surfdec import matcher
 from surfdec.blossom import max_weight_matching, min_weight_perfect_matching
 from surfdec.graph import DecodingGraph, Edge
 from surfdec.matcher import (
+    ENUMERATION_MAX_VERTICES,
+    UNIQUE_MARGIN,
+    WEIGHT_DECIMALS,
     TooManyEventsError,
     brute_force_matching,
     events_to_nodes,
+    lightest_unique_pairing,
     matching_to_correction,
     mwpm,
     shortest_paths,
@@ -104,6 +111,160 @@ def test_perfect_matching_odd_rejected():
 def test_perfect_matching_absent_raises(n, edges):
     with pytest.raises(RuntimeError, match="no perfect matching"):
         min_weight_perfect_matching(n, edges)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, [(0, 1, 1.0), (2, 3, 0.5), (1, 5, 0.1), (0, 4, 0.1)]),
+        (2, [(0, 1, 1.0), (2, 3, 0.5)]),
+        (2, [(-1, 1, 1.0), (0, 1, 1.0)]),
+        (0, [(0, 1, 1.0)]),
+    ],
+)
+def test_perfect_matching_rejects_endpoints_outside_the_vertices(n, edges):
+    with pytest.raises(ValueError, match="outside"):
+        min_weight_perfect_matching(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# enumeration of small dense problems, against blossom
+
+
+def _all_pairings(items):
+    """Every perfect matching of ``items``, independent of the library's table."""
+    if not items:
+        yield []
+        return
+    a, rest = items[0], items[1:]
+    for i, b in enumerate(rest):
+        for tail in _all_pairings(rest[:i] + rest[i + 1 :]):
+            yield [(a, b)] + tail
+
+
+@pytest.mark.parametrize("n", range(0, ENUMERATION_MAX_VERTICES + 1, 2))
+def test_pairing_tables_list_every_perfect_matching_once(n):
+    flat, rows = matcher._pairing_table(n)
+    assert len(rows) == math.prod(range(n - 1, 0, -2))  # (n-1)!!
+    assert len(rows) == len(set(rows)) == flat.shape[1]
+    for row, idx in zip(rows, flat.T):
+        assert sorted(v for pair in row for v in pair) == list(range(n))
+        assert all(a < b for a, b in row)
+        assert [a for a, _ in row] == sorted(a for a, _ in row)
+        assert list(idx) == [a * n + b for a, b in row]
+    assert not flat.flags.writeable
+    assert sorted(map(tuple, rows)) == sorted(
+        tuple(p) for p in _all_pairings(list(range(n)))
+    )
+
+
+def test_enumeration_declines_problems_above_the_cutoff():
+    n = ENUMERATION_MAX_VERTICES + 2
+    weights = np.arange(n * n, dtype=float).reshape(n, n)
+    assert lightest_unique_pairing(weights) is None
+
+
+_INT_WEIGHTS = st.integers(0, 6).map(float)
+_FLOAT_WEIGHTS = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), k=st.integers(1, ENUMERATION_MAX_VERTICES), integral=st.booleans())
+def test_enumeration_agrees_with_blossom_on_dense_instances(data, k, integral):
+    # shaped as mwpm builds it: k event rows, plus a boundary column when k
+    # is odd; small integers make exact ties common
+    nverts = k + (k % 2)
+    values = data.draw(
+        st.lists(
+            _INT_WEIGHTS if integral else _FLOAT_WEIGHTS,
+            min_size=k * nverts,
+            max_size=k * nverts,
+        )
+    )
+    weights = np.array(values).reshape(k, nverts)
+    pairs = lightest_unique_pairing(weights)
+
+    totals = sorted(
+        math.fsum(weights[a, b] for a, b in pr)
+        for pr in _all_pairings(list(range(nverts)))
+    )
+    gap = totals[1] - totals[0] if len(totals) > 1 else math.inf
+    # the reference sums exactly; numpy's five-term sums of weights <= 100
+    # may differ from it by a few ulp, so only a gap this close to the margin
+    # could be judged either way
+    slack = 1e-12
+    if integral:
+        assert (pairs is None) == (gap == 0)
+    elif pairs is None:
+        assert gap <= UNIQUE_MARGIN + slack
+    else:
+        assert gap > UNIQUE_MARGIN - slack
+    if pairs is None:
+        return
+    edges = [
+        (a, b, round(float(weights[a, b]), WEIGHT_DECIMALS))
+        for a in range(nverts)
+        for b in range(a + 1, nverts)
+    ]
+    assert pairs == min_weight_perfect_matching(nverts, edges)
+    assert math.fsum(weights[a, b] for a, b in pairs) == totals[0]
+
+
+def _recorded_matchings(config, windows, seed):
+    """(graph, events, overlay) of every mwpm call in ``windows`` decoded windows."""
+    from surfdec import experiments, irmwpm
+
+    ctx = experiments._build_context(config)
+    calls = []
+    real = irmwpm.mwpm
+
+    def recording(graph, events, overlay=None, prune_neighbors=None):
+        calls.append((graph, list(events), dict(overlay or {})))
+        return real(graph, events, overlay, prune_neighbors)
+
+    irmwpm.mwpm = recording
+    try:
+        for i in range(windows):
+            experiments._run_window(ctx, np.random.default_rng([seed, i]))
+    finally:
+        irmwpm.mwpm = real
+    return calls
+
+
+@pytest.mark.parametrize(
+    "L, p, decoder, windows",
+    [(5, 0.01, "irmwpm", 300), (7, 0.001, "mwpm", 300)],
+)
+def test_enumeration_leaves_matchings_of_real_windows_unchanged(
+    monkeypatch, L, p, decoder, windows
+):
+    from surfdec.experiments import SimConfig
+
+    config = SimConfig(L=L, p=p, trials=1, decoder=decoder)
+    calls = [c for c in _recorded_matchings(config, windows, seed=L) if c[1]]
+    enumerated = []
+    real_helper = matcher.lightest_unique_pairing
+
+    def counted(weights):
+        pairs = real_helper(weights)
+        enumerated.append(pairs is not None)
+        return pairs
+
+    monkeypatch.setattr(matcher, "lightest_unique_pairing", counted)
+    fast = [mwpm(g, ev, overlay) for g, ev, overlay in calls]
+    monkeypatch.setattr(matcher, "lightest_unique_pairing", lambda weights: None)
+    slow = [mwpm(g, ev, overlay) for g, ev, overlay in calls]
+
+    for a, b in zip(fast, slow):
+        assert a.pairs == b.pairs
+        assert a.boundary_pairs == b.boundary_pairs
+        assert a.path_edges == b.path_edges
+        assert a.total_weight == b.total_weight
+    # the comparison covers enumerated matchings, reweighted ones among them
+    assert len(enumerated) == len(calls) >= 300
+    reweighted = sum(e for e, (_g, _ev, overlay) in zip(enumerated, calls) if overlay)
+    assert sum(enumerated) >= 300
+    assert reweighted >= (100 if decoder == "irmwpm" else 0)
 
 
 # ---------------------------------------------------------------------------
