@@ -28,7 +28,6 @@ from .graph import (
     build_code_capacity_pair,
     build_decoder_graphs,
     build_graph,
-    classify_edges,
     derive_correlations,
     pool_round,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "build_code_capacity_pair",
     "build_decoder_graphs",
     "build_graph",
-    "classify_edges",
     "derive_correlations",
     "pool_round",
     "MatchingResult",

@@ -32,33 +32,17 @@ from .verify import run_verification
 
 RESULT_SCHEMA = "surfdec-results-v1"
 
-CSV_COLUMNS = [
-    "distance",
-    "rounds",
-    "p",
-    "decoder",
-    "trials",
-    "failures",
-    "rate",
-    "ci_low",
-    "ci_high",
-    "mean_extra_iterations",
-    "monotonicity_violations",
-    "nonconverged",
-]
-
 
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _write_csv(path: str, rows: list[dict], columns=None) -> None:
-    columns = columns or CSV_COLUMNS
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """Rows of one ``to_row()`` kind, the first row's keys as the header."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in columns})
+        writer.writerows(rows)
 
 
 def _write_json(path: str, obj) -> None:
@@ -242,11 +226,7 @@ def _cmd_lifetime(args) -> int:
     cfg = _sim_config(args)
     _progress(f"lifetime: L={cfg.L} p={cfg.p} trials={cfg.trials}")
     est = estimate_lifetime(cfg)
-    _write_csv(
-        args.out,
-        [est.to_row()],
-        columns=["distance", "p", "decoder", "trials", "mean_rounds", "capped"],
-    )
+    _write_csv(args.out, [est.to_row()])
     _progress(f"mean lifetime {est.mean_rounds:.1f} rounds ({est.capped} capped)")
     return 0
 
@@ -291,6 +271,11 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    for p, L in args.predict:
+        if not (0 < p < 1 and L >= 2 and L.is_integer()):
+            raise ValueError(
+                f"--predict {p:g} {L:g}: need 0 < p < 1 and an integer distance >= 2"
+            )
     try:
         with open(args.input, newline="") as fh:
             points = [

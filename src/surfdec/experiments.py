@@ -272,7 +272,7 @@ def _run_trials(ctx: _Context, trial_fn) -> list:
         else:
             import multiprocessing as mp
 
-            with mp.get_context("fork").Pool(threads) as pool:
+            with mp.get_context("fork").Pool(min(threads, len(spans))) as pool:
                 chunks = pool.map(_run_chunk, spans)
     finally:
         _WORKER_CTX = None

@@ -15,11 +15,15 @@ gives every fault of round 1 with its events in rounds 1 and 2, and
 integer units of p/15 (CNOT payload 1, idle Pauli 5, measurement flip 15).
 The window's edges, their correlation rows and everything attached to them
 come from repeating the pooled classes at every fault round of the window,
-shifted in time.  Every window closes with a perfect readout layer, so a
-fault's events always lie inside it.  Fractions are formed only for the
-edge coefficients and the conditionals.
+shifted in time.  ``_assemble`` places them once per lattice, for both
+circuit windows and the one-layer code-capacity lattice, and keeps each
+placement's edge for ``derive_correlations``.  Every window closes with a
+perfect readout layer, so a fault's events always lie inside it.
+Fractions are formed only for the edge coefficients and the conditionals.
 
-Interior edges fall into six space-time geometry classes, labelled a-f:
+Interior edges fall into six space-time geometry classes, labelled a-f.
+A class's geometry does not depend on the round it is placed at, so each
+two-event class is classified once and its edges take its letter:
 
     letter  (dt, dr, dc)   interior probability
       a     (1,  0,  0)    31p/15   temporal (measurement-type)
@@ -44,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .code import CodeLayout, build_layout, build_se_circuit
+from .code import CodeLayout, build_layout, build_se_circuit, ideal_syndrome
 from .noise import (
     RATE_UNITS,
     FaultEvent,
@@ -160,6 +164,9 @@ class DecodingGraph:
         default=None, repr=False, compare=False
     )
     fault_residuals: list[int] | None = field(default=None, repr=False, compare=False)
+    # edge index of each signature class of the pool the graph was built
+    # from, placed at each fault round: shape (fault rounds, classes)
+    _class_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -280,15 +287,6 @@ class DecodingGraph:
     def edge_between(self, u: int, v: int) -> int:
         """Edge index for a node pair; raises KeyError if absent."""
         return self.edge_lookup[(u, v) if u < v else (v, u)]
-
-
-def _edge_geometry(
-    sig: tuple[tuple[int, int], ...], coords: tuple[tuple[int, int], ...]
-) -> tuple[int, int, int]:
-    (s1, t1), (s2, t2) = sorted(sig, key=lambda e: (e[1], coords[e[0]]))
-    r1, c1 = coords[s1]
-    r2, c2 = coords[s2]
-    return (t2 - t1, r2 - r1, c2 - c1)
 
 
 @dataclass(frozen=True)
@@ -423,20 +421,17 @@ def _lattice_classes(sigs: list[_Signature]) -> LatticeClasses:
 
 
 def _place(
-    classes: LatticeClasses,
-    n_stabs: int,
-    n_layers: int,
-    fault_rounds: int,
-    kind: str,
-):
+    classes: LatticeClasses, n_stabs: int, n_layers: int, fault_rounds: int, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
     """Every signature class repeated at every fault round of a window.
 
     An event of round t of a class placed at fault round r lies on layer
     t + r - 1, always one of layers 1..n_layers: circuit classes have
     events of round 1 or 2, placed at fault rounds 1..T of T + 1 layers,
-    and code-capacity ones round-1 events at round 1 of one layer.  Returns
-    (fault round, class, u, v) arrays over the placements of classes with
-    an event, v being the boundary node for a single event.
+    and code-capacity ones round-1 events at round 1 of one layer.  Every
+    class has an event, so every (fault round, class) pair is a placement.
+    Returns its (u, v) node ids as arrays of shape (fault rounds, classes),
+    v being the boundary node for a single event.
     """
     boundary = n_stabs * n_layers
     present = classes.stabs >= 0
@@ -451,33 +446,66 @@ def _place(
     nodes = np.sort(
         np.where(present, (layer - 1) * n_stabs + classes.stabs, boundary), axis=2
     )
-    rr, cc = np.nonzero(np.broadcast_to(count > 0, nodes.shape[:2]))
-    return rr + 1, cc, nodes[rr, cc, 0], nodes[rr, cc, 1]
+    return nodes[..., 0], nodes[..., 1]
 
 
-def _pool_edges(
-    pool: RoundPool,
-    kind: str,
-    layout: CodeLayout,
-    n_layers: int,
-    n_stabs: int,
-    fault_rounds: int,
-    p: float,
-    mode: str,
-) -> tuple[list[Edge], dict]:
-    """Edges of one lattice from the pooled classes placed over the window.
+def _class_letters(
+    classes: LatticeClasses, coords: tuple[tuple[int, int], ...], kind: str
+) -> list[str | None]:
+    """Matching-type letter of each two-event class; None for one event.
 
-    An edge's rate is the sum over every placed class whose signature is
-    its node pair.  Its correction is the residual of the highest-rate
-    fault behind it, the earliest round and then record order breaking
-    ties.  Every fault behind an edge must share the same logical action,
-    so that correction is well defined; a conflict raises
-    ``GraphBuildError``.
+    A class's geometry does not depend on the fault round it is placed
+    at, so its letter is that of every edge it is placed on.  A geometry
+    outside ``GEOMETRY_LETTERS`` raises ``EdgeClassificationError``.
     """
-    classes = pool.lattice(kind)
+    letters = []
+    for stabs, rounds in zip(classes.stabs.tolist(), classes.rounds.tolist()):
+        if stabs[1] < 0:
+            letters.append(None)
+            continue
+        # the later event relative to the earlier, by position for equal rounds
+        (t1, (r1, c1)), (t2, (r2, c2)) = sorted(
+            (t, coords[s]) for s, t in zip(stabs, rounds)
+        )
+        geom = (t2 - t1, r2 - r1, c2 - c1)
+        letter = GEOMETRY_LETTERS.get(geom)
+        if letter is None:
+            raise EdgeClassificationError(
+                f"{kind}-lattice signature {list(zip(stabs, rounds))} "
+                f"geometry {geom} matches no class"
+            )
+        letters.append(letter)
+    return letters
+
+
+def _assemble(
+    layout: CodeLayout, pool: RoundPool, kind: str, T: int, p: float, mode: str
+) -> DecodingGraph:
+    """One lattice from the pooled classes placed over the window.
+
+    A circuit lattice places the classes at fault rounds 1..T of T + 1
+    layers and weighs each edge -ln(coeff p); a code-capacity lattice
+    places them on its one layer with unit weights and no letters.  An
+    edge's rate is the sum over every placed class whose signature is its
+    node pair.  Its correction and letter are those of its representative
+    class, the one holding the highest-rate fault behind it, the earliest
+    round and then record order breaking ties.  Every fault behind an edge
+    must share the same logical action, so that correction is well
+    defined; a conflict raises ``GraphBuildError``.  The graph keeps every
+    placement's edge for ``derive_correlations``.
+    """
+    circuit = mode == "circuit"
+    fault_rounds, n_layers = (T, T + 1) if circuit else (1, 1)
+    coords = layout.z_anc_coords if kind == "X" else layout.x_anc_coords
+    n_stabs = len(coords)
     boundary = n_stabs * n_layers
-    rr, cc, u, v = _place(classes, n_stabs, n_layers, fault_rounds, kind)
-    keys, edge = np.unique(u * (boundary + 1) + v, return_inverse=True)
+    classes = pool.lattice(kind)
+    u, v = _place(classes, n_stabs, n_layers, fault_rounds, kind)
+    n_classes = u.shape[1]
+    letters = _class_letters(classes, coords, kind) if circuit else [None] * n_classes
+    keys, edge = np.unique((u * (boundary + 1) + v).ravel(), return_inverse=True)
+    # fault round index and class of each placement, in (round, class) order
+    rr, cc = (a.ravel() for a in np.indices(u.shape))
     n_edges = len(keys)
     units = np.zeros(n_edges, dtype=np.int64)
     np.add.at(units, edge, classes.units[cc])
@@ -505,7 +533,7 @@ def _pool_edges(
     placement = np.repeat(np.arange(len(cc)), n_locs)
     first = np.repeat(classes.loc_start[cc] - np.cumsum(n_locs) + n_locs, n_locs)
     loc = classes.locations[first + np.arange(len(placement))]
-    per_edge = (fault_rounds + 1) * pool.n_locations
+    per_edge = fault_rounds * pool.n_locations
     distinct = np.unique(
         edge[placement] * per_edge + rr[placement] * pool.n_locations + loc
     )
@@ -519,21 +547,18 @@ def _pool_edges(
     ):
         if n_units not in rated:
             coeff = Fraction(n_units, 15)
-            if mode == "code_capacity":
-                weight = 1.0
-            else:
-                prob = float(coeff) * p
-                if prob <= 0.0:
-                    raise DegenerateWeightError("p = 0 gives infinite edge weights")
-                if prob >= 1.0:
-                    raise InvalidRateError(
-                        f"p = {p} puts edge probability at {prob:.3f} >= 1 "
-                        f"(p_max = {1 / float(coeff):.4f} for this graph)"
-                    )
-                weight = -math.log(prob)
-            rated[n_units] = coeff, weight
+            prob = float(coeff) * p
+            if circuit and prob <= 0.0:
+                raise DegenerateWeightError("p = 0 gives infinite edge weights")
+            if circuit and prob >= 1.0:
+                raise InvalidRateError(
+                    f"p = {p} puts edge probability at {prob:.3f} >= 1 "
+                    f"(p_max = {1 / float(coeff):.4f} for this graph)"
+                )
+            rated[n_units] = coeff, -math.log(prob) if circuit else 1.0
         coeff, weight = rated[n_units]
         a, b = divmod(key, boundary + 1)
+        letter = letters[c]
         edges.append(
             Edge(
                 index=eid,
@@ -542,12 +567,29 @@ def _pool_edges(
                 coeff=coeff,
                 weight=weight,
                 correction=classes.residual[c],
-                boundary=b == boundary,
+                letter=letter,
+                # an interior geometry whose rate the space or time edge cuts
+                boundary=b == boundary
+                or (letter is not None and coeff != INTERIOR_COEFFS[letter]),
                 n_fault_locations=n_loc,
             )
         )
         lookup[(a, b)] = eid
-    return edges, lookup
+    g = DecodingGraph(
+        kind=kind,
+        L=layout.L,
+        T=T,
+        p=p,
+        mode=mode,
+        n_stabs=n_stabs,
+        n_layers=n_layers,
+        stab_coords=coords,
+        edges=edges,
+        edge_lookup=lookup,
+        _class_edges=edge.reshape(u.shape),
+    )
+    g.finalize()
+    return g
 
 
 def build_graph(
@@ -562,7 +604,7 @@ def build_graph(
     ``pool`` is one round's single-fault records pooled by signature
     (``pool_round(enumerate_single_faults(layout, circuit, 1))``).  Its
     classes are repeated at each of the window's fault rounds and summed
-    into edges in integer units of p/15 (see ``_pool_edges``).  Edge probabilities
+    into edges in integer units of p/15 (see ``_assemble``).  Edge probabilities
     are direct first-order sums of contributing fault rates (valid for
     small p; every edge probability must stay below 1).  The window's
     T noisy rounds are followed by a perfect readout layer, so the graph
@@ -574,53 +616,7 @@ def build_graph(
         raise ValueError(f"T must be >= 1, got {T}")
     if params.p <= 0.0:
         raise DegenerateWeightError("p must be positive to form -ln weights")
-    n_layers = T + 1
-    coords = layout.z_anc_coords if lattice_kind == "X" else layout.x_anc_coords
-    n_stabs = len(coords)
-    edges, lookup = _pool_edges(
-        pool, lattice_kind, layout, n_layers, n_stabs, T, params.p, "circuit"
-    )
-    g = DecodingGraph(
-        kind=lattice_kind,
-        L=layout.L,
-        T=T,
-        p=params.p,
-        mode="circuit",
-        n_stabs=n_stabs,
-        n_layers=n_layers,
-        stab_coords=coords,
-        edges=edges,
-        edge_lookup=lookup,
-    )
-    classify_edges(g)
-    g.finalize()
-    return g
-
-
-def classify_edges(graph: DecodingGraph) -> DecodingGraph:
-    """Assign matching-type letters a-f from each edge's space-time geometry.
-
-    Boundary edges keep ``letter=None``; interior-geometry edges whose
-    probability is reduced by the space or time boundary are labelled with
-    the letter and flagged as boundary.
-    """
-    if graph.mode == "code_capacity":
-        return graph
-    for e in graph.edges:
-        if e.v == graph.boundary_node:
-            e.boundary = True
-            continue
-        s1, t1 = graph.node_pos(e.u)
-        s2, t2 = graph.node_pos(e.v)
-        geom = _edge_geometry(((s1, t1), (s2, t2)), graph.stab_coords)
-        letter = GEOMETRY_LETTERS.get(geom)
-        if letter is None:
-            raise EdgeClassificationError(
-                f"edge {(s1, t1)}-{(s2, t2)} geometry {geom} matches no class"
-            )
-        e.letter = letter
-        e.boundary = e.coeff != INTERIOR_COEFFS[letter]
-    return graph
+    return _assemble(layout, pool, lattice_kind, T, params.p, "circuit")
 
 
 def derive_correlations(
@@ -632,25 +628,25 @@ def derive_correlations(
 
     ``pool`` is the ``pool_round`` classes both graphs were built from.
     Every class of joint signatures is placed at each fault round of the
-    window, as for the edges.  For each primal edge e and dual edge f
-    sharing a contributing fault, P(f | e) = (sum of joint fault rates) /
-    (sum of e's fault rates), summed in integer units of p/15 and formed
-    as an exact rational.  The result is stored on ``graph_primal.corr_to_dual`` and
-    returned.
+    window, on the edges each graph recorded for its placements.  For each
+    primal edge e and dual edge f sharing a contributing fault, P(f | e) =
+    (sum of joint fault rates) / (sum of e's fault rates), summed in
+    integer units of p/15 and formed as an exact rational.  The result is
+    stored on ``graph_primal.corr_to_dual`` and returned.
     """
     pk, dk = graph_primal.kind, graph_dual.kind
     if {pk, dk} != {"X", "Z"}:
         raise ValueError("correlations need one X and one Z lattice")
-    primal_ids = _edge_ids(graph_primal, pool.lattice(pk))
-    dual_ids = _edge_ids(graph_dual, pool.lattice(dk))
+    primal_ids, dual_ids = graph_primal._class_edges, graph_dual._class_edges
+    if primal_ids is None or dual_ids is None or len(primal_ids) != len(dual_ids):
+        raise ValueError("correlations need two lattices assembled for one window")
     jx, jz = pool.joint_x, pool.joint_z
     pe = primal_ids[:, jx if pk == "X" else jz]
     de = dual_ids[:, jz if pk == "X" else jx]
-    both = (pe >= 0) & (de >= 0)
     n_dual = len(graph_dual.edges)
-    pairs, which = np.unique(pe[both] * n_dual + de[both], return_inverse=True)
+    pairs, which = np.unique((pe * n_dual + de).ravel(), return_inverse=True)
     joint = np.zeros(len(pairs), dtype=np.int64)
-    np.add.at(joint, which, np.broadcast_to(pool.joint_units, pe.shape)[both])
+    np.add.at(joint, which, np.broadcast_to(pool.joint_units, pe.shape).ravel())
 
     # P(f | e) = (j / 15) / coeff(e), as a numerator and denominator per pair
     primal, dual = np.divmod(pairs, n_dual)
@@ -670,27 +666,8 @@ def derive_correlations(
     return result
 
 
-def _edge_ids(graph: DecodingGraph, classes: LatticeClasses) -> np.ndarray:
-    """Edge index of each class placed at each fault round; -1 where none."""
-    rounds = graph.T if graph.mode == "circuit" else 1
-    rr, cc, u, v = _place(classes, graph.n_stabs, graph.n_layers, rounds, graph.kind)
-    ids = np.full((rounds, len(classes.units)), -1, dtype=np.int64)
-    if not graph.edges:
-        return ids
-    width = graph.boundary_node + 1
-    keys = np.array([e.u * width + e.v for e in graph.edges], dtype=np.int64)
-    by_key = np.argsort(keys)
-    want = u * width + v
-    pos = np.minimum(np.searchsorted(keys[by_key], want), len(keys) - 1)
-    found = keys[by_key[pos]] == want
-    ids[rr[found] - 1, cc[found]] = by_key[pos[found]]
-    return ids
-
-
 def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:
     """Single data-qubit Pauli 'enumeration' for the code-capacity model."""
-    from .code import ideal_syndrome
-
     n_x = len(layout.x_stabilizers)
     records = []
     for q in range(layout.n_data):
@@ -713,39 +690,6 @@ def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:
                 )
             )
     return records
-
-
-def build_code_capacity_graph(
-    layout: CodeLayout, lattice_kind: str, pool: RoundPool
-) -> DecodingGraph:
-    """2D decoding graph with perfect syndromes and unit edge weights.
-
-    ``pool`` holds the single data-qubit Paulis of ``_code_capacity_records``
-    pooled by ``pool_round``; they are placed on one layer.  Edge weights
-    follow the normalized convention: every unconditioned edge weighs 1;
-    reweighting a correlated edge sets it to 0.
-    """
-    if lattice_kind not in ("X", "Z"):
-        raise ValueError(f"lattice kind must be 'X' or 'Z', got {lattice_kind!r}")
-    coords = layout.z_anc_coords if lattice_kind == "X" else layout.x_anc_coords
-    n_stabs = len(coords)
-    edges, lookup = _pool_edges(
-        pool, lattice_kind, layout, 1, n_stabs, 1, 0.0, "code_capacity"
-    )
-    g = DecodingGraph(
-        kind=lattice_kind,
-        L=layout.L,
-        T=0,
-        p=0.0,
-        mode="code_capacity",
-        n_stabs=n_stabs,
-        n_layers=1,
-        stab_coords=coords,
-        edges=edges,
-        edge_lookup=lookup,
-    )
-    g.finalize()
-    return g
 
 
 def build_decoder_graphs(
@@ -803,11 +747,15 @@ def _fault_table(
 
 
 def build_code_capacity_pair(L: int) -> tuple[DecodingGraph, DecodingGraph]:
-    """Both 2D code-capacity lattices with same-qubit correlations."""
+    """Both 2D code-capacity lattices with same-qubit correlations.
+
+    Single data-qubit Paulis on one layer of perfect syndromes; every edge
+    weighs 1, and reweighting a correlated edge sets it to 0.
+    """
     layout = build_layout(L)
     pool = pool_round(_code_capacity_records(layout))
-    gx = build_code_capacity_graph(layout, "X", pool)
-    gz = build_code_capacity_graph(layout, "Z", pool)
+    gx = _assemble(layout, pool, "X", 0, 0.0, "code_capacity")
+    gz = _assemble(layout, pool, "Z", 0, 0.0, "code_capacity")
     derive_correlations(gx, gz, pool)
     derive_correlations(gz, gx, pool)
     return gx, gz

@@ -118,7 +118,8 @@ def test_dump_graph_distance_7_is_pinned(tmp_path, lattice):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_GRAPH_D7_SHA256[lattice]
 
 
-def test_fit_roundtrip(tmp_path):
+def _fit_rates(tmp_path):
+    """A rates CSV drawn from a known scaling law, enough points to fit."""
     from surfdec.experiments import FitParams
 
     truth = FitParams(a=-0.01, b=-0.2, c=1.3, e=0.02, f=0.45, g=0.7)
@@ -128,6 +129,11 @@ def test_fit_roundtrip(tmp_path):
         for p in (0.002, 0.004, 0.006, 0.01):
             for L in (5, 7, 9):
                 fh.write(f"{L},{p},{truth.predict(p, L)}\n")
+    return rates
+
+
+def test_fit_roundtrip(tmp_path):
+    rates = _fit_rates(tmp_path)
     out = tmp_path / "fit.json"
     rc = main(
         ["fit", "--in", str(rates), "--out", str(out), "--predict", "0.001", "31"]
@@ -136,6 +142,24 @@ def test_fit_roundtrip(tmp_path):
     blob = json.loads(out.read_text())
     assert blob["fit"]["a"] == pytest.approx(-0.01, abs=1e-6)
     assert blob["predictions"][0]["distance"] == 31
+
+
+@pytest.mark.parametrize(
+    "point",
+    [("0.001", "31.7"), ("0.001", "-4"), ("0.001", "1"), ("2", "31"), ("0", "31"),
+     ("nan", "31"), ("0.001", "inf")],
+    ids="-".join,
+)
+def test_fit_rejects_prediction_points_outside_the_model(tmp_path, capsys, point):
+    # p must be a rate in (0, 1) and L an integral distance >= 2; a bad point
+    # exits 2, names itself and leaves no output file
+    rates = _fit_rates(tmp_path)
+    out = tmp_path / "fit.json"
+    rc = main(["fit", "--in", str(rates), "--out", str(out), "--predict", *point])
+    assert rc == 2
+    assert not out.exists()
+    p, L = (float(x) for x in point)
+    assert f"--predict {p:g} {L:g}" in capsys.readouterr().err
 
 
 def test_usage_error_exit_codes(tmp_path, monkeypatch):

@@ -65,6 +65,36 @@ def test_reproducible_across_thread_counts():
     assert rows[0] == rows[1] == rows[2]
 
 
+@pytest.mark.parametrize("threads, trials, workers", [(4, 2, 2), (3, 2, 2), (2, 5, 2)])
+def test_worker_pool_is_no_larger_than_its_chunks(monkeypatch, threads, trials, workers):
+    # the pool is recorded, not started: its map runs the chunks in-process
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    base = dict(L=3, p=0.03, trials=trials, seed=9)
+    row = estimate_rate(SimConfig(**base, threads=threads)).to_row()
+    assert sizes == [workers]
+    assert row == estimate_rate(SimConfig(**base, threads=1)).to_row()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_estimate_rate_aggregates_each_trial(threads):
     config = SimConfig(L=3, p=0.03, trials=60, seed=5, threads=threads)

@@ -13,19 +13,21 @@ from surfdec.graph import (
     DecodingGraph,
     DegenerateWeightError,
     Edge,
+    EdgeClassificationError,
     GEOMETRY_LETTERS,
+    GraphBuildError,
     INTERIOR_COEFFS,
     InvalidRateError,
     build_code_capacity_pair,
     build_decoder_graphs,
     build_graph,
-    classify_edges,
     graph_to_dict,
     pool_round,
 )
 from surfdec.matcher import events_to_nodes
 from surfdec.noise import (
     FaultEvent,
+    FaultRecord,
     InvalidFaultError,
     NoiseParams,
     _round_faults,
@@ -205,6 +207,30 @@ def test_geometry_letter_table_is_total():
     assert set(INTERIOR_COEFFS) == set("abcdef")
 
 
+def _record(index, x_events, x_residual=0):
+    """A synthetic round-1 CNOT fault seen only on the X lattice."""
+    fault = FaultEvent(1, "cnot", index, 0)
+    return FaultRecord(fault, x_events, (), fault.coefficient(), x_residual, 0)
+
+
+def test_signature_of_no_geometry_class_is_rejected(layout3):
+    # X-lattice stabilizers 0 and 5 sit at (0, 1) and (4, 3): geometry
+    # (0, 4, 2) in one round is none of a-f
+    pool = pool_round([_record(0, ((0, 1), (5, 1)))])
+    with pytest.raises(EdgeClassificationError, match=r"\(0, 4, 2\)"):
+        build_graph(layout3, NoiseParams(0.001), 2, "X", pool)
+
+
+def test_edge_with_conflicting_logical_action_is_rejected(layout3):
+    # two faults on one boundary edge, one of them flipping the logical
+    logical = layout3.logical_z.z_mask
+    pool = pool_round(
+        [_record(0, ((0, 1),)), _record(1, ((0, 1),), logical & -logical)]
+    )
+    with pytest.raises(GraphBuildError, match="conflicting logical action"):
+        build_graph(layout3, NoiseParams(0.001), 2, "X", pool)
+
+
 def test_code_capacity_graphs(cc_pair3):
     gx, gz = cc_pair3
     # one edge per data qubit, unit weights, same-qubit conditional 1/2
@@ -274,6 +300,15 @@ def _reference_graph(layout, records, kind, T, p):
     edges = []
     for eid, key in enumerate(sorted(pooled)):
         entry = pooled[key]
+        letter, is_boundary = None, True
+        if key[1] != boundary:
+            # this edge's geometry: later endpoint minus earlier, by position
+            # for equal rounds
+            (t1, (r1, c1)), (t2, (r2, c2)) = sorted(
+                (node // n_stabs + 1, coords[node % n_stabs]) for node in key
+            )
+            letter = GEOMETRY_LETTERS[(t2 - t1, r2 - r1, c2 - c1)]
+            is_boundary = entry["coeff"] != INTERIOR_COEFFS[letter]
         edges.append(
             Edge(
                 index=eid,
@@ -282,16 +317,16 @@ def _reference_graph(layout, records, kind, T, p):
                 coeff=entry["coeff"],
                 weight=-math.log(float(entry["coeff"]) * p),
                 correction=entry["residual"],
-                boundary=key[1] == boundary,
+                letter=letter,
+                boundary=is_boundary,
                 n_fault_locations=len(entry["locs"]),
             )
         )
-    g = DecodingGraph(
+    return DecodingGraph(
         kind=kind, L=layout.L, T=T, p=p, mode="circuit", n_stabs=n_stabs,
         n_layers=n_layers, stab_coords=coords, edges=edges,
         edge_lookup={(e.u, e.v): e.index for e in edges},
     )
-    return classify_edges(g)
 
 
 def _reference_correlations(primal, dual, records):
