@@ -271,11 +271,6 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    for p, L in args.predict:
-        if not (0 < p < 1 and L >= 2 and L.is_integer()):
-            raise ValueError(
-                f"--predict {p:g} {L:g}: need 0 < p < 1 and an integer distance >= 2"
-            )
     try:
         with open(args.input, newline="") as fh:
             points = [
@@ -287,13 +282,17 @@ def _cmd_fit(args) -> int:
     except (KeyError, TypeError):
         raise ValueError(f"{args.input}: rows need p, distance and rate") from None
     fit = fit_scaling(points)
+    try:
+        rates = [fit.predict(p, L) for p, L in args.predict]
+    except ValueError as exc:
+        raise ValueError(f"--predict {exc}") from None
     out = {
         "schema": RESULT_SCHEMA,
         "n_points": len(points),
         "fit": fit.to_dict(),
         "predictions": [
-            {"p": p, "distance": int(L), "rate": fit.predict(p, int(L))}
-            for p, L in args.predict
+            {"p": p, "distance": int(L), "rate": rate}
+            for (p, L), rate in zip(args.predict, rates)
         ],
     }
     _write_json(args.out, out)

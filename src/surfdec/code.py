@@ -29,10 +29,11 @@ per round, during the measure-and-reset step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliOperator, commutation_parity
+from .pauli import PauliOperator
 
 # CNOT layer order within a round: ancilla's north, west, east, south data.
 STEP_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))
@@ -61,15 +62,21 @@ class CodeLayout:
     def n_data(self) -> int:
         return len(self.data_coords)
 
+    @cached_property
+    def stabilizer_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Data-qubit bit masks of the X- and Z-type stabilizer supports,
+        built once per layout."""
+        return tuple(
+            tuple(sum(1 << q for q in support) for support in stabilizers)
+            for stabilizers in (self.x_stabilizers, self.z_stabilizers)
+        )
+
     def stabilizer_pauli(self, kind: str, idx: int) -> PauliOperator:
         """The idx-th X- or Z-type stabilizer generator as a Pauli."""
-        support = (self.x_stabilizers if kind == "x" else self.z_stabilizers)[idx]
-        mask = 0
-        for q in support:
-            mask |= 1 << q
+        x_masks, z_masks = self.stabilizer_masks
         if kind == "x":
-            return PauliOperator(self.n_data, mask, 0)
-        return PauliOperator(self.n_data, 0, mask)
+            return PauliOperator(self.n_data, x_masks[idx], 0)
+        return PauliOperator(self.n_data, 0, z_masks[idx])
 
     def all_stabilizers(self) -> list[PauliOperator]:
         """X-type generators first, then Z-type; matches syndrome bit order."""
@@ -127,12 +134,19 @@ def build_layout(L: int) -> CodeLayout:
 
 
 def ideal_syndrome(layout: CodeLayout, error: PauliOperator) -> list[int]:
-    """Noiseless syndrome bits, X-stabilizer bits first then Z-stabilizer bits."""
+    """Noiseless syndrome bits, X-stabilizer bits first then Z-stabilizer bits.
+
+    An X-type stabilizer detects the error's Z part and a Z-type one its X
+    part: each bit is the parity of the overlap with the stabilizer's mask.
+    """
     if error.n != layout.n_data:
         raise ValueError(
             f"error acts on {error.n} qubits, layout has {layout.n_data} data qubits"
         )
-    return [commutation_parity(error, s) for s in layout.all_stabilizers()]
+    x_masks, z_masks = layout.stabilizer_masks
+    return [(error.z_mask & m).bit_count() & 1 for m in x_masks] + [
+        (error.x_mask & m).bit_count() & 1 for m in z_masks
+    ]
 
 
 @dataclass(frozen=True)

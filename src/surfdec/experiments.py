@@ -462,7 +462,13 @@ class FitParams:
     g: float
     residual_rms: float = 0.0
 
-    def predict(self, p: float, L: int) -> float:
+    def predict(self, p: float, L: float) -> float:
+        """The fitted rate at (p, L); raises ValueError naming the point
+        unless 0 < p < 1 and L is an integral distance >= 2."""
+        if not (0 < p < 1 and L >= 2 and float(L).is_integer()):
+            raise ValueError(
+                f"{p:g} {L:g}: need 0 < p < 1 and an integer distance >= 2"
+            )
         lp = math.log10(p)
         exponent = (self.a * L * L + self.b * L + self.c) + (
             self.e * L * L + self.f * L + self.g

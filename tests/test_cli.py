@@ -406,20 +406,19 @@ def test_threshold_command_smoke(tmp_path):
     }
 
 
-#: sha256 of short results files, recorded before the base-weight
-#: shortest-path memo (the three simulate variants: before the IRMWPM decode
-#: loop became one alternating half-step); performance work must leave them
+#: sha256 of short results files, recorded with the fault sampler that skips
+#: from one faulty location to the next; performance work must leave them
 #: byte-identical
 RESULTS_SHA256 = {
-    "simulate.csv": "6bb6b899df585f100d55cf6e8aac47e31888e8717540791c41c851a19565b687",
-    "simulate.json": "cf727738eca6d9e21d5557a8224f3de79bad53bf8b02a8831cff734ff05b9d3b",
-    "lifetime-ideal.csv": "55eb3804df579ff2d5be28cf4bc3eafb332f75045a59c9c39b84747e58edfd20",
+    "simulate.csv": "04eddef07c42418049e163cd92d940adfed04d534cb051e4986bd74bee4e0a01",
+    "simulate.json": "6bbaa8565e6f550957ebc52113896575f1bb9660fd3156c98d730918d352cd69",
+    "lifetime-ideal.csv": "ef85b256d7ac992912dee9e28c1da9460730f8ba45712b4e356edf6462404f63",
     "stopping-algorithm1-literal.json":
-        "09920c756752244050141adf698bf90a53dd2284f20ef857288a9031039d188d",
+        "1186b976cb706ab04868da38e37a962f67b625657075a27b698c4795b32639bb",
     "stopping-weight-stable.json":
-        "29de092bdc02da510b3c02eb2b6c98e0ac5b9584cfe34c4281d6eb8630f6026e",
+        "c99aeac97f62c6fbfc22abef8d6e60cb8533019b417ddc4f6300143f24eb9615",
     "boundary-off.json":
-        "aaa9b659e86ba5bd1fbdfd7c7074c8cde0930c318c21882e32ec778704e78fe0",
+        "d00e423c92a9f2269d2f1a4488b140f6e1032708e2c6f0ba3da91d97db7a595f",
 }
 
 #: the pinned simulate run again, with one non-default IRMWPM setting each

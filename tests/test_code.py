@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ def test_ideal_syndrome_interior_y(layout3):
     n_x = len(layout3.x_stabilizers)
     assert sum(syn[:n_x]) == 2
     assert sum(syn[n_x:]) == 2
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 7])
+def test_ideal_syndrome_is_the_parity_over_each_support(L):
+    # an X-type stabilizer flips with the error's Z parts on its support, a
+    # Z-type one with its X parts; counted qubit by qubit here
+    layout = build_layout(L)
+    n = layout.n_data
+    rng = random.Random(L)
+    errors = [PauliOperator.single(n, q, k) for q in range(n) for k in "XYZ"]
+    errors += [
+        PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(300)
+    ]
+    for err in errors:
+        want = [
+            sum(mask >> q & 1 for q in support) % 2
+            for supports, mask in ((layout.x_stabilizers, err.z_mask),
+                                   (layout.z_stabilizers, err.x_mask))
+            for support in supports
+        ]
+        assert ideal_syndrome(layout, err) == want
 
 
 def test_ideal_syndrome_dimension_error(layout3):

@@ -192,10 +192,19 @@ def test_lifetime_zero_noise_hits_cap():
 
 
 def test_lifetime_shrinks_above_threshold():
-    caps = dict(trials=40, seed=7, threads=2, lifetime_cap=2000, decoder="mwpm")
-    lt3 = estimate_lifetime(SimConfig(L=3, p=0.03, **caps))
-    lt5 = estimate_lifetime(SimConfig(L=5, p=0.03, **caps))
-    assert lt5.mean_rounds < lt3.mean_rounds
+    # above threshold a larger code fails sooner per round.  Lifetimes are
+    # checked every L rounds, so they are compared as per-round failure
+    # rates: a check fails with q = L / mean_rounds, a round with
+    # 1 - (1 - q) ** (1 / L).  At p=0.03 these are ~0.169 (L=3) and ~0.203
+    # (L=5) over 7,000 trials each; at 1,000 trials the difference has a
+    # standard error of ~0.008, so the gap is ~4.3 sigma
+    caps = dict(trials=1000, seed=7, threads=2, lifetime_cap=2000, decoder="mwpm")
+    per_round = {}
+    for L in (3, 5):
+        lifetime = estimate_lifetime(SimConfig(L=L, p=0.03, **caps))
+        assert lifetime.capped == 0
+        per_round[L] = 1 - (1 - L / lifetime.mean_rounds) ** (1 / L)
+    assert per_round[5] > per_round[3]
 
 
 def test_lifetime_grows_below_threshold():
@@ -216,6 +225,22 @@ def test_fit_scaling_recovers_exact_parameters():
     for name in "abcefg":
         assert getattr(fit, name) == pytest.approx(getattr(truth, name), abs=1e-6)
     assert fit.residual_rms < 1e-10
+
+
+@pytest.mark.parametrize(
+    "p, L",
+    [(0.001, 31.7), (0.001, -4), (0.001, 1), (2, 31), (0, 31), (1, 31),
+     (math.nan, 31), (0.001, math.inf)],
+)
+def test_predict_rejects_points_outside_the_model(p, L):
+    fit = FitParams(a=-0.01, b=-0.2, c=1.3, e=0.02, f=0.45, g=0.7)
+    with pytest.raises(ValueError, match=f"^{p:g} {L:g}: need 0 < p < 1"):
+        fit.predict(p, L)
+
+
+def test_predict_takes_integral_distances_of_either_type():
+    fit = FitParams(a=-0.01, b=-0.2, c=1.3, e=0.02, f=0.45, g=0.7)
+    assert fit.predict(0.001, 31.0) == fit.predict(0.001, 31) > 0
 
 
 def test_fit_scaling_rank_deficient():

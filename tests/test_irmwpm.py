@@ -157,8 +157,16 @@ def test_consecutive_stops_a_period_two_cycle(layout5, circuit5):
     from surfdec.graph import build_decoder_graphs
 
     gx, gz = build_decoder_graphs(5, 5, 0.005)
-    rng = np.random.default_rng([12, 1, 538])
-    faults = sample_faults(circuit5, NoiseParams(0.005), 5, rng)
+    # one d=5, T=5, p=0.005 window, listed so the test does not depend on the
+    # sampler's generator stream
+    faults = [
+        FaultEvent(1, "idle", 39, 1),
+        FaultEvent(3, "cnot", 62, 7),
+        FaultEvent(3, "cnot", 141, 10),
+        FaultEvent(4, "cnot", 120, 11),
+        FaultEvent(4, "cnot", 137, 4),
+        FaultEvent(5, "cnot", 129, 7),
+    ]
     hist = simulate(layout5, circuit5, faults, 5, True)
     ev_x = events_to_nodes(gx, hist.x_lattice_events)
     ev_z = events_to_nodes(gz, hist.z_lattice_events)

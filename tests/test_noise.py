@@ -16,6 +16,7 @@ from surfdec.noise import (
     InvalidFaultError,
     InvalidNoiseError,
     NoiseParams,
+    _faulty_locations,
     _round_faults,
     enumerate_single_faults,
     fault_row,
@@ -36,7 +37,9 @@ def test_noise_params_range():
 
 def test_zero_rate_samples_nothing(circuit3):
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     assert sample_faults(circuit3, NoiseParams(0.0), 5, rng) == []
+    assert rng.bit_generator.state == state  # no draws
 
 
 def test_cnot_payload_frequencies(circuit3):
@@ -69,7 +72,7 @@ def test_idle_pauli_frequencies(circuit3):
 
 
 def _per_fault_sampler(circuit, p, T, rng, include_idle):
-    """Reference sampler: one scalar ``rng.integers`` payload draw per fault."""
+    """Reference sampler: one uniform per location, one payload per fault."""
     faults = []
     for t in range(1, T + 1):
         for i in np.nonzero(rng.random(circuit.n_cnots_per_round) < p)[0]:
@@ -84,23 +87,131 @@ def _per_fault_sampler(circuit, p, T, rng, include_idle):
     return faults
 
 
-def test_batched_payload_draws_match_per_fault_draws():
-    # one rng.integers call per kind and round gives the same payloads, and
-    # leaves the generator in the same state, as one call per fault
-    circuits = [build_se_circuit(build_layout(d)) for d in (3, 5, 7)]
-    batched = 0
-    for seed in range(2400):
-        circuit = circuits[seed % 3]
-        p = (0.001, 0.01, 0.05)[seed // 3 % 3]
-        include_idle = seed // 9 % 2 == 0
-        T = 1 + seed % 4
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_faults(circuit, NoiseParams(p), T, got_rng, include_idle)
-        want = _per_fault_sampler(circuit, p, T, want_rng, include_idle)
-        assert got == want, seed
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
-        batched += len(got) > len({(f.round, f.kind) for f in got})
-    assert batched > 500  # many draws cover several faults of one kind
+_KIND_ORDER = {"cnot": 0, "meas_x": 1, "meas_z": 2, "idle": 3}
+
+
+def _tallies(windows):
+    """Hits per kind, per (round, kind, index) location, per (kind, payload)."""
+    kinds, locations, payloads = Counter(), Counter(), Counter()
+    for faults in windows:
+        for f in faults:
+            kinds[f.kind] += 1
+            locations[f.round, f.kind, f.index] += 1
+            payloads[f.kind, f.payload] += 1
+    return kinds, locations, payloads
+
+
+def _z(count, n, q):
+    """Standard score of a Binomial(n, q) count."""
+    return (count - n * q) / math.sqrt(n * q * (1 - q))
+
+
+@pytest.mark.parametrize(
+    "p, windows, include_idle",
+    [(0.05, 4000, True), (0.05, 4000, False), (0.5, 800, True)],
+)
+def test_sampler_law_matches_per_location_draws(circuit3, p, windows, include_idle):
+    # the skipping sampler and the reference, one uniform per location and
+    # one payload per fault, must both follow the law: every location hit
+    # with probability p, payloads uniform.  Each kind's, each location's and
+    # each payload's count lies within 4.5 sigma of its mean, the locations'
+    # squared scores sum to within 5 sigma of their chi-square mean, and the
+    # two samplers' kind counts agree within 4.5 sigma of their difference
+    T = 3
+    kinds = [
+        (kind, count, payloads)
+        for kind, count, payloads in (
+            ("cnot", circuit3.n_cnots_per_round, 15),
+            ("meas_x", circuit3.n_x, 1),
+            ("meas_z", circuit3.n_z, 1),
+            ("idle", circuit3.layout.n_data, 3),
+        )
+        if include_idle or kind != "idle"
+    ]
+    rng = np.random.default_rng(1)
+    params = NoiseParams(p)
+    got = [sample_faults(circuit3, params, T, rng, include_idle) for _ in range(windows)]
+    rng = np.random.default_rng(2)
+    want = [_per_fault_sampler(circuit3, p, T, rng, include_idle) for _ in range(windows)]
+    tallies = [_tallies(got), _tallies(want)]
+    for kind_hits, location_hits, payload_hits in tallies:
+        assert set(kind_hits) <= {kind for kind, _, _ in kinds}
+        scores = []
+        for kind, count, payloads in kinds:
+            assert abs(_z(kind_hits[kind], windows * T * count, p)) < 4.5, kind
+            scores += [
+                _z(location_hits[t, kind, i], windows, p)
+                for t in range(1, T + 1)
+                for i in range(count)
+            ]
+            if payloads > 1:
+                for k in range(payloads):
+                    z = _z(payload_hits[kind, k], kind_hits[kind], 1 / payloads)
+                    assert abs(z) < 4.5, (kind, k)
+            assert all(0 <= k < payloads for name, k in payload_hits if name == kind)
+        assert max(map(abs, scores)) < 4.5
+        dof = len(scores)
+        assert sum(z * z for z in scores) < dof + 5 * math.sqrt(2 * dof)
+    for kind, count, _ in kinds:
+        n = windows * T * count
+        diff = tallies[0][0][kind] - tallies[1][0][kind]
+        assert abs(diff) < 4.5 * math.sqrt(2 * n * p * (1 - p)), kind
+    for faults in got:
+        keys = [(f.round, _KIND_ORDER[f.kind], f.index) for f in faults]
+        assert keys == sorted(set(keys))  # ascending, each location at most once
+
+
+def test_equal_generators_give_equal_faults(circuit3):
+    for seed in range(50):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = (0.001, 0.02, 0.3)[seed % 3]
+        assert sample_faults(circuit3, NoiseParams(p), 4, a) == sample_faults(
+            circuit3, NoiseParams(p), 4, b
+        )
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class _CountingGenerator:
+    """Passes every call on to a generator and counts them."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("p", [0.001, 0.02])
+def test_generator_calls_do_not_grow_with_rounds(circuit3, p):
+    # one call finds a window's faulty locations and one draws their
+    # payloads, whether the window has 65 locations or 6,500
+    for T in (1, 10, 100):
+        calls = []
+        for seed in range(100):
+            rng = _CountingGenerator(np.random.default_rng([seed, T]))
+            faults = sample_faults(circuit3, NoiseParams(p), T, rng)
+            calls.append(rng.calls)
+            assert rng.calls == 1 + bool(faults)
+        assert max(calls) <= 2
+
+
+class _UnitGaps:
+    """A stand-in generator whose geometric gaps are all 1."""
+
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_faulty_locations_extend_a_short_batch():
+    # gaps of 1 hit every location, so the first batch of 6 positions falls
+    # short of 50 and is extended until it passes the end
+    assert _faulty_locations(50, 0.01, _UnitGaps()) == list(range(50))
 
 
 def test_no_faults_no_events(layout3, circuit3):
