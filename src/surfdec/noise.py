@@ -11,7 +11,7 @@ Noise model (fault rate p):
 
 Sampling reads the model as a line of independent Bernoulli(p) locations:
 a window's T rounds laid end to end, each round's CNOTs, X- and Z-ancilla
-measurements and data idles in ``_fault_kinds`` order.  ``sample_faults``
+measurements and data idles in ``_kind_table`` order.  ``sample_faults``
 skips from one faulty location to the next with geometric gaps and draws
 all payloads in one call, so the generator's work grows with the number
 of faults, not of locations (how Stim samples rare errors; Gidney,
@@ -156,22 +156,18 @@ def _shape(circuit: SECircuit) -> tuple[int, int, int, int]:
 
 @functools.cache
 def _kind_table(shape: tuple[int, int, int, int]) -> dict[str, _Kind]:
-    """One round's fault kinds in record order, idles last, by name; one
-    dict shared by every caller, so read only."""
+    """One round's fault kinds in record order, idles last, by name.
+
+    The one statement of a round's kinds, their location counts and
+    payload ranges: the sampler, ``_round_faults`` and ``fault_row`` all
+    read it.  Built once per circuit shape and shared, so read only.
+    """
     kinds, row = {}, 0
     names, payloads = ("cnot", "meas_x", "meas_z", "idle"), (15, 1, 1, 3)
     for name, count, k in zip(names, shape, payloads):
         kinds[name] = _Kind(name, count, k, row)
         row += count * k
     return kinds
-
-
-def _fault_kinds(circuit: SECircuit, include_idle: bool) -> list[_Kind]:
-    """One round's fault kinds in record order, idles last and only with
-    ``include_idle``; the sampler, ``_round_faults`` and ``fault_row`` all
-    read this one table, built once per circuit shape."""
-    kinds = list(_kind_table(_shape(circuit)).values())
-    return kinds if include_idle else kinds[:-1]
 
 
 @functools.cache
@@ -215,7 +211,7 @@ def sample_faults(
     measurements and, with ``include_idle``, its data-qubit idles) is
     faulty with probability p, independently, and a faulty location's
     payload is uniform over its kind's payloads.  Faults come rounds
-    ascending, each round in ``_fault_kinds`` order, each kind by index.
+    ascending, each round in ``_kind_table`` order, each kind by index.
 
     The generator's work grows with the number of faults, not of
     locations: the window's T x round locations are laid out in that
@@ -373,17 +369,17 @@ class FaultRecord:
 def _round_faults(circuit: SECircuit, include_idle: bool) -> list[tuple[str, int, int]]:
     """(kind, index, payload) of every fault of one round, in record order."""
     return [
-        (k.name, index, pay)
-        for k in _fault_kinds(circuit, include_idle)
-        for index in range(k.count)
-        for pay in range(k.payloads)
+        (kind, index, pay)
+        for kind, index, payloads in _round_locations(_shape(circuit))
+        if include_idle or kind != "idle"
+        for pay in range(payloads)
     ]
 
 
 def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
     """Position of a fault's location and payload among one round's records.
 
-    Rows follow ``_round_faults``: the kinds of ``_fault_kinds``, idles
+    Rows follow ``_round_faults``: the kinds of ``_kind_table``, idles
     included, one after the other, and within a kind location ``i`` with
     payload ``k`` at ``payloads * i + k`` past the kind's first row.  The
     fault's round is not looked at.  Raises ``InvalidFaultError`` for an
