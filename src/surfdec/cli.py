@@ -232,18 +232,21 @@ def _cmd_lifetime(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    # reject a grid the scan cannot use before simulating any of its points
+    # reject a grid the scan cannot use, or any of its points, before
+    # simulating one; a repeated distance or rate is one point, simulated once
     check_threshold_grid(args.distances, args.p_grid)
+    configs = [
+        _sim_config(args, L=L, p=p)
+        for L in dict.fromkeys(args.distances)
+        for p in dict.fromkeys(args.p_grid)
+    ]
     rates = {}
     rows = []
-    # a repeated distance or rate is one grid point, simulated once
-    for L in dict.fromkeys(args.distances):
-        for p in dict.fromkeys(args.p_grid):
-            cfg = _sim_config(args, L=L, p=p)
-            _progress(f"threshold point: L={L} p={p} trials={args.trials}")
-            est = estimate_rate(cfg)
-            rates[(L, p)] = est
-            rows.append(est.to_row())
+    for cfg in configs:
+        _progress(f"threshold point: L={cfg.L} p={cfg.p} trials={args.trials}")
+        est = estimate_rate(cfg)
+        rates[(cfg.L, cfg.p)] = est
+        rows.append(est.to_row())
     result = threshold_scan(rates, seed=args.seed)
     out = {
         "schema": RESULT_SCHEMA,

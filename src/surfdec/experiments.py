@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .code import build_layout, build_se_circuit, ideal_syndrome
-from .graph import build_decoder_graphs
+from .graph import MIN_DECODING_DISTANCE, build_decoder_graphs
 from .irmwpm import STOPPING_MODES, decode
 from .matcher import events_to_nodes
 from .noise import NoiseParams, fault_row, sample_faults, simulate
@@ -52,8 +52,12 @@ class SimConfig:
     prune_neighbors: int | None = None
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("distance must be >= 2")
+        if self.L < MIN_DECODING_DISTANCE:
+            raise ValueError(
+                f"decoding needs distance >= {MIN_DECODING_DISTANCE}, got {self.L}: "
+                "below it, faults with one detection signature act differently "
+                "on the logical qubit"
+            )
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")
         if self.trials < 1:

@@ -81,6 +81,8 @@ INTERIOR_COEFFS = {
 }
 
 
+#: smallest distance whose faults of one signature share their logical action
+MIN_DECODING_DISTANCE = 3
 #: most base-weight shortest-path entries (rows x n_nodes) one graph
 #: memoizes: 12 bytes each, so at most 48 MB per lattice
 MEMO_ENTRIES = 1 << 22
@@ -131,12 +133,13 @@ class DecodingGraph:
     capped at ``MEMO_ENTRIES`` entries, and the work adjacency that
     ``csr_with_weights`` rewrites for each reweighted matching.
 
-    Circuit graphs from ``build_decoder_graphs`` also carry one round's
-    single-fault table, read by ``window_events``: for each round-1 record,
-    in ``noise.fault_row`` order, the node ids of its events on this lattice
-    (``fault_nodes``) and its residual mask on this lattice's error type
-    (``fault_residuals``: X on the X lattice, Z on the Z lattice).  Both are
-    None on code-capacity graphs.
+    Circuit graphs also carry one round's single-fault table, read by
+    ``window_events``: for each round-1 record of their pool, in
+    ``noise.fault_row`` order, the node ids of its events on this lattice
+    (``fault_nodes``, its class's placement at fault round 1) and its
+    residual mask on this lattice's error type (``fault_residuals``: X on
+    the X lattice, Z on the Z lattice).  Both are None on code-capacity
+    graphs.
     """
 
     kind: str
@@ -301,6 +304,8 @@ class LatticeClasses:
     this lattice's error type.  ``residuals`` holds every residual mask of
     its faults, and ``locations[loc_start[i]:loc_start[i + 1]]`` its
     distinct (kind, index) fault locations, numbered within the round.
+    ``record_class`` and ``record_residual`` give each record its class (-1
+    without an event here) and residual mask.
     """
 
     stabs: np.ndarray
@@ -312,6 +317,8 @@ class LatticeClasses:
     residuals: list[frozenset[int]]
     loc_start: np.ndarray
     locations: np.ndarray
+    record_class: list[int]
+    record_residual: list[int]
 
 
 @dataclass(frozen=True)
@@ -358,6 +365,7 @@ def pool_round(records: list[FaultRecord]) -> RoundPool:
     """
     loc_index: dict[tuple[str, int], int] = {}
     classes: dict[str, dict[tuple, _Signature]] = {"X": {}, "Z": {}}
+    record_ids = []  # each record's class on the X and the Z lattice, or -1
     joint: dict[tuple[int, int], int] = {}
     for order, rec in enumerate(records):
         f = rec.fault
@@ -384,12 +392,14 @@ def pool_round(records: list[FaultRecord]) -> RoundPool:
             sig.residuals.add(res)
             sig.locations.add(loc)
             ids.append(sig.index)
+        record_ids.append(ids)
         if ids[0] >= 0 and ids[1] >= 0:
             joint[(ids[0], ids[1])] = joint.get((ids[0], ids[1]), 0) + units
     pairs = np.array(list(joint), dtype=np.int64).reshape(-1, 2)
+    x_res, z_res = [r.x_residual for r in records], [r.z_residual for r in records]
     return RoundPool(
-        x=_lattice_classes(list(classes["X"].values())),
-        z=_lattice_classes(list(classes["Z"].values())),
+        x=_lattice_classes(classes["X"], [x for x, _ in record_ids], x_res),
+        z=_lattice_classes(classes["Z"], [z for _, z in record_ids], z_res),
         joint_x=pairs[:, 0],
         joint_z=pairs[:, 1],
         joint_units=np.array(list(joint.values()), dtype=np.int64),
@@ -397,7 +407,8 @@ def pool_round(records: list[FaultRecord]) -> RoundPool:
     )
 
 
-def _lattice_classes(sigs: list[_Signature]) -> LatticeClasses:
+def _lattice_classes(by_events: dict, record_class, record_residual) -> LatticeClasses:
+    sigs = list(by_events.values())
     width = max([2] + [len(sig.events) for sig in sigs])
     stabs = np.full((len(sigs), width), -1, dtype=np.int64)
     rounds = np.zeros((len(sigs), width), dtype=np.int64)
@@ -417,6 +428,8 @@ def _lattice_classes(sigs: list[_Signature]) -> LatticeClasses:
         locations=np.array(
             [loc for sig in sigs for loc in sorted(sig.locations)], dtype=np.int64
         ),
+        record_class=record_class,
+        record_residual=record_residual,
     )
 
 
@@ -492,8 +505,15 @@ def _assemble(
     round and then record order breaking ties.  Every fault behind an edge
     must share the same logical action, so that correction is well
     defined; a conflict raises ``GraphBuildError``.  The graph keeps every
-    placement's edge for ``derive_correlations``.
+    placement's edge for ``derive_correlations``, and a circuit graph its
+    single-fault table.
     """
+    if layout.L < MIN_DECODING_DISTANCE:
+        raise ValueError(
+            f"decoding graphs need distance >= {MIN_DECODING_DISTANCE}, got "
+            f"{layout.L}: below it, faults with one detection signature act "
+            "differently on the logical qubit"
+        )
     circuit = mode == "circuit"
     fault_rounds, n_layers = (T, T + 1) if circuit else (1, 1)
     coords = layout.z_anc_coords if kind == "X" else layout.x_anc_coords
@@ -588,6 +608,12 @@ def _assemble(
         edge_lookup=lookup,
         _class_edges=edge.reshape(u.shape),
     )
+    if circuit:  # a record's events: its class's nodes at fault round 1
+        # (class -1, no event on this lattice, reads the () appended last)
+        first = zip(u[0].tolist(), v[0].tolist())
+        nodes = [(a,) if b == boundary else (a, b) for a, b in first] + [()]
+        g.fault_nodes = [nodes[c] for c in classes.record_class]
+        g.fault_residuals = classes.record_residual
     g.finalize()
     return g
 
@@ -702,48 +728,18 @@ def build_decoder_graphs(
 
     One round of single faults is enumerated and pooled once; both
     lattices and both correlation tables repeat that pool over the window,
-    and each lattice keeps the records' event nodes and residual masks as
-    its single-fault table (``DecodingGraph.window_events``).
+    and each lattice reads its single-fault table from it
+    (``DecodingGraph.window_events``).
     """
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(layout, circuit, 1, include_idle)
-    pool = pool_round(records)
-    # X errors show on the Z stabilizers and vice versa
-    tables = [
-        _fault_table(records, "X", circuit.n_z),
-        _fault_table(records, "Z", circuit.n_x),
-    ]
-    del records  # freed before the graphs: held longer, it sets the build's peak memory
+    pool = pool_round(enumerate_single_faults(layout, circuit, 1, include_idle))
     params = NoiseParams(p)
     gx = build_graph(layout, params, T, "X", pool)
     gz = build_graph(layout, params, T, "Z", pool)
     derive_correlations(gx, gz, pool)
     derive_correlations(gz, gx, pool)
-    for g, (nodes, residuals) in zip((gx, gz), tables):
-        g.fault_nodes, g.fault_residuals = nodes, residuals
     return gx, gz
-
-
-def _fault_table(
-    records: list[FaultRecord], kind: str, n_stabs: int
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Each round-1 record's event node ids and residual mask on one lattice.
-
-    Records share few distinct signatures, so each signature's node tuple
-    is built once.
-    """
-    x = kind == "X"
-    nodes_of: dict[tuple, tuple[int, ...]] = {}
-    nodes, residuals = [], []
-    for rec in records:
-        events = rec.x_events if x else rec.z_events
-        ids = nodes_of.get(events)
-        if ids is None:
-            ids = nodes_of[events] = tuple((t - 1) * n_stabs + s for s, t in events)
-        nodes.append(ids)
-        residuals.append(rec.x_residual if x else rec.z_residual)
-    return nodes, residuals
 
 
 def build_code_capacity_pair(L: int) -> tuple[DecodingGraph, DecodingGraph]:

@@ -17,17 +17,18 @@ Reweighted matchings run Dijkstra on the graph's one work adjacency, which
 ``DecodingGraph.csr_with_weights`` resets to the base weights and then
 writes the overlay into.
 
-The dense problem is solved exactly in one of two ways.  Up to
-``ENUMERATION_MAX_VERTICES`` vertices, ``lightest_unique_pairing`` scores
-every pairing at once from a fixed table and returns the lightest one when
-no other comes within ``UNIQUE_MARGIN`` of it.  Ties, larger problems and
-pruned problems go to blossom (``min_weight_perfect_matching``).  A unique
-minimum is what any exact matcher returns, so both ways give the same
-pairs; on a tie, blossom's own tie-break decides, as it always has.
+The dense problem is one array, ``weights`` (see ``mwpm``), solved exactly
+in one of two ways.  Up to ``ENUMERATION_MAX_VERTICES`` vertices,
+``lightest_unique_pairing`` scores every pairing at once from a fixed table
+and returns the lightest one when no other comes within ``UNIQUE_MARGIN``
+of it.  Ties, larger problems and pruned problems go to blossom
+(``min_weight_perfect_matching``) on the edges ``_blossom_edges`` lists from
+the array.  A unique minimum is what any exact matcher returns, so both
+ways give the same pairs; on a tie, blossom's own tie-break decides.
 
 ``brute_force_matching`` enumerates every partition of the events into
-pairs and boundary singletons; it is the independent oracle for the blossom
-and enumeration paths and is kept free of any shared matching logic.
+pairs and boundary singletons, with its own weights and total; it is the
+independent oracle for the blossom and enumeration paths.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ class MatchingResult:
             out.extend(eids)
         return out
 
-    def signature(self) -> tuple:
-        """Canonical form for equality tests between iterations."""
-        return (
-            tuple(sorted(tuple(sorted(p)) for p in self.pairs)),
-            tuple(sorted(self.boundary_pairs)),
-        )
-
 
 def shortest_paths(
     graph: DecodingGraph,
@@ -108,9 +102,6 @@ def shortest_paths(
     adjacency.  The adjacency is symmetric, so a directed search gives the
     same rows as an undirected one without transposing the matrix.
     """
-    if not events:
-        n = graph.n_nodes
-        return np.zeros((0, n)), np.full((0, n), -9999, dtype=np.int32)
     if overlay:
         dist, pred = _sp_dijkstra(
             graph.csr_with_weights(overlay),
@@ -137,19 +128,6 @@ def _walk_path(graph: DecodingGraph, pred_row, source: int, target: int) -> list
         node = prv
     edges.reverse()
     return edges
-
-
-def _split_at_boundary(
-    graph: DecodingGraph, eids: list[int]
-) -> tuple[list[int], list[int]] | None:
-    """Split a path at the boundary node if it passes through it."""
-    bnd = graph.boundary_node
-    for k, eid in enumerate(eids):
-        e = graph.edges[eid]
-        if bnd in (e.u, e.v):
-            # the path enters and leaves the boundary on consecutive edges
-            return eids[: k + 1], eids[k + 1 :]
-    return None
 
 
 @functools.cache
@@ -206,6 +184,62 @@ def lightest_unique_pairing(weights: np.ndarray) -> list[tuple[int, int]] | None
     return None
 
 
+def _blossom_edges(
+    weights: np.ndarray, prune_neighbors: int | None = None
+) -> list[tuple[int, int, float]]:
+    """Blossom's edges: pairs ``(a, b)``, ``a < b``, row by row, then each
+    event with the boundary column if there is one.  Weights are rounded by
+    Python's ``round``: blossom's tie-break reads them exactly, and
+    ``np.round`` differs from it in the last bit on some values.  With
+    ``prune_neighbors`` m, a pair stays only if one event is among the
+    other's m nearest (stable order); boundary edges always stay.
+    """
+    k = len(weights)
+    rows = np.arange(k)[:, None]
+    upper = rows < np.arange(k)
+    if prune_neighbors is not None:
+        order = np.argsort(weights[:, :k], axis=1, kind="stable")
+        # each row holds its own event once; drop it and keep the m nearest
+        nearest = order[order != rows].reshape(k, k - 1)
+        near = np.zeros((k, k), dtype=bool)
+        near[rows, nearest[:, :prune_neighbors]] = True
+        upper &= near | near.T
+    a, b = np.nonzero(upper)
+    if weights.shape[1] > k:  # the boundary column
+        a, b = np.append(a, np.arange(k)), np.append(b, np.full(k, k))
+    w = [round(x, WEIGHT_DECIMALS) for x in weights[a, b].tolist()]
+    return list(zip(a.tolist(), b.tolist(), w))
+
+
+def _matching_result(
+    graph: DecodingGraph, events: list[int], pred, pairs, total: float
+) -> MatchingResult:
+    """The matching of ``pairs`` of positions in ``events``, position
+    len(events) standing for the boundary."""
+    k, bnd = len(events), graph.boundary_node
+    result = MatchingResult(total_weight=total)
+    for a, b in pairs:
+        u = events[a]
+        if b == k:
+            legs = [(u, _walk_path(graph, pred[a], u, bnd))]
+        else:
+            v = events[b]
+            eids = _walk_path(graph, pred[a], u, v)
+            # a path through the boundary node enters and leaves it on
+            # consecutive edges: it is two boundary pairings
+            at_bnd = [bnd in (graph.edges[e].u, graph.edges[e].v) for e in eids]
+            if not any(at_bnd):
+                result.pairs.append((u, v))
+                result.path_edges[(u, v)] = tuple(eids)
+                continue
+            cut = at_bnd.index(True) + 1
+            legs = [(u, eids[:cut]), (v, eids[cut:])]
+        for event, path in legs:
+            result.boundary_pairs.append(event)
+            result.path_edges[(event, -1)] = tuple(path)
+    return result
+
+
 def mwpm(
     graph: DecodingGraph,
     events: list[int],
@@ -232,77 +266,27 @@ def mwpm(
     """
     events = sorted(events)
     k = len(events)
-    result = MatchingResult()
     if k == 0:
-        return result
+        return MatchingResult()
     dist, pred = shortest_paths(graph, events, overlay=overlay)
-    bnd = graph.boundary_node
     # row a: a's distance to every event, then to the boundary if k is odd,
     # so column k is the virtual boundary vertex
-    weights = dist[:, events + [bnd] if k % 2 else events]
-    event_dist = weights[:, :k]  # (k, k) pairwise distances
-
-    def dense_edges(keep=None):
-        out = []
-        for a in range(k):
-            row = event_dist[a]
-            for b in range(a + 1, k):
-                if keep is not None and (a, b) not in keep:
-                    continue
-                out.append((a, b, round(float(row[b]), WEIGHT_DECIMALS)))
-        if k % 2:
-            for a in range(k):
-                out.append(
-                    (a, k, round(float(dist[a, bnd]), WEIGHT_DECIMALS))
-                )
-        return out
-
+    weights = dist[:, events + [graph.boundary_node] if k % 2 else events]
     nverts = k + (k % 2)
-    pruned = prune_neighbors is not None and k > prune_neighbors + 2
-    pairs = None if pruned else lightest_unique_pairing(weights)
-    if pruned:
-        m = prune_neighbors
-        keep = set()
-        order = np.argsort(event_dist, axis=1, kind="stable")
-        for a in range(k):
-            kept = 0
-            for b in order[a]:
-                b = int(b)
-                if b == a:
-                    continue
-                keep.add((a, b) if a < b else (b, a))
-                kept += 1
-                if kept >= m:
-                    break
+    pairs = None
+    if prune_neighbors is not None and k > prune_neighbors + 2:
         try:
-            pairs = min_weight_perfect_matching(nverts, dense_edges(keep))
+            pairs = min_weight_perfect_matching(
+                nverts, _blossom_edges(weights, prune_neighbors)
+            )
         except RuntimeError:
-            pairs = min_weight_perfect_matching(nverts, dense_edges())
-    elif pairs is None:
-        pairs = min_weight_perfect_matching(nverts, dense_edges())
-
-    total = 0.0
-    for a, b in pairs:
-        if b == k:  # virtual boundary vertex
-            eids = _walk_path(graph, pred[a], events[a], bnd)
-            result.boundary_pairs.append(events[a])
-            result.path_edges[(events[a], -1)] = tuple(eids)
-            total += float(dist[a, bnd])
-            continue
-        eids = _walk_path(graph, pred[a], events[a], events[b])
-        total += float(dist[a, events[b]])
-        split = _split_at_boundary(graph, eids)
-        if split is None:
-            result.pairs.append((events[a], events[b]))
-            result.path_edges[(events[a], events[b])] = tuple(eids)
-        else:
-            first, second = split
-            result.boundary_pairs.append(events[a])
-            result.path_edges[(events[a], -1)] = tuple(first)
-            result.boundary_pairs.append(events[b])
-            result.path_edges[(events[b], -1)] = tuple(second)
-    result.total_weight = total
-    return result
+            pass  # the pruned problem has no perfect matching: solve the exact one
+    else:
+        pairs = lightest_unique_pairing(weights)
+    if pairs is None:
+        pairs = min_weight_perfect_matching(nverts, _blossom_edges(weights))
+    total = sum(float(weights[a, b]) for a, b in pairs)
+    return _matching_result(graph, events, pred, pairs, total)
 
 
 def brute_force_matching(
@@ -320,9 +304,8 @@ def brute_force_matching(
     k = len(events)
     if k > max_events:
         raise TooManyEventsError(f"{k} events exceed the brute-force cap {max_events}")
-    result = MatchingResult()
     if k == 0:
-        return result
+        return MatchingResult()
     dist, pred = shortest_paths(graph, events, overlay=overlay)
     bnd = graph.boundary_node
     pair_w = {
@@ -353,25 +336,8 @@ def brute_force_matching(
 
     rec(tuple(range(k)), 0.0, ())
     total, pairing = best
-    for a, b in pairing:
-        if b == -1:
-            eids = _walk_path(graph, pred[a], events[a], bnd)
-            result.boundary_pairs.append(events[a])
-            result.path_edges[(events[a], -1)] = tuple(eids)
-        else:
-            eids = _walk_path(graph, pred[a], events[a], events[b])
-            split = _split_at_boundary(graph, eids)
-            if split is None:
-                result.pairs.append((events[a], events[b]))
-                result.path_edges[(events[a], events[b])] = tuple(eids)
-            else:
-                first, second = split
-                result.boundary_pairs.append(events[a])
-                result.path_edges[(events[a], -1)] = tuple(first)
-                result.boundary_pairs.append(events[b])
-                result.path_edges[(events[b], -1)] = tuple(second)
-    result.total_weight = float(total)
-    return result
+    pairs = [(a, k if b == -1 else b) for a, b in pairing]
+    return _matching_result(graph, events, pred, pairs, float(total))
 
 
 def matching_to_correction(

@@ -293,17 +293,11 @@ def simulate(
             z[q] = bool((initial_error.z_mask >> q) & 1)
 
     grouped = _group_faults(circuit, faults, T)
-    first_round = 1
-    if initial_error is None and grouped:
-        first_round = min(r for r, _ in grouped.keys())
-    elif initial_error is None and not grouped:
-        first_round = T + 1  # nothing ever happens
-
     anc = np.concatenate([circuit.x_anc_global, circuit.z_anc_global])
     out_x = np.zeros((T, circuit.n_x), dtype=np.uint8)
     out_z = np.zeros((T, circuit.n_z), dtype=np.uint8)
 
-    for t in range(first_round, T + 1):
+    for t in range(1, T + 1):
         for k, (cs, ts) in enumerate(circuit.cnot_layers):
             x[ts] ^= x[cs]
             z[cs] ^= z[ts]

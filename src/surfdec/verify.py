@@ -281,9 +281,15 @@ def run_verification(
 ) -> VerifyReport:
     """Full verification battery; all exact checks plus oracle equivalences.
 
-    The default distance is the smallest whose lattice interior contains
-    every edge class on both lattices.
+    The interior checks need a window whose lattices hold every edge class
+    and every conditional row away from the space and time boundaries: at
+    least distance 4 and 3 rounds.  A smaller window raises ValueError.
     """
+    if L < 4 or T < 3:
+        raise ValueError(
+            f"verification needs distance >= 4 and rounds >= 3, got {L} and {T}: "
+            "a smaller window has no interior holding every edge class"
+        )
     report = VerifyReport()
     gx, gz = build_decoder_graphs(L, T, p)
     check_conditional_rows(report, gx, gz)

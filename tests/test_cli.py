@@ -231,6 +231,55 @@ def test_usage_error_exit_codes(tmp_path, monkeypatch):
         assert not (tmp_path / "th.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--distance", "2", "--p", "0.001", "--trials", "5"],
+        ["lifetime", "--distance", "2", "--p", "0.001", "--trials", "5"],
+        ["dump-graph", "--distance", "2"],
+        ["threshold", "--distances", "3", "2", "--p-grid", "0.001", "0.002",
+         "0.003", "0.004", "--trials", "50"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_decoding_commands_reject_distance_2(tmp_path, monkeypatch, capsys, command):
+    # distance 2 has no decoding graph: these used to exit 1 on a graph
+    # conflict, threshold only after simulating every distance-3 point
+    def no_estimate(config):
+        raise AssertionError(f"simulated {config} before the grid was checked")
+
+    monkeypatch.setattr(cli, "estimate_rate", no_estimate)
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "distance >= 3, got 2" in capsys.readouterr().err
+
+
+def test_layout_commands_accept_distance_2(tmp_path):
+    for command in ("dump-layout", "enumerate-faults"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--distance", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "window", [("3", "3"), ("5", "2")], ids=lambda w: f"d{w[0]}-T{w[1]}"
+)
+def test_verify_rejects_a_window_without_an_interior(capsys, window):
+    # these used to print [FAIL] lines for a correct build and exit 1
+    L, T = window
+    assert main(["verify", "--distance", L, "--rounds", T, "--instances", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "distance >= 4 and rounds >= 3" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_passes_at_its_smallest_window(capsys):
+    rc = main(["verify", "--distance", "4", "--rounds", "3", "--instances", "10"])
+    assert rc == 0
+    assert "32/32 conditionals matched" in capsys.readouterr().out
+
+
 def test_lifetime_check_period_a_multiple_of_rounds_runs(tmp_path):
     out = tmp_path / "lt.csv"
     rc = main(

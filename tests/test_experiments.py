@@ -24,6 +24,8 @@ from surfdec.experiments import (
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(L=1, p=0.01, trials=10)
+    with pytest.raises(ValueError, match="distance >= 3, got 2"):
+        SimConfig(L=2, p=0.01, trials=10)
     with pytest.raises(ValueError):
         SimConfig(L=3, p=0.0, trials=10)
     with pytest.raises(ValueError):

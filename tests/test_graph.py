@@ -505,3 +505,16 @@ def test_single_fault_table_only_on_circuit_graphs(graphs3, cc_pair3):
         assert g.fault_nodes is None and g.fault_residuals is None
         with pytest.raises(ValueError, match="no single-fault table"):
             g.window_events([])
+
+
+def test_decoding_graphs_need_distance_3():
+    # at distance 2 faults with one signature act differently on the logical
+    # qubit; this was a GraphBuildError, an internal error to the CLI
+    for build in (
+        lambda: build_decoder_graphs(2, 2, 0.001),
+        lambda: build_decoder_graphs(2, 1, 0.001, include_idle=False),
+        lambda: build_code_capacity_pair(2),
+    ):
+        with pytest.raises(ValueError, match="distance >= 3, got 2"):
+            build()
+    assert build_layout(2).L == 2

@@ -231,6 +231,54 @@ def _recorded_matchings(config, windows, seed):
     return calls
 
 
+def _reference_blossom_edges(weights, prune_neighbors=None):
+    """Blossom's edge list by the plain double loop and keep-set of old."""
+    k = len(weights)
+    keep = None
+    if prune_neighbors is not None:
+        keep = set()
+        order = np.argsort(weights[:, :k], axis=1, kind="stable")
+        for a in range(k):
+            kept = 0
+            for b in order[a]:
+                b = int(b)
+                if b == a:
+                    continue
+                keep.add((a, b) if a < b else (b, a))
+                kept += 1
+                if kept >= prune_neighbors:
+                    break
+    out = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            if keep is None or (a, b) in keep:
+                out.append((a, b, round(float(weights[a, b]), WEIGHT_DECIMALS)))
+    if weights.shape[1] > k:
+        for a in range(k):
+            out.append((a, k, round(float(weights[a, k]), WEIGHT_DECIMALS)))
+    return out
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["floats", "ties"])
+def test_blossom_edges_match_the_double_loop(integral):
+    # shaped as mwpm builds it: k event rows, plus a boundary column when k
+    # is odd; small integers make ties (the row's own entry included) common
+    rng = np.random.default_rng(88)
+    for k in range(1, 91):
+        shape = (k, k + k % 2)
+        if integral:
+            weights = rng.integers(0, 4, shape).astype(float)
+        else:
+            weights = rng.random(shape) * 30
+        edges = matcher._blossom_edges(weights)
+        assert edges == _reference_blossom_edges(weights)
+        assert all(type(w) is float for _, _, w in edges)
+        for m in {1, 2, 5, 12, k}:
+            assert matcher._blossom_edges(weights, m) == _reference_blossom_edges(
+                weights, m
+            ), (k, m)
+
+
 @pytest.mark.parametrize(
     "L, p, decoder, windows",
     [(5, 0.01, "irmwpm", 300), (7, 0.001, "mwpm", 300)],
@@ -575,7 +623,8 @@ def test_capped_memo_stops_growing(monkeypatch, layout5, circuit5):
             ev = events_to_nodes(capped[lattice], events)
             a = mwpm(uncapped[lattice], ev)
             b = mwpm(capped[lattice], ev)
-            assert a.signature() == b.signature()
+            assert a.pairs == b.pairs
+            assert a.boundary_pairs == b.boundary_pairs
             assert a.path_edges == b.path_edges
             assert a.total_weight == b.total_weight
     for g in capped:
