@@ -308,7 +308,7 @@ def _cmd_enumerate(args) -> int:
     T = args.rounds if args.rounds is not None else L
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(layout, circuit, T, args.idle_noise)
+    records = enumerate_single_faults(circuit, T, args.idle_noise)
     _write_json(
         args.out,
         {

@@ -4,12 +4,17 @@ A decoding graph for one error type has a node for every (stabilizer,
 round) pair plus one virtual boundary node.  Every edge is backed by the
 set of single faults whose detection signature is exactly that node pair
 (or that single node, for boundary edges); its probability is the direct
-first-order sum of the contributing fault rates, and its weight is
--ln(probability).  Cross-lattice conditional probabilities are pooled from
-the same faults, as exact rationals.
+first-order sum of the contributing fault rates.  Cross-lattice conditional
+probabilities are pooled from the same faults, as exact rationals.
+
+This module states every matching weight, once per graph.  A circuit edge
+weighs -ln(coeff p), and IRMWPM discounts a correlated edge to
+-ln(conditional); on code-capacity lattices these are 1 and 0.
+``derive_correlations`` stores the discounts beside the conditionals
+(``dual_weights``), and ``irmwpm.reweight`` only selects among them.
 
 Single-fault signatures are time-translation invariant, so the graphs are
-built from one round: ``enumerate_single_faults(layout, circuit, 1)``
+built from one round: ``enumerate_single_faults(circuit, 1)``
 gives every fault of round 1 with its events in rounds 1 and 2, and
 ``pool_round`` groups those records once by signature, adding rates in
 integer units of p/15 (CNOT payload 1, idle Pauli 5, measurement flip 15).
@@ -155,6 +160,8 @@ class DecodingGraph:
     # conditional probabilities toward the dual lattice:
     # edge index -> tuple of (dual edge index, conditional probability)
     corr_to_dual: list[tuple[tuple[int, Fraction], ...]] | None = None
+    # the same rows with each conditional as the weight it discounts to
+    dual_weights: list[tuple[tuple[int, float], ...]] | None = None
     _csr: sp.csr_matrix | None = field(default=None, repr=False)
     _edge_data_pos: np.ndarray | None = field(default=None, repr=False)
     _work: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
@@ -359,7 +366,7 @@ def pool_round(records: list[FaultRecord]) -> RoundPool:
     """Group one round's single-fault records by signature, once.
 
     ``records`` are the faults of round 1 of a window closed by a perfect
-    round, as ``enumerate_single_faults(layout, circuit, 1)`` returns them;
+    round, as ``enumerate_single_faults(circuit, 1)`` returns them;
     their events lie in rounds 1 and 2.  Rates add up as integers in units
     of p/15 (``noise.RATE_UNITS``).
     """
@@ -628,7 +635,7 @@ def build_graph(
     """Assemble the decoding lattice for one error type of a T-round window.
 
     ``pool`` is one round's single-fault records pooled by signature
-    (``pool_round(enumerate_single_faults(layout, circuit, 1))``).  Its
+    (``pool_round(enumerate_single_faults(circuit, 1))``).  Its
     classes are repeated at each of the window's fault rounds and summed
     into edges in integer units of p/15 (see ``_assemble``).  Edge probabilities
     are direct first-order sums of contributing fault rates (valid for
@@ -658,7 +665,8 @@ def derive_correlations(
     primal edge e and dual edge f sharing a contributing fault, P(f | e) =
     (sum of joint fault rates) / (sum of e's fault rates), summed in
     integer units of p/15 and formed as an exact rational.  The result is
-    stored on ``graph_primal.corr_to_dual`` and returned.
+    stored on ``graph_primal.corr_to_dual`` and returned; the same rows with
+    each conditional as its discounted weight, on ``dual_weights``.
     """
     pk, dk = graph_primal.kind, graph_dual.kind
     if {pk, dk} != {"X", "Z"}:
@@ -685,10 +693,21 @@ def derive_correlations(
     for cond in conds:
         if not 0 < cond <= 1:
             raise GraphBuildError(f"conditional {cond} outside (0, 1]")
-    entries = list(zip(dual.tolist(), (conds[k] for k in which.ravel().tolist())))
+    if graph_primal.mode == "circuit":
+        discounts = [-math.log(float(cond)) for cond in conds]
+    else:
+        discounts = [0.0] * len(conds)
+    duals, which = dual.tolist(), which.ravel()
     ends = np.cumsum(np.bincount(primal, minlength=len(graph_primal.edges))).tolist()
-    result = [tuple(entries[a:b]) for a, b in zip([0] + ends, ends)]
+
+    def rows(values):
+        # indexing an object array shares each distinct value among its entries
+        entries = list(zip(duals, np.array(values, dtype=object)[which].tolist()))
+        return [tuple(entries[a:b]) for a, b in zip([0] + ends, ends)]
+
+    result = rows(conds)
     graph_primal.corr_to_dual = result
+    graph_primal.dual_weights = rows(discounts)
     return result
 
 
@@ -733,7 +752,7 @@ def build_decoder_graphs(
     """
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    pool = pool_round(enumerate_single_faults(layout, circuit, 1, include_idle))
+    pool = pool_round(enumerate_single_faults(circuit, 1, include_idle))
     params = NoiseParams(p)
     gx = build_graph(layout, params, T, "X", pool)
     gz = build_graph(layout, params, T, "Z", pool)

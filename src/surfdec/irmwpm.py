@@ -8,13 +8,12 @@ or the iteration cap is reached.  A lattice whose new overlay equals the one
 its current matching was made with is not matched again: matching is
 deterministic, so the call would return the same matching.
 
-Reweighting always starts from the pristine base graph: every edge in the
-dual correction pulls each of its correlated primal edges down to
--ln(conditional probability); if several dual edges touch the same primal
-edge the smallest weight wins.  An edge traversed by an even number of
-matched paths cancels out of the dual correction and discounts nothing.  In
-code-capacity mode the normalized convention applies instead (base weight
-1, correlated edge reweighted to 0).
+Reweighting always starts from the base weights: every edge in the dual
+correction pulls each of its correlated primal edges down to the discounted
+weight the dual graph's ``dual_weights`` table holds for it (the weights
+are stated in ``graph``); if several dual edges touch the same primal edge
+the smallest weight wins.  An edge traversed by an even number of matched
+paths cancels out of the dual correction and discounts nothing.
 
 The integer Pauli weight of the joint estimate is tracked at every half
 iteration.  Under the normalized weights it can never increase, so an
@@ -93,12 +92,11 @@ def correction_weight(e_x: PauliOperator, e_z: PauliOperator) -> int:
 
 
 def reweight(
-    base_graph: DecodingGraph,
     dual_graph: DecodingGraph,
     dual_matching: MatchingResult,
     reweight_boundary: bool = True,
 ) -> dict[int, float]:
-    """Overlay for ``base_graph`` from a matching on its dual lattice.
+    """Overlay for the lattice dual to ``dual_graph``, from a matching on it.
 
     Returns edge index -> new weight for the edges the matching reweights.
 
@@ -107,21 +105,20 @@ def reweight(
     out of the correction, and discounting its correlates would let the
     next matching add a data qubit outside the joint estimate at no cost.
 
-    ``dual_graph.corr_to_dual`` maps each dual edge to its (primal edge,
-    conditional) pairs.  With ``reweight_boundary`` off, dual edges
-    incident to the virtual boundary node do not trigger updates.
+    ``dual_graph.dual_weights`` maps each dual edge to its (primal edge,
+    discounted weight) pairs, built with the graph.  With
+    ``reweight_boundary`` off, dual edges incident to the virtual boundary
+    node do not trigger updates.
     """
-    correlation_map = dual_graph.corr_to_dual
-    if correlation_map is None:
+    discounts = dual_graph.dual_weights
+    if discounts is None:
         raise ValueError("correlation map has not been derived for the dual graph")
     overlay: dict[int, float] = {}
-    code_capacity = base_graph.mode == "code_capacity"
     skip_node = None if reweight_boundary else dual_graph.boundary_node
     for eid, traversals in Counter(dual_matching.all_edge_ids()).items():
         if traversals % 2 == 0 or dual_graph.edges[eid].v == skip_node:
             continue
-        for primal_eid, cond in correlation_map[eid]:
-            w = 0.0 if code_capacity else -math.log(float(cond))
+        for primal_eid, w in discounts[eid]:
             if w < overlay.get(primal_eid, math.inf):
                 overlay[primal_eid] = w
     return overlay
@@ -228,7 +225,7 @@ def decode(
         # Z step from the X matching, then X step from the new Z matching
         for lat, index in ((1, k - 0.5), (0, float(k))):
             graph, dual = graphs[lat], 1 - lat
-            overlay = reweight(graph, graphs[dual], matchings[dual], reweight_boundary)
+            overlay = reweight(graphs[dual], matchings[dual], reweight_boundary)
             if overlay != overlays[lat]:
                 overlays[lat] = overlay
                 matchings[lat] = mwpm(graph, events[lat], overlay, prune_neighbors)

@@ -188,13 +188,15 @@ def _faulty_locations(n: int, p: float, rng: np.random.Generator) -> list[int]:
     independent geometric variables, so the positions are the running sums
     of ``rng.geometric(p)`` draws.  One batch covers the mean count plus
     five standard deviations; a batch that stops short of ``n`` is
-    extended by another.
+    extended by another.  Each gap is clipped at ``n + 1``, which already
+    passes the end, so the sums cannot overflow int64 at tiny p.
     """
     mean = n * p
     size = int(mean + 5 * math.sqrt(mean)) + 2
-    hits = rng.geometric(p, size).cumsum() - 1
+    hits = np.minimum(rng.geometric(p, size), n + 1).cumsum() - 1
     while hits[-1] < n:
-        hits = np.concatenate([hits, hits[-1] + rng.geometric(p, size).cumsum()])
+        gaps = np.minimum(rng.geometric(p, size), n + 1)
+        hits = np.concatenate([hits, hits[-1] + gaps.cumsum()])
     return hits[: hits.searchsorted(n)].tolist()
 
 
@@ -491,7 +493,6 @@ def _column_masks(frame: np.ndarray) -> list[int]:
 
 
 def enumerate_single_faults(
-    layout: CodeLayout,
     circuit: SECircuit,
     T: int,
     include_idle: bool = True,

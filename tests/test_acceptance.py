@@ -417,7 +417,7 @@ def test_criterion_09_linearity_and_monte_carlo_consistency():
 
     # single-fault signature frequencies vs first-order enumeration
     p = 0.002
-    records = enumerate_single_faults(layout, circuit, 3)
+    records = enumerate_single_faults(circuit, 3)
     total = sum(r.coeff for r in records)
     sig_coeff = {}
     for r in records:

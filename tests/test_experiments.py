@@ -136,29 +136,51 @@ def test_vanishing_noise_never_fails():
     assert est.failures == 0
 
 
-def test_single_fault_within_radius_never_fails(layout3, circuit3):
-    # Theorem-2 regime: any single fault is corrected with a perfect final round
-    from surfdec.noise import enumerate_single_faults, simulate
+def test_single_fault_within_radius_never_fails(layout3, circuit3, layout5, circuit5):
+    # Theorem-2 regime: every single fault is corrected with a perfect final
+    # round, by MWPM and by IRMWPM, on graphs weighted at both ends of the
+    # threshold grid.  Windows read the single-fault table; at d=3 its
+    # events and residual are first checked against the frame simulator.
+    from surfdec.noise import enumerate_single_faults, fault_row, simulate
     from surfdec.matcher import events_to_nodes
     from surfdec.irmwpm import decode
     from surfdec.graph import build_decoder_graphs
     from surfdec.experiments import _logical_failure
-    from surfdec.pauli import multiply
+    from surfdec.pauli import PauliOperator, multiply
 
-    gx, gz = build_decoder_graphs(3, 3, 0.001)
-    records = enumerate_single_faults(layout3, circuit3, 3)
-    for rec in records[:: max(1, len(records) // 500)]:
-        hist = simulate(layout3, circuit3, [rec.fault], 3, True)
-        e_x, e_z, _ = decode(
-            gx,
-            gz,
-            events_to_nodes(gx, hist.x_lattice_events),
-            events_to_nodes(gz, hist.z_lattice_events),
-            layout3,
-            raise_on_violation=False,
-        )
-        residual = multiply(multiply(hist.residual, e_x), e_z)
-        assert not _logical_failure(layout3, residual)
+    for L, layout, circuit in ((3, layout3, circuit3), (5, layout5, circuit5)):
+        pairs = [build_decoder_graphs(L, L, p) for p in (0.001, 0.016)]
+        gx, gz = pairs[0]
+        decoded = {}
+        for rec in enumerate_single_faults(circuit, L):
+            rows = [(fault_row(circuit, rec.fault), rec.fault.round)]
+            ev_x, x_mask = gx.window_events(rows)
+            ev_z, z_mask = gz.window_events(rows)
+            residual = PauliOperator(layout.n_data, x_mask, z_mask)
+            if L == 3:
+                hist = simulate(layout, circuit, [rec.fault], L, True)
+                assert ev_x == events_to_nodes(gx, hist.x_lattice_events)
+                assert ev_z == events_to_nodes(gz, hist.z_lattice_events)
+                assert residual == hist.residual
+            for graphs in pairs:
+                for max_iterations in (0, 10):
+                    # decoding is deterministic: faults of one syndrome
+                    # share one decode
+                    key = (graphs[0].p, max_iterations, tuple(ev_x), tuple(ev_z))
+                    if key not in decoded:
+                        decoded[key] = decode(
+                            *graphs,
+                            ev_x,
+                            ev_z,
+                            layout,
+                            max_iterations=max_iterations,
+                            raise_on_violation=False,
+                        )
+                    e_x, e_z, _ = decoded[key]
+                    corrected = multiply(multiply(residual, e_x), e_z)
+                    assert not _logical_failure(layout, corrected), (
+                        rec.fault, graphs[0].p, max_iterations
+                    )
 
 
 def test_mwpm_rate_in_sane_band():

@@ -149,9 +149,9 @@ def test_spatial_same_round_never_temporal(graphs3):
             assert e.letter in ("b", "d")
 
 
-def test_every_fault_signature_is_an_edge(layout3, circuit3, graphs3):
+def test_every_fault_signature_is_an_edge(circuit3, graphs3):
     gx, gz = graphs3
-    records = enumerate_single_faults(layout3, circuit3, 3)
+    records = enumerate_single_faults(circuit3, 3)
     for rec in records:
         for g, sig in ((gx, rec.x_events), (gz, rec.z_events)):
             if not sig:
@@ -189,7 +189,7 @@ def test_weights_are_neg_log_probability(graphs3):
 
 
 def test_rate_validation(layout3, circuit3):
-    pool = pool_round(enumerate_single_faults(layout3, circuit3, 1))
+    pool = pool_round(enumerate_single_faults(circuit3, 1))
     with pytest.raises(DegenerateWeightError):
         build_graph(layout3, NoiseParams(0.0), 2, "X", pool)
     with pytest.raises(InvalidRateError):
@@ -197,9 +197,9 @@ def test_rate_validation(layout3, circuit3):
         build_graph(layout3, NoiseParams(0.4), 2, "X", pool)
 
 
-def test_pooling_takes_one_round(layout3, circuit3):
+def test_pooling_takes_one_round(circuit3):
     with pytest.raises(ValueError):
-        pool_round(enumerate_single_faults(layout3, circuit3, 2))
+        pool_round(enumerate_single_faults(circuit3, 2))
 
 
 def test_geometry_letter_table_is_total():
@@ -357,7 +357,7 @@ def test_one_round_build_equals_full_window_reference(L, include_idle):
     T, p = L, 0.001
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(layout, circuit, T, include_idle)
+    records = enumerate_single_faults(circuit, T, include_idle)
     ref_x = _reference_graph(layout, records, "X", T, p)
     ref_z = _reference_graph(layout, records, "Z", T, p)
     _reference_correlations(ref_x, ref_z, records)
@@ -496,7 +496,7 @@ def test_window_events_reject_faults_outside_the_table():
 
 def test_single_fault_table_only_on_circuit_graphs(graphs3, cc_pair3):
     layout = build_layout(3)
-    n_records = len(enumerate_single_faults(layout, build_se_circuit(layout), 1))
+    n_records = len(enumerate_single_faults(build_se_circuit(layout), 1))
     for g in graphs3:
         assert len(g.fault_nodes) == len(g.fault_residuals) == n_records
         assert "fault_nodes" not in graph_to_dict(g)

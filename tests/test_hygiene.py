@@ -161,3 +161,60 @@ def test_every_module_level_definition_is_read():
     sources = [path.read_text() for path in paths]
     defining = [path.read_text() for path in MODULES]
     assert _unread_definitions(defining, sources) == []
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Function parameters that the function's body never reads.
+
+    ``self``, ``cls`` and ``_``-prefixed names are skipped; a read inside a
+    nested function counts, a default value or an annotation does not.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{node.name}({arg.arg}) (line {node.lineno})"
+            for arg in params
+            if arg is not None
+            and arg.arg not in read
+            and arg.arg not in ("self", "cls")
+            and not arg.arg.startswith("_")
+        ]
+    return unread
+
+
+def test_unread_parameter_check_sees_unread_parameters():
+    src = (
+        "def f(a, b, *args, c=1, _d=2, **kw):\n"
+        "    def inner():\n"
+        "        return a\n"
+        "    return inner() + kw['x']\n"
+        "class C:\n"
+        "    def m(self, e: int = 3):\n"
+        "        e = 4\n"
+        "    @classmethod\n"
+        "    def k(cls, g=None):\n"
+        "        return g\n"
+    )
+    assert _unread_parameters(src) == [
+        "f(b) (line 1)",
+        "f(args) (line 1)",
+        "f(c) (line 1)",
+        "m(e) (line 6)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter the body never reads is an argument every caller passes
+    # for nothing
+    assert _unread_parameters(path.read_text()) == []

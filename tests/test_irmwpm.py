@@ -39,7 +39,7 @@ def test_correction_weight_trivial():
 
 def test_reweight_empty_matching(graphs3):
     gx, gz = graphs3
-    overlay = reweight(gz, gx, mwpm(gx, []))
+    overlay = reweight(gx, mwpm(gx, []))
     assert len(overlay) == 0
 
 
@@ -52,7 +52,7 @@ def test_reweight_temporal_edge_value(graphs5, layout5):
     a_edge = next(e for e in interior_edges(gx) if e.letter == "a")
     m = mwpm(gx, [a_edge.u, a_edge.v])
     assert m.path_edges[(a_edge.u, a_edge.v)] == (a_edge.index,)
-    overlay = reweight(gz, gx, m)
+    overlay = reweight(gx, m)
     expected = -math.log(3 / 31)
     d_targets = [
         deid
@@ -70,18 +70,28 @@ def test_reweight_code_capacity_zeroes(cc_pair3, layout3):
     err = PauliOperator.single(13, layout3.data_index[(2, 2)], "X")
     ev_x, _ = _cc_events(cc_pair3, layout3, err)
     m = mwpm(gx, ev_x)
-    overlay = reweight(gz, gx, m)
+    overlay = reweight(gx, m)
     assert overlay
     assert all(w == 0.0 for w in overlay.values())
 
 
-def test_reweight_never_negative(graphs5):
-    gx, gz = graphs5
-    for table, dual in ((gx.corr_to_dual, gz), (gz.corr_to_dual, gx)):
-        for row in table:
-            for _deid, cond in row:
+def test_reweight_never_negative(graphs5, cc_pair5):
+    # the discount table lists corr_to_dual's dual edges in the same order,
+    # each weighing exactly -ln(conditional) on circuit lattices, 0 on
+    # code-capacity ones
+    for g in (*graphs5, *cc_pair5):
+        assert len(g.dual_weights) == len(g.corr_to_dual)
+        for row, discounts in zip(g.corr_to_dual, g.dual_weights):
+            assert [deid for deid, _ in discounts] == [deid for deid, _ in row]
+    for g in graphs5:
+        for row, discounts in zip(g.corr_to_dual, g.dual_weights):
+            for (_deid, cond), (_, w) in zip(row, discounts):
                 assert 0 < cond < 1
-                assert -math.log(float(cond)) > 0
+                assert w == -math.log(float(cond))
+                assert w > 0
+    for g in cc_pair5:
+        ws = [w for row in g.dual_weights for _, w in row]
+        assert ws and all(w == 0.0 for w in ws)
 
 
 def test_decode_no_events(graphs3, layout3):
@@ -232,8 +242,8 @@ def test_reweight_skips_edges_that_cancel(cc_pair5):
     gx, gz = cc_pair5
     once = MatchingResult(path_edges={(5, 9): (13,)})
     twice = MatchingResult(path_edges={(5, 9): (13,), (9, 5): (13,)})
-    assert reweight(gz, gx, once) == {16: 0.0}
-    assert len(reweight(gz, gx, twice)) == 0
+    assert reweight(gx, once) == {16: 0.0}
+    assert len(reweight(gx, twice)) == 0
 
 
 def test_shared_dual_edge_keeps_code_capacity_monotone(cc_pair5, layout5):

@@ -598,8 +598,8 @@ def test_reweighted_paths_match_undirected_rebuild(layout5, circuit5):
         ev_z = events_to_nodes(gz, hist.z_lattice_events)
         if not ev_x or not ev_z:
             continue
-        overlay_z = reweight(gz, gx, mwpm(gx, ev_x))
-        overlay_x = reweight(gx, gz, mwpm(gz, ev_z))
+        overlay_z = reweight(gx, mwpm(gx, ev_x))
+        overlay_x = reweight(gz, mwpm(gz, ev_z))
         if not overlay_z or not overlay_x:
             continue
         _assert_oracle(gz, sorted(ev_z), overlay_z)

@@ -214,6 +214,15 @@ def test_faulty_locations_extend_a_short_batch():
     assert _faulty_locations(50, 0.01, _UnitGaps()) == list(range(50))
 
 
+@pytest.mark.parametrize("p", [1e-19, 1e-20])
+def test_tiny_rates_sample_faults_inside_the_window(circuit3, p):
+    # geometric gaps near 2**63 must not wrap their running sum in int64
+    # into positions outside the window's T rounds
+    for seed in range(200):
+        faults = sample_faults(circuit3, NoiseParams(p), 3, np.random.default_rng(seed))
+        assert all(1 <= f.round <= 3 for f in faults)
+
+
 def test_no_faults_no_events(layout3, circuit3):
     hist = simulate(layout3, circuit3, [], 4, True)
     assert hist.x_lattice_events == ()
@@ -325,15 +334,15 @@ def test_linearity_over_fault_pairs(layout3, circuit3):
         assert h12.residual == multiply(h1.residual, h2.residual)
 
 
-def test_enumeration_at_most_two_events_per_lattice(layout3, circuit3):
-    records = enumerate_single_faults(layout3, circuit3, 3)
+def test_enumeration_at_most_two_events_per_lattice(circuit3):
+    records = enumerate_single_faults(circuit3, 3)
     for rec in records:
         assert len(rec.x_events) <= 2
         assert len(rec.z_events) <= 2
 
 
-def test_enumeration_coefficients(layout3, circuit3):
-    records = enumerate_single_faults(layout3, circuit3, 3)
+def test_enumeration_coefficients(circuit3):
+    records = enumerate_single_faults(circuit3, 3)
     for rec in records:
         expected = {
             "idle": Fraction(1, 3),
@@ -346,7 +355,7 @@ def test_enumeration_coefficients(layout3, circuit3):
 
 def test_enumeration_counts(layout3, circuit3):
     T = 3
-    records = enumerate_single_faults(layout3, circuit3, T)
+    records = enumerate_single_faults(circuit3, T)
     per_round = (
         circuit3.n_cnots_per_round * 15
         + circuit3.n_x
@@ -354,13 +363,13 @@ def test_enumeration_counts(layout3, circuit3):
         + layout3.n_data * 3
     )
     assert len(records) == per_round * T
-    no_idle = enumerate_single_faults(layout3, circuit3, T, include_idle=False)
+    no_idle = enumerate_single_faults(circuit3, T, include_idle=False)
     assert len(no_idle) == (per_round - layout3.n_data * 3) * T
 
 
-def test_temporal_edge_has_five_fault_locations(layout3, circuit3):
+def test_temporal_edge_has_five_fault_locations(circuit3):
     # an interior temporal pair is produced by 4 CNOT locations + 1 flip
-    records = enumerate_single_faults(layout3, circuit3, 3)
+    records = enumerate_single_faults(circuit3, 3)
     target = ((3, 2), (3, 3))
     locations = {
         (r.fault.round, r.fault.kind, r.fault.index)
@@ -388,7 +397,7 @@ def test_monte_carlo_single_fault_signatures(layout3, circuit3):
     # among trials with exactly one fault, signature frequencies equal the
     # enumeration's relative rates (exact conditional law, 3-sigma band)
     T, p = 3, 0.002
-    records = enumerate_single_faults(layout3, circuit3, T)
+    records = enumerate_single_faults(circuit3, T)
     total = sum(r.coeff for r in records if r.fault.kind != "cnot") + Fraction(
         sum(1 for r in records if r.fault.kind == "cnot"), 15
     )
@@ -424,7 +433,7 @@ def test_monte_carlo_single_fault_signatures(layout3, circuit3):
 def _simulated_records(layout, circuit, T, include_idle):
     """The enumeration's faults, each propagated on its own by ``simulate``."""
     out = []
-    for rec in enumerate_single_faults(layout, circuit, T, include_idle):
+    for rec in enumerate_single_faults(circuit, T, include_idle):
         hist = simulate(layout, circuit, [rec.fault], T, True)
         out.append(
             FaultRecord(
@@ -447,7 +456,7 @@ def test_enumeration_equals_per_fault_simulation(L, T, include_idle):
     # one simulate call per fault
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(layout, circuit, T, include_idle)
+    records = enumerate_single_faults(circuit, T, include_idle)
     assert records == _simulated_records(layout, circuit, T, include_idle)
 
 
@@ -455,7 +464,7 @@ def test_enumeration_equals_per_fault_simulation(L, T, include_idle):
 def _enumeration(L, T, include_idle):
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    return layout, circuit, enumerate_single_faults(layout, circuit, T, include_idle)
+    return layout, circuit, enumerate_single_faults(circuit, T, include_idle)
 
 
 @settings(max_examples=120, deadline=None)
