@@ -169,8 +169,6 @@ class SECircuit:
     # (layer, control, target) per CNOT over the whole round, in layer order;
     # a CNOT fault's index points into this list
     cnot_flat: tuple[tuple[int, int, int], ...]
-    x_support: np.ndarray  # (n_x, n_data) uint8 membership matrix
-    z_support: np.ndarray
 
     time_steps_per_round: int = 5  # N, W, E, S, measure-and-reset
 
@@ -216,13 +214,6 @@ def build_se_circuit(layout: CodeLayout) -> SECircuit:
         layers.append((np.array(controls, dtype=np.intp), np.array(targets, dtype=np.intp)))
         meta.append(tuple(step_meta))
 
-    x_support = np.zeros((n_x, n_data), dtype=np.uint8)
-    for i, sup in enumerate(layout.x_stabilizers):
-        x_support[i, list(sup)] = 1
-    z_support = np.zeros((n_z, n_data), dtype=np.uint8)
-    for i, sup in enumerate(layout.z_stabilizers):
-        z_support[i, list(sup)] = 1
-
     cnot_flat = tuple(
         (k, int(c), int(t))
         for k, (cs, ts) in enumerate(layers)
@@ -237,8 +228,6 @@ def build_se_circuit(layout: CodeLayout) -> SECircuit:
         cnot_layers=tuple(layers),
         cnot_meta=tuple(meta),
         cnot_flat=cnot_flat,
-        x_support=x_support,
-        z_support=z_support,
     )
 
 

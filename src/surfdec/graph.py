@@ -226,8 +226,9 @@ class DecodingGraph:
         data = self._work.data
         data[:] = self._csr.data
         if overlay:
-            for eid, w in overlay.items():
-                data[self._edge_data_pos[eid]] = w
+            ids = np.fromiter(overlay, np.intp, len(overlay))
+            ws = np.fromiter(overlay.values(), float, len(overlay))
+            data[self._edge_data_pos[ids]] = ws[:, None]
         return self._work
 
     def base_paths(self, sources) -> tuple[np.ndarray, np.ndarray]:

@@ -18,12 +18,18 @@ of faults, not of locations (how Stim samples rare errors; Gidney,
 arXiv:2103.02202).  At p = 0.001 a d=7 window has ~3 faults among
 ~3,400 locations.
 
-Simulation tracks X and Z frames (bit vectors over all qubits) through the
-Clifford schedule: a CNOT copies X from control to target and Z from target
-to control.  Z-basis ancilla outcomes read the X frame, X-basis outcomes
-read the Z frame; ancillas are reset after each measurement.  Frames are
-exact for Pauli faults on Clifford circuits, and the map from fault sets to
-detection events is linear over GF(2).
+Simulation tracks X and Z frames through the Clifford schedule: a CNOT
+copies X from control to target and Z from target to control.  Z-basis
+ancilla outcomes read the X frame, X-basis outcomes read the Z frame;
+ancillas are reset after each measurement.  Frames are exact for Pauli
+faults on Clifford circuits, and the map from fault sets to detection
+events is linear over GF(2).  ``simulate`` packs each frame into two
+Python integers, one over the data qubits and one over the ancillas (bit
+packing as in Stim's frame simulator; Gidney, arXiv:2103.02202).  On the
+(2L-1)^2 grid data qubits hold the even positions and ancillas the odd
+ones, and every CNOT layer joins each ancilla with the data qubit one fixed
+offset away, so a whole layer is a few masks, shifts and XORs
+(``_FramePlan``), and the residual's masks are the data integers.
 
 That linearity is what the decoding windows use: ``enumerate_single_faults``
 gives every fault of one round with its events and residual, and a memory
@@ -44,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .code import CodeLayout, SECircuit
+from .code import CodeLayout, SECircuit, build_layout, build_se_circuit
 from .pauli import PauliOperator
 
 # Two-qubit payload tables: payload index i in 0..14 encodes the pair
@@ -242,32 +248,103 @@ def sample_faults(
     return faults
 
 
-def _group_faults(circuit: SECircuit, faults, T: int):
-    """Index faults by (round, phase) for the simulation loop."""
-    flat = circuit.cnot_flat
-    grouped: dict[tuple[int, str], list] = {}
-    for f in faults:
-        if not 1 <= f.round <= T:
-            raise InvalidFaultError(f"fault round {f.round} outside 1..{T}")
-        fault_row(circuit, f)  # raises on a bad kind, index or payload
-        if f.kind == "cnot":
-            layer, c, t = flat[f.index]
-            grouped.setdefault((f.round, f"cnot{layer}"), []).append(
-                (c, t, f.payload)
-            )
-        elif f.kind == "idle":
-            grouped.setdefault((f.round, "idle"), []).append((f.index, f.payload))
-        else:
-            grouped.setdefault((f.round, f.kind), []).append(f.index)
-    return grouped
+class _FramePlan(NamedTuple):
+    """The schedule of one distance as shifts and masks on packed frames.
+
+    A frame is a data integer (bit q: data qubit q) and an ancilla integer
+    (bit ``(p >> 1) + L`` for an ancilla at grid position
+    ``p = r * (2L - 1) + c``).  Data qubits hold the even positions, in
+    index order, and ancillas the odd ones, and each CNOT layer joins every
+    ancilla with the data qubit one fixed grid offset away, so a layer's
+    pairs are ``data bit = ancilla bit - shift`` with one shift per layer
+    (the ``+ L`` makes every shift nonnegative).
+    """
+
+    #: per CNOT layer: (shift, X-ancilla controls, Z-ancilla targets), the
+    #: ancillas as masks on the ancilla integer
+    layers: tuple[tuple[int, int, int], ...]
+    x_anc: int  # ancilla-integer masks of all X- and all Z-ancillas
+    z_anc: int
+    x_cols: np.ndarray  # ancilla bit of each X- and Z-stabilizer, by index
+    z_cols: np.ndarray
+    #: per ancilla bit, (0, index) for a Z-stabilizer (an X-lattice node)
+    #: and (1, index) for an X-stabilizer
+    nodes: tuple[tuple[int, int] | None, ...]
+    n_bytes: int  # bytes of one round's outcomes
+    #: per fault row (``fault_row``): the step after which the fault acts
+    #: (0-3 after that CNOT layer, 4 after the reset) and its XOR masks on
+    #: the data X, ancilla X, data Z and ancilla Z integers; a measurement
+    #: flip is the opposite Pauli on its ancilla just before it is measured
+    effects: tuple[tuple[int, int, int, int, int], ...]
 
 
-def _events_from_outcomes(outcomes: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Detection events: outcome differs from the previous round (round 0 = 0)."""
-    diffs = outcomes.copy()
-    diffs[1:] ^= outcomes[:-1]
-    ts, ss = np.nonzero(diffs)
-    return tuple((int(s), int(t) + 1) for t, s in zip(ts, ss))
+@functools.cache
+def _frame_plan(L: int) -> _FramePlan:
+    """The packed-frame plan of distance L, read off ``cnot_layers`` and the
+    layout's coordinates; built once per distance and shared."""
+    layout = build_layout(L)
+    circuit = build_se_circuit(layout)
+    n_data, span = layout.n_data, 2 * L - 1
+    # by global qubit index; the shifts come out as 2L-1, L, L-1 and 0
+    bit = list(range(n_data)) + [
+        ((r * span + c) >> 1) + L for r, c in layout.x_anc_coords + layout.z_anc_coords
+    ]
+
+    layers = []
+    for cs, ts in circuit.cnot_layers:
+        shifts, x_ctl, z_tgt = set(), 0, 0
+        for c, t in zip(cs.tolist(), ts.tolist()):
+            if c < n_data:  # data control, Z-ancilla target
+                shifts.add(bit[t] - bit[c])
+                z_tgt |= 1 << bit[t]
+            else:  # X-ancilla control, data target
+                shifts.add(bit[c] - bit[t])
+                x_ctl |= 1 << bit[c]
+        (shift,) = shifts  # one grid offset per layer
+        layers.append((shift, x_ctl, z_tgt))
+
+    x_cols = np.array(bit[n_data : n_data + circuit.n_x])
+    z_cols = np.array(bit[n_data + circuit.n_x :])
+    x_cols.flags.writeable = z_cols.flags.writeable = False  # shared by every caller
+    nodes = [None] * (max(bit) + 1)
+    for lattice, cols in enumerate((z_cols, x_cols)):
+        for index, b in enumerate(cols.tolist()):
+            nodes[b] = (lattice, index)
+
+    single = [1 << b for b in bit]  # one int per qubit, shared by its rows
+
+    def on(q, pauli):
+        """XOR masks (xd, xa, zd, za) of Pauli 0-3 (I, X, Y, Z) on qubit q."""
+        m = single[q]
+        x, z = m if pauli in (1, 2) else 0, m if pauli in (2, 3) else 0
+        return (x, 0, z, 0) if q < n_data else (0, x, 0, z)
+
+    effects = []
+    for kind in _kind_table(_shape(circuit)).values():
+        for index in range(kind.count):
+            for pay in range(kind.payloads):
+                if kind.name == "cnot":
+                    layer, c, t = circuit.cnot_flat[index]
+                    pc, pt = _PAIR[pay]
+                    # one of the two is a data qubit and the other an ancilla
+                    masks = [a or b for a, b in zip(on(c, pc), on(t, pt))]
+                    effects.append((layer, *masks))
+                elif kind.name == "idle":
+                    effects.append((4, *on(index, pay + 1)))
+                elif kind.name == "meas_x":  # Z on the X-ancilla
+                    effects.append((3, *on(n_data + index, 3)))
+                else:  # X on the Z-ancilla
+                    effects.append((3, *on(n_data + circuit.n_x + index, 1)))
+    return _FramePlan(
+        tuple(layers),
+        sum(1 << b for b in x_cols.tolist()),
+        sum(1 << b for b in z_cols.tolist()),
+        x_cols,
+        z_cols,
+        tuple(nodes),
+        (max(bit) + 8) // 8,
+        tuple(effects),
+    )
 
 
 def simulate(
@@ -283,65 +360,71 @@ def simulate(
     An optional ``initial_error`` is applied to the data qubits before the
     first round.  When ``final_round_perfect`` is set, one fault-free
     syndrome readout of the residual error is appended (row T+1).
+
+    Frames are packed integers (see ``_FramePlan``): a CNOT layer is four
+    mask-shift-XORs, each fault is XORed in at its round and step, and the
+    data integers left at the end are the residual's masks.
     """
-    n_data = layout.n_data
-    x = np.zeros(circuit.n_qubits, dtype=bool)
-    z = np.zeros(circuit.n_qubits, dtype=bool)
+    plan = _frame_plan(layout.L)
+    xd = zd = 0
     if initial_error is not None:
-        if initial_error.n != n_data:
+        if initial_error.n != layout.n_data:
             raise ValueError("initial error size does not match data-qubit count")
-        for q in range(n_data):
-            x[q] = bool((initial_error.x_mask >> q) & 1)
-            z[q] = bool((initial_error.z_mask >> q) & 1)
+        xd, zd = initial_error.x_mask, initial_error.z_mask
 
-    grouped = _group_faults(circuit, faults, T)
-    anc = np.concatenate([circuit.x_anc_global, circuit.z_anc_global])
-    out_x = np.zeros((T, circuit.n_x), dtype=np.uint8)
-    out_z = np.zeros((T, circuit.n_z), dtype=np.uint8)
+    rounds = T + final_round_perfect
+    inject: list = [None] * (5 * rounds)  # masks at 5 * (round - 1) + step
+    for f in faults:
+        if not 1 <= f.round <= T:
+            raise InvalidFaultError(f"fault round {f.round} outside 1..{T}")
+        step, *masks = plan.effects[fault_row(circuit, f)]
+        slot = 5 * (f.round - 1) + step
+        acc = inject[slot]
+        inject[slot] = masks if acc is None else [a ^ m for a, m in zip(acc, masks)]
 
-    for t in range(1, T + 1):
-        for k, (cs, ts) in enumerate(circuit.cnot_layers):
-            x[ts] ^= x[cs]
-            z[cs] ^= z[ts]
-            for c, tq, pay in grouped.get((t, f"cnot{k}"), ()):
-                x[c] ^= bool(PAYLOAD_XC[pay])
-                z[c] ^= bool(PAYLOAD_ZC[pay])
-                x[tq] ^= bool(PAYLOAD_XT[pay])
-                z[tq] ^= bool(PAYLOAD_ZT[pay])
-        ox = z[circuit.x_anc_global].astype(np.uint8)
-        oz = x[circuit.z_anc_global].astype(np.uint8)
-        for i in grouped.get((t, "meas_x"), ()):
-            ox[i] ^= 1
-        for i in grouped.get((t, "meas_z"), ()):
-            oz[i] ^= 1
-        out_x[t - 1] = ox
-        out_z[t - 1] = oz
-        x[anc] = False
-        z[anc] = False
-        for q, pay in grouped.get((t, "idle"), ()):
-            x[q] ^= bool(PAYLOAD_X1[pay])
-            z[q] ^= bool(PAYLOAD_Z1[pay])
+    outcomes = []
+    layers, x_anc, z_anc = plan.layers, plan.x_anc, plan.z_anc
+    for t in range(0, 5 * rounds, 5):
+        xa = za = 0  # ancillas start each round reset
+        for slot, (s, x_ctl, z_tgt) in enumerate(layers, t):
+            xd ^= (xa & x_ctl) >> s
+            za ^= (zd << s) & x_ctl
+            xa ^= (xd << s) & z_tgt
+            zd ^= (za & z_tgt) >> s
+            acc = inject[slot]
+            if acc:
+                xd ^= acc[0]
+                xa ^= acc[1]
+                zd ^= acc[2]
+                za ^= acc[3]
+        outcomes.append((za & x_anc) | (xa & z_anc))
+        acc = inject[t + 4]
+        if acc:
+            xd ^= acc[0]
+            zd ^= acc[2]
 
-    if final_round_perfect:
-        perfect_x = (circuit.x_support @ z[:n_data].astype(np.uint8)) & 1
-        perfect_z = (circuit.z_support @ x[:n_data].astype(np.uint8)) & 1
-        out_x = np.vstack([out_x, perfect_x[None, :]])
-        out_z = np.vstack([out_z, perfect_z[None, :]])
+    # detection events: an outcome that differs from the previous round's
+    # (round 0 reads 0), rounds ascending, then stabilizers ascending
+    events: tuple[list, list] = ([], [])
+    previous, nodes = 0, plan.nodes
+    for t, o in enumerate(outcomes, 1):
+        flips, previous = o ^ previous, o
+        while flips:
+            low = flips & -flips
+            lattice, index = nodes[low.bit_length() - 1]
+            events[lattice].append((index, t))
+            flips ^= low
 
-    x_mask = int.from_bytes(
-        np.packbits(x[:n_data], bitorder="little").tobytes(), "little"
-    )
-    z_mask = int.from_bytes(
-        np.packbits(z[:n_data], bitorder="little").tobytes(), "little"
-    )
-
+    n = plan.n_bytes
+    packed = np.frombuffer(b"".join(o.to_bytes(n, "little") for o in outcomes), np.uint8)
+    bits = np.unpackbits(packed, bitorder="little").reshape(len(outcomes), 8 * n)
     return SyndromeHistory(
         T=T,
-        x_anc_outcomes=out_x,
-        z_anc_outcomes=out_z,
-        x_lattice_events=_events_from_outcomes(out_z),
-        z_lattice_events=_events_from_outcomes(out_x),
-        residual=PauliOperator(n_data, x_mask, z_mask),
+        x_anc_outcomes=bits[:, plan.x_cols],
+        z_anc_outcomes=bits[:, plan.z_cols],
+        x_lattice_events=tuple(events[0]),
+        z_lattice_events=tuple(events[1]),
+        residual=PauliOperator(layout.n_data, xd, zd),
     )
 
 

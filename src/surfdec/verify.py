@@ -240,7 +240,8 @@ def check_matcher_oracle(
         if abs(m1.total_weight - m2.total_weight) > 1e-9:
             mism += 1
     report.add(
-        f"matching optimality vs brute force ({instances} instances)",
+        f"matching optimality vs brute force ({instances} instances "
+        f"at L={L}, T={T}, p={p})",
         mism == 0,
         f"{mism} mismatches",
     )

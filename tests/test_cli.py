@@ -277,7 +277,10 @@ def test_verify_rejects_a_window_without_an_interior(capsys, window):
 def test_verify_passes_at_its_smallest_window(capsys):
     rc = main(["verify", "--distance", "4", "--rounds", "3", "--instances", "10"])
     assert rc == 0
-    assert "32/32 conditionals matched" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "32/32 conditionals matched" in out
+    # the matcher oracle keeps its own window, and its line says which
+    assert "brute force (10 instances at L=3, T=3, p=0.02)" in out
 
 
 def test_lifetime_check_period_a_multiple_of_rounds_runs(tmp_path):

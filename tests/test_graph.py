@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfdec.code import build_layout, build_se_circuit
+from surfdec.code import build_layout, build_se_circuit, ideal_syndrome
 from surfdec.graph import (
     DecodingGraph,
     DegenerateWeightError,
@@ -479,6 +479,66 @@ def test_window_events_equal_simulation(L, rounds, include_idle, p, seed, last_r
     assert gz.window_events(rows) == (
         events_to_nodes(gz, hist.z_lattice_events), hist.residual.z_mask
     )
+
+
+@pytest.mark.parametrize("include_idle", [True, False])
+@pytest.mark.parametrize("L", [3, 5, 9])
+def test_window_from_an_initial_error_is_the_table_window_plus_the_error(L, include_idle):
+    # frames are linear: simulating a window from a data error gives the
+    # table's events with the error's ideal syndrome added to round 1, and
+    # the table's residual times the error.  The frames span grids of 25,
+    # 81 and 289 bits, so the larger two need several machine words
+    T = 3
+    layout, circuit, gx, gz = _table_graphs(L, T, include_idle)
+    n, n_x = layout.n_data, len(layout.x_stabilizers)
+    x_stabs, z_stabs = layout.stabilizer_masks
+    rng = np.random.default_rng([L, include_idle])
+    with_syndrome = 0
+    for trial in range(30):
+        if trial % 2:  # no syndrome: stabilizers, and the logicals at times
+            x = layout.logical_x.x_mask if trial % 3 else 0
+            z = layout.logical_z.z_mask if trial % 5 else 0
+            for m in x_stabs:
+                x ^= m if rng.random() < 0.5 else 0
+            for m in z_stabs:
+                z ^= m if rng.random() < 0.5 else 0
+        else:
+            x, z = (int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) for _ in "xz")
+        error = PauliOperator(n, x, z)
+        syndrome = ideal_syndrome(layout, error)
+        if trial % 2:
+            assert not any(syndrome)
+        else:
+            with_syndrome += any(syndrome)
+        faults = sample_faults(circuit, NoiseParams(0.02), T, rng, include_idle)
+        hist = simulate(layout, circuit, faults, T, True, initial_error=error)
+        rows = [(fault_row(circuit, f), f.round) for f in faults]
+        for graph, events, mask, bits, error_mask in (
+            (gx, hist.x_lattice_events, hist.residual.x_mask, syndrome[n_x:], x),
+            (gz, hist.z_lattice_events, hist.residual.z_mask, syndrome[:n_x], z),
+        ):
+            nodes, table_mask = graph.window_events(rows)
+            round_one = {graph.node_id(s, 1) for s, bit in enumerate(bits) if bit}
+            assert events_to_nodes(graph, events) == sorted(set(nodes) ^ round_one)
+            assert mask == table_mask ^ error_mask
+    assert with_syndrome == 15
+
+
+def test_work_adjacency_is_the_base_with_the_overlay_written_in(graphs5):
+    rng = np.random.default_rng(3)
+    for graph in graphs5:
+        ids = rng.choice(len(graph.edges), 40, replace=False).tolist()
+        overlay = {eid: float(rng.random()) for eid in ids}
+        expected = graph.csr_with_weights().copy()
+        assert expected.data.tobytes() == graph._csr.data.tobytes()
+        for eid, w in overlay.items():
+            e = graph.edges[eid]
+            expected[e.u, e.v] = expected[e.v, e.u] = w
+        work = graph.csr_with_weights(overlay)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(work, name).tobytes() == getattr(expected, name).tobytes()
+        # the next call starts again from the base weights
+        assert graph.csr_with_weights({}).data.tobytes() == graph._csr.data.tobytes()
 
 
 def test_window_events_reject_faults_outside_the_table():

@@ -17,6 +17,7 @@ from surfdec.noise import (
     InvalidNoiseError,
     NoiseParams,
     _faulty_locations,
+    _frame_plan,
     _round_faults,
     enumerate_single_faults,
     fault_row,
@@ -263,6 +264,25 @@ def test_idle_y_fault_pairs_match_ideal_syndrome(layout3, circuit3):
     assert hist.z_lattice_events == expect_z_lattice
     assert hist.x_lattice_events == expect_x_lattice
     assert hist.residual == PauliOperator.single(13, q, "Y")
+
+
+@pytest.mark.parametrize("L", range(3, 10))
+def test_frame_plan_reproduces_every_cnot(L):
+    # each layer's one shift and two ancilla masks give back exactly the
+    # layer's (control, target) pairs, as global qubit indices
+    layout = build_layout(L)
+    circuit = build_se_circuit(layout)
+    plan = _frame_plan(L)
+    n_data = layout.n_data
+    qubit = {b: n_data + i for i, b in enumerate(plan.x_cols.tolist())}
+    qubit.update({b: n_data + circuit.n_x + i for i, b in enumerate(plan.z_cols.tolist())})
+    assert len(qubit) == circuit.n_x + circuit.n_z
+    assert len(plan.layers) == len(circuit.cnot_layers)
+    for (shift, x_ctl, z_tgt), (cs, ts) in zip(plan.layers, circuit.cnot_layers):
+        pairs = [(qubit[b], b - shift) for b in qubit if x_ctl >> b & 1]
+        pairs += [(b - shift, qubit[b]) for b in qubit if z_tgt >> b & 1]
+        assert sorted(pairs) == sorted(zip(cs.tolist(), ts.tolist()))
+        assert (x_ctl | z_tgt) & ~sum(1 << b for b in qubit) == 0
 
 
 def test_invalid_fault_location(layout3, circuit3):
