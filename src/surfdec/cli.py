@@ -354,13 +354,7 @@ def _cmd_dump_layout(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verification(
-        L=args.distance,
-        T=args.rounds,
-        p=args.p,
-        matcher_instances=args.instances,
-        syndrome_instances=args.instances,
-    )
+    report = run_verification(args.distance, args.rounds, args.p, args.instances)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1

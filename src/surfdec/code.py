@@ -231,9 +231,9 @@ def build_se_circuit(layout: CodeLayout) -> SECircuit:
     )
 
 
-def layout_to_dict(layout: CodeLayout, circuit: SECircuit | None = None) -> dict:
-    """JSON-ready description of the layout (and schedule, if given)."""
-    out = {
+def layout_to_dict(layout: CodeLayout, circuit: SECircuit) -> dict:
+    """JSON-ready description of the layout and its schedule."""
+    return {
         "distance": layout.L,
         "data_qubits": [list(rc) for rc in layout.data_coords],
         "x_measure_qubits": [list(rc) for rc in layout.x_anc_coords],
@@ -242,9 +242,7 @@ def layout_to_dict(layout: CodeLayout, circuit: SECircuit | None = None) -> dict
         "z_stabilizers": [list(s) for s in layout.z_stabilizers],
         "logical_x": layout.logical_x.to_string(),
         "logical_z": layout.logical_z.to_string(),
-    }
-    if circuit is not None:
-        out["schedule"] = {
+        "schedule": {
             "time_steps_per_round": circuit.time_steps_per_round,
             "cnot_steps": [
                 {
@@ -256,5 +254,5 @@ def layout_to_dict(layout: CodeLayout, circuit: SECircuit | None = None) -> dict
                 }
                 for k in range(4)
             ],
-        }
-    return out
+        },
+    }

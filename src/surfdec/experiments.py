@@ -123,10 +123,15 @@ class RateEstimate:
         }
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+#: the normal quantile of a two-sided 95% interval
+WILSON_Z = 1.959964
+
+
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%) for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
+    z = WILSON_Z
     phat = failures / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -352,7 +357,7 @@ def _fit_rate_curve(ps, rates):
     return np.polyfit(lp, lr, 2)
 
 
-def _pair_crossing(ps, r1, r2, lo=None, hi=None):
+def _pair_crossing(ps, r1, r2):
     """Crossing of two fitted rate curves within the scanned p range."""
     valid = (np.asarray(r1) > 0) & (np.asarray(r2) > 0)
     if valid.sum() < 3:
@@ -362,8 +367,7 @@ def _pair_crossing(ps, r1, r2, lo=None, hi=None):
     c2 = _fit_rate_curve(ps, np.asarray(r2)[valid])
     diff = np.polysub(c1, c2)
     roots = np.roots(diff)
-    lo = math.log10(lo if lo is not None else ps.min())
-    hi = math.log10(hi if hi is not None else ps.max())
+    lo, hi = math.log10(ps.min()), math.log10(ps.max())
     real = [
         10 ** r.real
         for r in roots

@@ -657,7 +657,7 @@ def derive_correlations(
     graph_primal: DecodingGraph,
     graph_dual: DecodingGraph,
     pool: RoundPool,
-) -> list[tuple[tuple[int, Fraction], ...]]:
+) -> None:
     """Conditional probabilities of dual-lattice edges given primal edges.
 
     ``pool`` is the ``pool_round`` classes both graphs were built from.
@@ -665,9 +665,9 @@ def derive_correlations(
     window, on the edges each graph recorded for its placements.  For each
     primal edge e and dual edge f sharing a contributing fault, P(f | e) =
     (sum of joint fault rates) / (sum of e's fault rates), summed in
-    integer units of p/15 and formed as an exact rational.  The result is
-    stored on ``graph_primal.corr_to_dual`` and returned; the same rows with
-    each conditional as its discounted weight, on ``dual_weights``.
+    integer units of p/15 and formed as an exact rational.  The rows are
+    stored on ``graph_primal.corr_to_dual``, and the same rows with each
+    conditional as its discounted weight on ``dual_weights``.
     """
     pk, dk = graph_primal.kind, graph_dual.kind
     if {pk, dk} != {"X", "Z"}:
@@ -706,10 +706,8 @@ def derive_correlations(
         entries = list(zip(duals, np.array(values, dtype=object)[which].tolist()))
         return [tuple(entries[a:b]) for a, b in zip([0] + ends, ends)]
 
-    result = rows(conds)
-    graph_primal.corr_to_dual = result
+    graph_primal.corr_to_dual = rows(conds)
     graph_primal.dual_weights = rows(discounts)
-    return result
 
 
 def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:

@@ -51,7 +51,6 @@ class IterationStep:
     ex_mask: int
     ez_mask: int
     pauli_weight: int
-    matching_weight: float  # sum of base-graph weights of both matchings
 
 
 @dataclass
@@ -76,7 +75,6 @@ class IterationTrace:
                     "x_mask": s.ex_mask,
                     "z_mask": s.ez_mask,
                     "pauli_weight": s.pauli_weight,
-                    "matching_weight": s.matching_weight,
                 }
                 for s in self.steps
             ],
@@ -122,10 +120,6 @@ def reweight(
             if w < overlay.get(primal_eid, math.inf):
                 overlay[primal_eid] = w
     return overlay
-
-
-def _matching_base_weight(graph: DecodingGraph, matching: MatchingResult) -> float:
-    return sum(graph.edges[eid].weight for eid in matching.all_edge_ids())
 
 
 def stopping_criterion(
@@ -212,8 +206,7 @@ def decode(
                     f"joint weight rose from {trace.steps[-1].pauli_weight} "
                     f"to {w} at step {index}"
                 )
-        base = sum(_matching_base_weight(g, m) for g, m in zip(graphs, matchings))
-        trace.steps.append(IterationStep(index, e_x.x_mask, e_z.z_mask, w, base))
+        trace.steps.append(IterationStep(index, e_x.x_mask, e_z.z_mask, w))
         return trace.steps[-1]
 
     full = [record(0.0)]  # the step after each full iteration, initial decode first

@@ -58,6 +58,10 @@ ENUMERATION_MAX_VERTICES = 10
 #: blossom's own float error on weights below ~100, both far below 1e-9.
 UNIQUE_MARGIN = 1e-9
 
+#: ``brute_force_matching`` refuses more events than this: 10 events already
+#: have 9,496 partitions into pairs and boundary singletons
+BRUTE_FORCE_MAX_EVENTS = 10
+
 
 class UnreachableNodeError(RuntimeError):
     """An event node cannot reach the rest of the graph (construction bug)."""
@@ -293,17 +297,18 @@ def brute_force_matching(
     graph: DecodingGraph,
     events: list[int],
     overlay: dict[int, float] | None = None,
-    max_events: int = 10,
 ) -> MatchingResult:
     """Exhaustive minimum over all pair/boundary partitions of the events.
 
     Independent oracle for ``mwpm``; ties are broken by lexicographic pair
-    ordering.  Refuses more than ``max_events`` events.
+    ordering.  Refuses more than ``BRUTE_FORCE_MAX_EVENTS`` events.
     """
     events = sorted(events)
     k = len(events)
-    if k > max_events:
-        raise TooManyEventsError(f"{k} events exceed the brute-force cap {max_events}")
+    if k > BRUTE_FORCE_MAX_EVENTS:
+        raise TooManyEventsError(
+            f"{k} events exceed the brute-force cap {BRUTE_FORCE_MAX_EVENTS}"
+        )
     if k == 0:
         return MatchingResult()
     dist, pred = shortest_paths(graph, events, overlay=overlay)

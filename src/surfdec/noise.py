@@ -153,38 +153,45 @@ class _Kind(NamedTuple):
     row: int
 
 
-def _shape(circuit: SECircuit) -> tuple[int, int, int, int]:
-    """A round's numbers of CNOTs, X and Z measurements and data qubits."""
-    return (
-        circuit.n_cnots_per_round, circuit.n_x, circuit.n_z, circuit.layout.n_data
-    )
+#: per distance, one round's fault kinds and locations (``_kind_table``
+#: and ``_round_locations``); a round's shape is a function of the distance
+_KIND_TABLES: dict[int, dict[str, _Kind]] = {}
+_ROUND_LOCATIONS: dict[int, tuple[tuple[str, int, int], ...]] = {}
 
 
-@functools.cache
-def _kind_table(shape: tuple[int, int, int, int]) -> dict[str, _Kind]:
+def _kind_table(circuit: SECircuit) -> dict[str, _Kind]:
     """One round's fault kinds in record order, idles last, by name.
 
     The one statement of a round's kinds, their location counts and
     payload ranges: the sampler, ``_round_faults`` and ``fault_row`` all
-    read it.  Built once per circuit shape and shared, so read only.
+    read it.  Built from the first circuit of each distance and shared, so
+    read only.
     """
-    kinds, row = {}, 0
-    names, payloads = ("cnot", "meas_x", "meas_z", "idle"), (15, 1, 1, 3)
-    for name, count, k in zip(names, shape, payloads):
-        kinds[name] = _Kind(name, count, k, row)
-        row += count * k
+    kinds = _KIND_TABLES.get(circuit.layout.L)
+    if kinds is None:
+        kinds, row = {}, 0
+        names, payloads = ("cnot", "meas_x", "meas_z", "idle"), (15, 1, 1, 3)
+        counts = (
+            circuit.n_cnots_per_round, circuit.n_x, circuit.n_z, circuit.layout.n_data
+        )
+        for name, count, k in zip(names, counts, payloads):
+            kinds[name] = _Kind(name, count, k, row)
+            row += count * k
+        _KIND_TABLES[circuit.layout.L] = kinds
     return kinds
 
 
-@functools.cache
-def _round_locations(shape: tuple[int, int, int, int]) -> tuple[tuple[str, int, int], ...]:
+def _round_locations(circuit: SECircuit) -> tuple[tuple[str, int, int], ...]:
     """(kind, index, payloads) of every fault location of one round, in
-    record order, idles last."""
-    return tuple(
-        (k.name, index, k.payloads)
-        for k in _kind_table(shape).values()
-        for index in range(k.count)
-    )
+    record order, idles last; built once per distance and shared."""
+    locations = _ROUND_LOCATIONS.get(circuit.layout.L)
+    if locations is None:
+        locations = _ROUND_LOCATIONS[circuit.layout.L] = tuple(
+            (k.name, index, k.payloads)
+            for k in _kind_table(circuit).values()
+            for index in range(k.count)
+        )
+    return locations
 
 
 def _faulty_locations(n: int, p: float, rng: np.random.Generator) -> list[int]:
@@ -234,7 +241,7 @@ def sample_faults(
     p = params.p
     if p == 0.0:
         return []
-    locations = _round_locations(_shape(circuit))
+    locations = _round_locations(circuit)
     # idles come last, so a round without them is a prefix
     per_round = len(locations) - (0 if include_idle else circuit.layout.n_data)
     hits = _faulty_locations(T * per_round, p, rng)
@@ -320,7 +327,7 @@ def _frame_plan(L: int) -> _FramePlan:
         return (x, 0, z, 0) if q < n_data else (0, x, 0, z)
 
     effects = []
-    for kind in _kind_table(_shape(circuit)).values():
+    for kind in _kind_table(circuit).values():
         for index in range(kind.count):
             for pay in range(kind.payloads):
                 if kind.name == "cnot":
@@ -449,7 +456,7 @@ def _round_faults(circuit: SECircuit, include_idle: bool) -> list[tuple[str, int
     """(kind, index, payload) of every fault of one round, in record order."""
     return [
         (kind, index, pay)
-        for kind, index, payloads in _round_locations(_shape(circuit))
+        for kind, index, payloads in _round_locations(circuit)
         if include_idle or kind != "idle"
         for pay in range(payloads)
     ]
@@ -465,7 +472,7 @@ def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
     unknown kind or an index or payload out of range (measurement flips
     take payload 0).
     """
-    kind = _kind_table(_shape(circuit)).get(fault.kind)
+    kind = _kind_table(circuit).get(fault.kind)
     if kind is None:
         raise InvalidFaultError(f"unknown fault kind {fault.kind!r}")
     if not 0 <= fault.index < kind.count:

@@ -217,15 +217,20 @@ def check_edge_anchors(report: VerifyReport, gx, gz, p: float) -> None:
         )
 
 
-def check_matcher_oracle(
-    report: VerifyReport, L: int = 3, T: int = 3, p: float = 0.02,
-    instances: int = 200, seed: int = 2024,
-) -> None:
+#: the matcher oracle's window, noise rate and seed: a window small enough
+#: that brute force enumerates the pairings of most of its draws
+ORACLE_L, ORACLE_T, ORACLE_P, ORACLE_SEED = 3, 3, 0.02, 2024
+#: the seed of the random errors the syndrome circuit is replayed on
+SYNDROME_SEED = 11
+
+
+def check_matcher_oracle(report: VerifyReport, instances: int) -> None:
     """mwpm total weight equals exhaustive brute force on random instances."""
+    L, T, p = ORACLE_L, ORACLE_T, ORACLE_P
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
     gx, _gz = build_decoder_graphs(L, T, p)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORACLE_SEED)
     params = NoiseParams(p)
     tried = mism = 0
     while tried < instances:
@@ -247,13 +252,11 @@ def check_matcher_oracle(
     )
 
 
-def check_circuit_vs_ideal(
-    report: VerifyReport, L: int = 3, instances: int = 200, seed: int = 11
-) -> None:
+def check_circuit_vs_ideal(report: VerifyReport, L: int, instances: int) -> None:
     """Fault-free circuit reproduces the ideal syndrome of random errors."""
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SYNDROME_SEED)
     n = layout.n_data
     n_x = len(layout.x_stabilizers)
     bad = 0
@@ -273,15 +276,10 @@ def check_circuit_vs_ideal(
     )
 
 
-def run_verification(
-    L: int = 5,
-    T: int = 3,
-    p: float = 0.001,
-    matcher_instances: int = 200,
-    syndrome_instances: int = 200,
-) -> VerifyReport:
+def run_verification(L: int, T: int, p: float, instances: int) -> VerifyReport:
     """Full verification battery; all exact checks plus oracle equivalences.
 
+    ``instances`` is the number of random instances of each oracle check.
     The interior checks need a window whose lattices hold every edge class
     and every conditional row away from the space and time boundaries: at
     least distance 4 and 3 rounds.  A smaller window raises ValueError.
@@ -295,6 +293,6 @@ def run_verification(
     gx, gz = build_decoder_graphs(L, T, p)
     check_conditional_rows(report, gx, gz)
     check_edge_anchors(report, gx, gz, p)
-    check_matcher_oracle(report, instances=matcher_instances)
-    check_circuit_vs_ideal(report, L, syndrome_instances)
+    check_matcher_oracle(report, instances)
+    check_circuit_vs_ideal(report, L, instances)
     return report

@@ -55,7 +55,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def verification_report():
-    return run_verification(L=5, T=3, p=0.001, matcher_instances=200)
+    return run_verification(L=5, T=3, p=0.001, instances=200)
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "surfdec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 BENCH = SRC.parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -218,3 +219,103 @@ def test_every_parameter_is_read(path):
     # a parameter the body never reads is an argument every caller passes
     # for nothing
     assert _unread_parameters(path.read_text()) == []
+
+
+def _default_uses(defining: list[str], calling: list[str]) -> dict[str, list[int]]:
+    """Per defaulted parameter of a function of ``defining``, the number of
+    calls of that name in ``calling`` that pass it and that omit it.
+
+    A call matches by the function's name, as ``f(...)`` or ``obj.f(...)``,
+    and passes a parameter by keyword or by position; a method's first
+    parameter takes no position.  A call that unpacks ``*args`` or
+    ``**kwargs`` states neither and is skipped.  Keys read ``name(param)``
+    and values ``[passed, omitted]``.
+    """
+    defaults: dict[str, list[tuple[int | None, str]]] = {}
+    for source in defining:
+        tree = ast.parse(source)
+        methods = {
+            id(stmt)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            first = len(positional) - len(a.defaults)
+            skip = 1 if id(node) in methods else 0
+            defaults.setdefault(node.name, []).extend(
+                [(i - skip, arg.arg) for i, arg in enumerate(positional) if i >= first]
+                + [
+                    (None, arg.arg)
+                    for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                    if default is not None
+                ]
+            )
+    uses = {
+        f"{name}({param})": [0, 0]
+        for name, entries in defaults.items()
+        for _pos, param in entries
+    }
+    for source in calling:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name not in defaults:
+                continue
+            if any(isinstance(x, ast.Starred) for x in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                continue
+            keywords = {k.arg for k in call.keywords}
+            for pos, param in defaults[name]:
+                passed = param in keywords or (pos is not None and pos < len(call.args))
+                uses[f"{name}({param})"][0 if passed else 1] += 1
+    return uses
+
+
+def test_default_use_check_counts_passes_and_omissions():
+    defining = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    pass\n"
+        "class C:\n"
+        "    def m(self, g=5, h=6):\n"
+        "        pass\n"
+    )
+    calling = (
+        "f(0, 9, d=1)\n"
+        "f(0, 9, 8, d=2)\n"
+        "f(*xs, **kw)\n"
+        "C().m(7)\n"
+        "obj.m()\n"
+    )
+    assert _default_uses([defining], [calling]) == {
+        "f(b)": [2, 0],
+        "f(c)": [1, 1],
+        "f(d)": [2, 0],
+        "f(e)": [0, 2],
+        "m(g)": [1, 1],
+        "m(h)": [0, 2],
+    }
+
+
+def _callers() -> list[str]:
+    # calls in the tests count: ``main(argv)`` is passed only by them
+    paths = [*SRC.rglob("*.py"), *BENCH.rglob("*.py"), *TESTS.rglob("*.py")]
+    return [path.read_text() for path in sorted(paths)]
+
+
+def test_every_default_is_passed_by_some_call():
+    # a default no call changes is a constant with a parameter's cost
+    uses = _default_uses([path.read_text() for path in MODULES], _callers())
+    assert [key for key, (passed, _omitted) in uses.items() if not passed] == []
+
+
+def test_every_default_is_omitted_by_some_call():
+    # a default every call overrides is a required parameter in disguise
+    uses = _default_uses([path.read_text() for path in MODULES], _callers())
+    assert [key for key, (_passed, omitted) in uses.items() if not omitted] == []

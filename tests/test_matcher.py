@@ -418,6 +418,25 @@ def test_mwpm_equals_brute_force(layout3, circuit3, graphs3):
         assert m1.total_weight == pytest.approx(m2.total_weight, abs=1e-9)
 
 
+def test_reweighted_mwpm_equals_brute_force():
+    # the reweighted dense problems of real IRMWPM windows, held to the
+    # independent pairing search; totals only, since brute force breaks
+    # ties by pair order
+    from surfdec.experiments import SimConfig
+
+    config = SimConfig(L=5, p=0.01, trials=1, decoder="irmwpm")
+    calls = [
+        (g, ev, overlay)
+        for g, ev, overlay in _recorded_matchings(config, 200, seed=5)
+        if overlay and 1 <= len(ev) <= matcher.BRUTE_FORCE_MAX_EVENTS
+    ]
+    assert len(calls) >= 100
+    for g, ev, overlay in calls:
+        m1 = mwpm(g, ev, overlay)
+        m2 = brute_force_matching(g, ev, overlay)
+        assert m1.total_weight == pytest.approx(m2.total_weight, abs=1e-9)
+
+
 def test_mwpm_beats_random_valid_matchings(layout3, circuit3, graphs3):
     gx, _ = graphs3
     rng = np.random.default_rng(17)
