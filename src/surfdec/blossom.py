@@ -12,9 +12,9 @@ Works with int or float weights; callers who need reproducible behaviour
 on near-ties should round weights beforehand.
 
 ``matcher.mwpm`` calls ``min_weight_perfect_matching`` on its dense event
-problem when enumeration does not settle it: on ties in the lightest
-pairing, above ``matcher.ENUMERATION_MAX_VERTICES`` vertices, and for
-pruned problems.  The tests hold both functions to brute force.
+problem when ``matcher.lightest_unique_pairing`` does not settle it: on ties
+in the lightest pairing, above ``matcher.SUBSET_MAX_VERTICES`` vertices, and
+for pruned problems.  The tests hold both functions to brute force.
 """
 
 from __future__ import annotations

@@ -18,22 +18,25 @@ Reweighted matchings run Dijkstra on the graph's one work adjacency, which
 writes the overlay into.
 
 The dense problem is one array, ``weights`` (see ``mwpm``), solved exactly
-in one of two ways.  Up to ``ENUMERATION_MAX_VERTICES`` vertices,
-``lightest_unique_pairing`` scores every pairing at once from a fixed table
-and returns the lightest one when no other comes within ``UNIQUE_MARGIN``
-of it.  Ties, larger problems and pruned problems go to blossom
-(``min_weight_perfect_matching``) on the edges ``_blossom_edges`` lists from
-the array.  A unique minimum is what any exact matcher returns, so both
-ways give the same pairs; on a tie, blossom's own tie-break decides.
+in one of three ways, by its vertex count n.  ``lightest_unique_pairing``
+scores every pairing at once from a fixed table up to
+``ENUMERATION_MAX_VERTICES``, and runs a dynamic program over vertex subsets
+up to ``SUBSET_MAX_VERTICES``; either way it returns the lightest pairing
+only when no other comes within ``UNIQUE_MARGIN`` of it.  Ties, larger
+problems and pruned problems go to blossom (``min_weight_perfect_matching``)
+on the edges ``_blossom_edges`` lists from the array.  A unique minimum is
+what any exact matcher returns, so every way gives the same pairs; on a
+tie, blossom's own tie-break decides.
 
 ``brute_force_matching`` enumerates every partition of the events into
 pairs and boundary singletons, with its own weights and total; it is the
-independent oracle for the blossom and enumeration paths.
+independent oracle for the blossom, enumeration and subset paths.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +51,20 @@ from .pauli import PauliOperator
 WEIGHT_DECIMALS = 12
 
 #: dense problems up to this many vertices are solved by scoring all
-#: (n-1)!! pairings (945 at 10); blossom is faster from 12 vertices on
+#: (n-1)!! pairings (945 at 10); the subset program is faster from 12 on
 ENUMERATION_MAX_VERTICES = 10
 
-#: an enumerated lightest pairing is returned only when every other pairing
-#: is heavier by more than this, so that blossom would return it too.  The
-#: margin covers the rounding to WEIGHT_DECIMALS that blossom's edges get
-#: and enumeration skips (at most 5 pairs x 5e-13 per pairing) and
-#: blossom's own float error on weights below ~100, both far below 1e-9.
+#: dense problems up to this many vertices are solved by a dynamic program
+#: over F(n+1) vertex subsets (4,181 at 18, with a 0.49 MB plan); at 20 the
+#: plan would take 1.4 MB, and blossom takes the few problems that large
+SUBSET_MAX_VERTICES = 18
+
+#: a lightest pairing is returned without blossom only when every other
+#: pairing is heavier by more than this, so that blossom would return it
+#: too.  The margin covers the rounding to WEIGHT_DECIMALS that blossom's
+#: edges get and the other two ways skip (at most 9 pairs x 5e-13 per
+#: pairing) and blossom's own float error on weights below ~100, both far
+#: below 1e-9.
 UNIQUE_MARGIN = 1e-9
 
 #: ``brute_force_matching`` refuses more events than this: 10 events already
@@ -161,20 +170,93 @@ def _pairing_table(n: int) -> tuple[np.ndarray, tuple]:
     return flat, rows
 
 
+@functools.cache
+def _subset_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The vertex sets that pairing the lowest vertex first reaches from
+    0..n-1 (n even), by size: F(n+1) of them, the empty set included.
+
+    Level i holds the sets of 2i + 2 vertices as ``(pair, rest)``, two
+    read-only (2i + 1, m) arrays whose column s is set s's candidates, one
+    per partner j of its lowest vertex a, in ascending j: ``pair`` holds
+    ``a * n + j``, the index of their weight in a flattened n-column array,
+    and ``rest`` the index of the set without a and j in level i - 1 (in
+    level 0, 0 for the empty set).
+    """
+    levels = []
+    sets = np.array([(1 << n) - 1], dtype=np.int64)
+    for size in range(n, 0, -2):
+        bits = (sets[:, None] >> np.arange(n)) & 1
+        members = np.nonzero(bits)[1].reshape(len(sets), size)
+        low, partner = members[:, :1], members[:, 1:]
+        rest = sets[:, None] ^ (1 << low) ^ (1 << partner)
+        below = np.unique(rest)
+        level = []
+        for idx in (low * n + partner, np.searchsorted(below, rest)):
+            idx = np.ascontiguousarray(idx.T, dtype=np.intp)
+            idx.flags.writeable = False
+            level.append(idx)
+        levels.append(tuple(level))
+        sets = below
+    return tuple(reversed(levels))
+
+
+def _lightest_by_subsets(weights: np.ndarray) -> list[tuple[int, int]] | None:
+    """``lightest_unique_pairing`` by the subset program: the lightest
+    pairing of a set S pairs its lowest vertex a with the partner j that
+    minimizes ``weights[a, j]`` plus the lightest pairing of S without a and
+    j.  One vectorized step per level of ``_subset_plan`` scores every
+    choice of every set of that size.
+
+    Walking the lightest choices down from the full set gives the lightest
+    pairing.  Any other pairing leaves that walk at some set and costs at
+    least that set's runner-up choice, so the minimum is unique by more
+    than ``UNIQUE_MARGIN`` exactly when every set on the walk has its
+    runner-up that much heavier.
+    """
+    n = weights.shape[1]
+    plan = _subset_plan(n)
+    best = np.zeros(1)
+    costs = []
+    for pair, rest in plan:
+        cost = np.take(weights, pair)
+        cost += best[rest]
+        costs.append(cost)
+        best = cost.min(axis=0)
+    # numpy's min carries a NaN weight up to the full set
+    if np.isnan(best[0]):
+        return None
+    pairs = []
+    s = 0
+    for (pair, rest), cost in zip(reversed(plan), reversed(costs)):
+        row = cost[:, s].tolist()
+        lightest = min(row)
+        j = row.index(lightest)
+        row[j] = math.inf
+        if not min(row) - lightest > UNIQUE_MARGIN:
+            return None
+        pairs.append(divmod(int(pair[j, s]), n))
+        s = rest[j, s]
+    return pairs
+
+
 def lightest_unique_pairing(weights: np.ndarray) -> list[tuple[int, int]] | None:
-    """The minimum-weight perfect matching of a small dense problem, by
-    enumeration, or None when another pairing is within ``UNIQUE_MARGIN``.
+    """The minimum-weight perfect matching of a dense problem of at most
+    ``SUBSET_MAX_VERTICES`` vertices, or None when another pairing is within
+    ``UNIQUE_MARGIN`` of it.
 
     ``weights`` has one column per vertex (an even count n) and at least
     n - 1 rows; ``weights[a, b]`` for ``a < b`` is the cost of pairing a with
-    b, and nothing else is read.  Returns None as well when n exceeds
-    ``ENUMERATION_MAX_VERTICES``.  Pairs come as
-    ``min_weight_perfect_matching`` gives them: ``(a, b)`` with ``a < b``,
-    ascending by ``a``.
+    b, and nothing else is read.  Up to ``ENUMERATION_MAX_VERTICES`` every
+    pairing is scored from ``_pairing_table``; above, ``_lightest_by_subsets``
+    solves the problem.  Returns None as well when n exceeds
+    ``SUBSET_MAX_VERTICES``.  Pairs come as ``min_weight_perfect_matching``
+    gives them: ``(a, b)`` with ``a < b``, ascending by ``a``.
     """
     n = weights.shape[1]
-    if n > ENUMERATION_MAX_VERTICES:
+    if n > SUBSET_MAX_VERTICES:
         return None
+    if n > ENUMERATION_MAX_VERTICES:
+        return _lightest_by_subsets(weights)
     flat, rows = _pairing_table(n)
     if len(rows) == 1:
         return list(rows[0])
@@ -253,13 +335,14 @@ def mwpm(
     """Minimum-weight perfect matching of events against each other/boundary.
 
     ``events`` are node indices; an empty list returns an empty matching.
-    With at most ``ENUMERATION_MAX_VERTICES`` dense vertices (events, plus
-    the virtual boundary vertex when their count is odd) and no pruning,
-    the pairing is found by enumeration if its minimum is unique; ties and
-    larger problems go to blossom.  Deterministic for a fixed set of events:
-    they are sorted, a unique minimum does not depend on the solver, and
-    on ties blossom runs on distances pre-rounded to 12 decimals and
-    visits vertices and edges in a fixed order.
+    With at most ``SUBSET_MAX_VERTICES`` dense vertices (events, plus the
+    virtual boundary vertex when their count is odd) and no pruning, the
+    pairing is found by ``lightest_unique_pairing`` (enumeration, or the
+    subset program above ``ENUMERATION_MAX_VERTICES``) if its minimum is
+    unique; ties and larger problems go to blossom.  Deterministic for a
+    fixed set of events: they are sorted, a unique minimum does not depend
+    on the solver, and on ties blossom runs on distances pre-rounded to 12
+    decimals and visits vertices and edges in a fixed order.
 
     ``prune_neighbors`` keeps only each event's m nearest partners in the
     dense matching problem (boundary routes always kept), which speeds up

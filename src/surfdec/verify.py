@@ -1,7 +1,8 @@
 """Self-verification: conditional-probability reproduction and oracle checks.
 
 The decoding-graph machinery is rebuilt from scratch here only where an
-independent route exists (brute-force matching, ideal-syndrome replay);
+independent route exists (brute-force matching, blossom for the subset
+program, ideal-syndrome replay);
 everything else re-derives the expected interior structure of the lattices
 and compares it against the frozen reference values below in exact rational
 arithmetic.
@@ -9,6 +10,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -16,7 +18,16 @@ import numpy as np
 
 from .code import build_layout, build_se_circuit, ideal_syndrome
 from .graph import build_decoder_graphs
-from .matcher import brute_force_matching, events_to_nodes, mwpm
+from .blossom import min_weight_perfect_matching
+from .matcher import (
+    ENUMERATION_MAX_VERTICES,
+    SUBSET_MAX_VERTICES,
+    WEIGHT_DECIMALS,
+    brute_force_matching,
+    events_to_nodes,
+    lightest_unique_pairing,
+    mwpm,
+)
 from .noise import NoiseParams, sample_faults, simulate
 from .pauli import PauliOperator
 
@@ -94,7 +105,7 @@ class VerifyReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
+    def record(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(name, bool(passed), detail))
 
     def lines(self) -> list[str]:
@@ -150,14 +161,14 @@ def check_conditional_rows(report: VerifyReport, gx, gz) -> None:
         for letter, expected in INTERIOR_CONDITIONAL_ROWS.items():
             rows = per_letter.get(letter)
             if rows is None:
-                report.add(
+                report.record(
                     f"{graph.kind}-lattice type-{letter} interior row",
                     False,
                     "no interior edge of this type",
                 )
                 continue
             good = rows == {expected}
-            report.add(
+            report.record(
                 f"{graph.kind}-lattice type-{letter} interior row",
                 good,
                 f"{len(expected)} conditionals" if good else f"got {rows}",
@@ -172,19 +183,19 @@ def check_edge_anchors(report: VerifyReport, gx, gz, p: float) -> None:
     for graph, dual in ((gx, gz), (gz, gx)):
         interior = interior_edges(graph)
         temporal = [e for e in interior if e.letter == "a"]
-        report.add(
+        report.record(
             f"{graph.kind}-lattice temporal edges at 31p/15",
             bool(temporal)
             and all(e.coeff == TEMPORAL_COEFF for e in temporal),
             f"{len(temporal)} edges",
         )
-        report.add(
+        report.record(
             f"{graph.kind}-lattice temporal edges from 5 fault locations",
             bool(temporal)
             and all(e.n_fault_locations == TEMPORAL_LOCATIONS for e in temporal),
         )
         spatial_d = [e for e in interior if e.letter == "d"]
-        report.add(
+        report.record(
             f"{graph.kind}-lattice spatial type-d edges at 42p/15",
             bool(spatial_d)
             and all(e.coeff == SPATIAL_D_COEFF for e in spatial_d),
@@ -200,7 +211,7 @@ def check_edge_anchors(report: VerifyReport, gx, gz, p: float) -> None:
             ]
             if sorted(joints) != [JOINT_TEMPORAL_D, JOINT_TEMPORAL_D]:
                 joint_ok = False
-        report.add(
+        report.record(
             f"{graph.kind}-lattice joint temporal/type-d rate 3p/15", joint_ok
         )
         # conditionals always dominate the dual edge's standalone probability
@@ -210,7 +221,7 @@ def check_edge_anchors(report: VerifyReport, gx, gz, p: float) -> None:
                 standalone = float(dual.edges[dual_eid].coeff) * p
                 if float(cond) <= standalone:
                     dominate = False
-        report.add(
+        report.record(
             f"{graph.kind}-lattice conditionals exceed standalone rates "
             f"at p={p}",
             dominate,
@@ -220,6 +231,8 @@ def check_edge_anchors(report: VerifyReport, gx, gz, p: float) -> None:
 #: the matcher oracle's window, noise rate and seed: a window small enough
 #: that brute force enumerates the pairings of most of its draws
 ORACLE_L, ORACLE_T, ORACLE_P, ORACLE_SEED = 3, 3, 0.02, 2024
+#: the seed of the dense problems the subset program is held to blossom on
+SUBSET_SEED = 19
 #: the seed of the random errors the syndrome circuit is replayed on
 SYNDROME_SEED = 11
 
@@ -244,11 +257,45 @@ def check_matcher_oracle(report: VerifyReport, instances: int) -> None:
         m2 = brute_force_matching(gx, ev)
         if abs(m1.total_weight - m2.total_weight) > 1e-9:
             mism += 1
-    report.add(
+    report.record(
         f"matching optimality vs brute force ({instances} instances "
         f"at L={L}, T={T}, p={p})",
         mism == 0,
         f"{mism} mismatches",
+    )
+
+
+def check_subset_matching(report: VerifyReport, instances: int) -> None:
+    """The subset program's pairs and total equal blossom's on random dense
+    problems too large to enumerate, whenever it answers.  Every other
+    problem has integer weights 0-7, so that ties are common."""
+    rng = np.random.default_rng(SUBSET_SEED)
+    answered = mism = 0
+    for i in range(instances):
+        k = int(rng.integers(ENUMERATION_MAX_VERTICES + 1, SUBSET_MAX_VERTICES + 1))
+        n = k + k % 2
+        if i % 2:
+            weights = rng.random((k, n)) * 30
+        else:
+            weights = rng.integers(0, 8, (k, n)).astype(float)
+        pairs = lightest_unique_pairing(weights)
+        if pairs is None:
+            continue
+        answered += 1
+        edges = [
+            (a, b, round(float(weights[a, b]), WEIGHT_DECIMALS))
+            for a in range(n)
+            for b in range(a + 1, n)
+        ]
+        want = min_weight_perfect_matching(n, edges)
+        totals = [math.fsum(weights[a, b] for a, b in ps) for ps in (pairs, want)]
+        if pairs != want or totals[0] != totals[1]:
+            mism += 1
+    report.record(
+        f"subset-program matching equals blossom ({instances} dense problems "
+        f"of {ENUMERATION_MAX_VERTICES + 1}-{SUBSET_MAX_VERTICES} events)",
+        mism == 0,
+        f"{answered} answered, {mism} mismatches",
     )
 
 
@@ -269,7 +316,7 @@ def check_circuit_vs_ideal(report: VerifyReport, L: int, instances: int) -> None
         got = list(hist.x_anc_outcomes[0]) + list(hist.z_anc_outcomes[0])
         if got != expected:
             bad += 1
-    report.add(
+    report.record(
         f"syndrome circuit equals ideal syndrome ({instances} errors)",
         bad == 0,
         f"{bad} mismatches",
@@ -294,5 +341,6 @@ def run_verification(L: int, T: int, p: float, instances: int) -> VerifyReport:
     check_conditional_rows(report, gx, gz)
     check_edge_anchors(report, gx, gz, p)
     check_matcher_oracle(report, instances)
+    check_subset_matching(report, instances)
     check_circuit_vs_ideal(report, L, instances)
     return report

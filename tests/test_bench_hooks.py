@@ -85,15 +85,15 @@ def test_first_decode_call_passes_the_benchmark_keywords(bench, monkeypatch, nam
     assert counts.get("noise.simulate", 0) == simulated
 
 
-@pytest.mark.parametrize("k", [matcher.ENUMERATION_MAX_VERTICES + 1,
-                               matcher.ENUMERATION_MAX_VERTICES + 2])
+@pytest.mark.parametrize("k", [matcher.SUBSET_MAX_VERTICES + 1,
+                               matcher.SUBSET_MAX_VERTICES + 2])
 def test_large_dense_problems_reach_the_traced_blossom(bench, monkeypatch, k):
     # the tracer's blossom span wraps matcher.min_weight_perfect_matching, so
-    # a dense problem above the enumeration cutoff (k events, plus the
+    # a dense problem above the subset program's cutoff (k events, plus the
     # boundary vertex when k is odd) must look blossom up there at call time
     _, spans = bench
     gx, _ = graph.build_decoder_graphs(5, 5, 0.01)
-    events = list(range(0, 7 * k, 7))
+    events = list(range(0, 6 * k, 6))  # below the boundary node, 120
     sizes = []
     real = matcher.min_weight_perfect_matching
 

@@ -319,3 +319,66 @@ def test_every_default_is_omitted_by_some_call():
     # a default every call overrides is a required parameter in disguise
     uses = _default_uses([path.read_text() for path in MODULES], _callers())
     assert [key for key, (_passed, omitted) in uses.items() if not omitted] == []
+
+
+#: builtin value types: a call ``x.name(...)`` on one of them cannot be told
+#: from a call of a library function ``name`` by the default-use checks,
+#: which match calls by name
+BUILTIN_TYPES = (set, dict, list, str, tuple, bytes, int, float)
+
+#: clashing library names that stay: ``bench/run.py`` imports
+#: ``irmwpm.decode`` by name (bytes has ``decode``)
+FIXED_NAMES = {"decode": ("irmwpm", "experiments")}
+
+
+def _builtin_method_names(source: str) -> list[str]:
+    """Functions and methods of ``source`` that share a name with a public
+    method of a builtin value type."""
+    builtin = {name for t in BUILTIN_TYPES for name in dir(t) if not name.startswith("_")}
+    clashes = sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in builtin
+    )
+    return [f"{name} (line {line})" for line, name in clashes]
+
+
+def test_builtin_method_name_check_sees_clashes():
+    src = (
+        "class Report:\n"
+        "    def add(self, name):\n"
+        "        pass\n"
+        "    def record(self, name):\n"
+        "        pass\n"
+        "def split(s):\n"
+        "    def count():\n"
+        "        pass\n"
+        "def __init__():\n"
+        "    pass\n"
+    )
+    assert _builtin_method_names(src) == [
+        "add (line 2)",
+        "split (line 6)",
+        "count (line 7)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_is_named_like_a_builtin_method(path):
+    # ``set.add(...)`` would count as a call of a library ``add``
+    clashes = _builtin_method_names(path.read_text())
+    assert [c for c in clashes if c.split()[0] not in FIXED_NAMES] == []
+
+
+def test_fixed_names_are_called_only_on_their_modules():
+    # so that no builtin method's call is counted as theirs
+    strays = []
+    for source in _callers():
+        for call in ast.walk(ast.parse(source)):
+            func = getattr(call, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr in FIXED_NAMES:
+                owner = getattr(func.value, "id", None)
+                if owner not in FIXED_NAMES[func.attr]:
+                    strays.append(f"{owner}.{func.attr} (line {call.lineno})")
+    assert strays == []

@@ -11,6 +11,7 @@ from surfdec.blossom import max_weight_matching, min_weight_perfect_matching
 from surfdec.graph import DecodingGraph, Edge
 from surfdec.matcher import (
     ENUMERATION_MAX_VERTICES,
+    SUBSET_MAX_VERTICES,
     UNIQUE_MARGIN,
     WEIGHT_DECIMALS,
     TooManyEventsError,
@@ -159,20 +160,22 @@ def test_pairing_tables_list_every_perfect_matching_once(n):
 
 
 def test_enumeration_declines_problems_above_the_cutoff():
-    n = ENUMERATION_MAX_VERTICES + 2
-    weights = np.arange(n * n, dtype=float).reshape(n, n)
+    rng = np.random.default_rng(6)
+    n = SUBSET_MAX_VERTICES + 2
+    weights = rng.random((n, n))
+    # the minimum is unique, so only the cutoff declines it
+    assert _blossom_gap(weights)[2] > 1e-6
     assert lightest_unique_pairing(weights) is None
+    assert lightest_unique_pairing(weights[:-2, :-2].copy()) is not None
 
 
 _INT_WEIGHTS = st.integers(0, 6).map(float)
 _FLOAT_WEIGHTS = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data(), k=st.integers(1, ENUMERATION_MAX_VERTICES), integral=st.booleans())
-def test_enumeration_agrees_with_blossom_on_dense_instances(data, k, integral):
-    # shaped as mwpm builds it: k event rows, plus a boundary column when k
-    # is odd; small integers make exact ties common
+def _draw_weights(data, k, integral):
+    """A dense problem shaped as mwpm builds it: k event rows, plus a
+    boundary column when k is odd; small integers make exact ties common."""
     nverts = k + (k % 2)
     values = data.draw(
         st.lists(
@@ -181,17 +184,16 @@ def test_enumeration_agrees_with_blossom_on_dense_instances(data, k, integral):
             max_size=k * nverts,
         )
     )
-    weights = np.array(values).reshape(k, nverts)
-    pairs = lightest_unique_pairing(weights)
+    return np.array(values).reshape(k, nverts)
 
-    totals = sorted(
-        math.fsum(weights[a, b] for a, b in pr)
-        for pr in _all_pairings(list(range(nverts)))
-    )
-    gap = totals[1] - totals[0] if len(totals) > 1 else math.inf
-    # the reference sums exactly; numpy's five-term sums of weights <= 100
-    # may differ from it by a few ulp, so only a gap this close to the margin
-    # could be judged either way
+
+def _assert_unique_rule(pairs, gap, integral):
+    """None exactly when the runner-up pairing is within UNIQUE_MARGIN.
+
+    The references sum exactly or nearly so; numpy's sums of up to nine
+    weights <= 100 may differ from them by a few ulp, so only a float gap
+    this close to the margin could be judged either way.
+    """
     slack = 1e-12
     if integral:
         assert (pairs is None) == (gap == 0)
@@ -199,6 +201,44 @@ def test_enumeration_agrees_with_blossom_on_dense_instances(data, k, integral):
         assert gap <= UNIQUE_MARGIN + slack
     else:
         assert gap > UNIQUE_MARGIN - slack
+
+
+def _blossom_gap(weights):
+    """(pairs, total, gap to the runner-up) of a dense problem by blossom.
+
+    Any other pairing lacks one of the lightest pairing's pairs, so the
+    runner-up is the lightest of the pairings that each lack one of them.
+    """
+    n = weights.shape[1]
+    cost = {(a, b): float(weights[a, b]) for a in range(n) for b in range(a + 1, n)}
+
+    def solve(drop):
+        edges = [
+            (a, b, round(w, WEIGHT_DECIMALS))
+            for (a, b), w in cost.items()
+            if (a, b) != drop
+        ]
+        pairs = min_weight_perfect_matching(n, edges)
+        return pairs, math.fsum(cost[pair] for pair in pairs)
+
+    pairs, total = solve(None)
+    runner_up = min(solve(pair)[1] for pair in pairs)
+    return pairs, total, runner_up - total
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), k=st.integers(1, ENUMERATION_MAX_VERTICES), integral=st.booleans())
+def test_enumeration_agrees_with_blossom_on_dense_instances(data, k, integral):
+    weights = _draw_weights(data, k, integral)
+    nverts = weights.shape[1]
+    pairs = lightest_unique_pairing(weights)
+
+    totals = sorted(
+        math.fsum(weights[a, b] for a, b in pr)
+        for pr in _all_pairings(list(range(nverts)))
+    )
+    gap = totals[1] - totals[0] if len(totals) > 1 else math.inf
+    _assert_unique_rule(pairs, gap, integral)
     if pairs is None:
         return
     edges = [
@@ -208,6 +248,74 @@ def test_enumeration_agrees_with_blossom_on_dense_instances(data, k, integral):
     ]
     assert pairs == min_weight_perfect_matching(nverts, edges)
     assert math.fsum(weights[a, b] for a, b in pairs) == totals[0]
+
+
+def _fibonacci(i):
+    a, b = 0, 1
+    for _ in range(i):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize(
+    "n", range(ENUMERATION_MAX_VERTICES + 2, SUBSET_MAX_VERTICES + 1, 2)
+)
+def test_subset_plans_list_the_reachable_sets_by_level(n):
+    plan = matcher._subset_plan(n)
+    # with the empty set, the lowest-first sets number F(n + 1): 233 at 12
+    assert 1 + sum(pair.shape[1] for pair, _rest in plan) == _fibonacci(n + 1)
+    below = [frozenset()]
+    for size, (pair, rest) in zip(range(2, n + 1, 2), plan):
+        assert pair.shape == rest.shape == (size - 1, pair.shape[1])
+        assert not pair.flags.writeable and not rest.flags.writeable
+        # every set of the level below is some set's rest
+        assert sorted(set(rest.ravel().tolist())) == list(range(len(below)))
+        sets = []
+        for codes, rests in zip(pair.T.tolist(), rest.T.tolist()):
+            low = {c // n for c in codes}
+            partners = [c % n for c in codes]
+            assert len(low) == 1 and min(low) < partners[0]
+            assert partners == sorted(set(partners))
+            members = low | set(partners)
+            for j, r in zip(partners, rests):
+                assert below[r] == members - low - {j}
+            sets.append(frozenset(members))
+        assert len(set(sets)) == len(sets)
+        below = sets
+    assert below == [frozenset(range(n))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(ENUMERATION_MAX_VERTICES + 1, 14),
+    integral=st.booleans(),
+)
+def test_subset_program_agrees_with_enumeration(data, k, integral):
+    weights = _draw_weights(data, k, integral)
+    flat, rows = matcher._pairing_table(weights.shape[1])
+    totals = np.take(weights, flat).sum(axis=0)
+    order = np.argsort(totals, kind="stable")
+    pairs = lightest_unique_pairing(weights)
+    _assert_unique_rule(pairs, totals[order[1]] - totals[order[0]], integral)
+    if pairs is not None:
+        assert pairs == list(rows[order[0]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(15, SUBSET_MAX_VERTICES),
+    integral=st.booleans(),
+)
+def test_subset_program_agrees_with_blossom(data, k, integral):
+    weights = _draw_weights(data, k, integral)
+    want, total, gap = _blossom_gap(weights)
+    pairs = lightest_unique_pairing(weights)
+    _assert_unique_rule(pairs, gap, integral)
+    if pairs is not None:
+        assert pairs == want
+        assert math.fsum(weights[a, b] for a, b in pairs) == total
 
 
 def _recorded_matchings(config, windows, seed):
@@ -290,12 +398,13 @@ def test_enumeration_leaves_matchings_of_real_windows_unchanged(
 
     config = SimConfig(L=L, p=p, trials=1, decoder=decoder)
     calls = [c for c in _recorded_matchings(config, windows, seed=L) if c[1]]
-    enumerated = []
+    solved = []  # per call: (enumerated, solved by the subset program)
     real_helper = matcher.lightest_unique_pairing
 
     def counted(weights):
         pairs = real_helper(weights)
-        enumerated.append(pairs is not None)
+        small = weights.shape[1] <= ENUMERATION_MAX_VERTICES
+        solved.append((pairs is not None and small, pairs is not None and not small))
         return pairs
 
     monkeypatch.setattr(matcher, "lightest_unique_pairing", counted)
@@ -308,11 +417,14 @@ def test_enumeration_leaves_matchings_of_real_windows_unchanged(
         assert a.boundary_pairs == b.boundary_pairs
         assert a.path_edges == b.path_edges
         assert a.total_weight == b.total_weight
-    # the comparison covers enumerated matchings, reweighted ones among them
-    assert len(enumerated) == len(calls) >= 300
-    reweighted = sum(e for e, (_g, _ev, overlay) in zip(enumerated, calls) if overlay)
-    assert sum(enumerated) >= 300
-    assert reweighted >= (100 if decoder == "irmwpm" else 0)
+    # the comparison covers matchings of both ways, reweighted ones among
+    # them: per way, floors on all and on reweighted calls
+    assert len(solved) == len(calls) >= 300
+    reweighted = [bool(overlay) for _g, _ev, overlay in calls]
+    floors = {"irmwpm": [(300, 100), (400, 200)], "mwpm": [(300, 0), (10, 0)]}
+    for way, (floor, reweighted_floor) in zip(zip(*solved), floors[decoder]):
+        assert sum(way) >= floor
+        assert sum(w and r for w, r in zip(way, reweighted)) >= reweighted_floor
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +791,27 @@ def _networkx_weight(graph, events):
     return sum(g[a][b]["weight"] for a, b in matching)
 
 
-def test_mwpm_equals_networkx_beyond_brute_force(layout5, circuit5):
-    # windows with more than 10 events, where brute_force_matching refuses
+def test_mwpm_equals_networkx_beyond_brute_force(monkeypatch, layout5, circuit5):
+    # windows with more than 10 events, where brute_force_matching refuses:
+    # the subset program solves some, blossom the rest
     pytest.importorskip("networkx")
     from surfdec.graph import build_decoder_graphs
 
+    ways = []  # per matching: the way that solved it
+    real_helper = matcher.lightest_unique_pairing
+    real_blossom = matcher.min_weight_perfect_matching
+
+    def by_subsets(weights):
+        pairs = real_helper(weights)
+        ways.append("subsets" if pairs is not None else None)
+        return pairs
+
+    def by_blossom(n, edges):
+        ways[-1] = "blossom"
+        return real_blossom(n, edges)
+
+    monkeypatch.setattr(matcher, "lightest_unique_pairing", by_subsets)
+    monkeypatch.setattr(matcher, "min_weight_perfect_matching", by_blossom)
     gx, gz = build_decoder_graphs(5, 5, 0.01)
     rng = np.random.default_rng(31)
     params = NoiseParams(0.01)
@@ -697,3 +825,5 @@ def test_mwpm_equals_networkx_beyond_brute_force(layout5, circuit5):
             want = _networkx_weight(g, ev)
             assert mwpm(g, ev).total_weight == pytest.approx(want, abs=1e-9)
             checked += 1
+    assert len(ways) == checked
+    assert ways.count("subsets") >= 10 and ways.count("blossom") >= 5
