@@ -11,11 +11,17 @@ whose minimum path passes through the boundary are reported as two separate
 boundary pairings.
 
 A base-weight row depends only on its source node, so plain matchings read
-the rows from the graph's memo (``DecodingGraph.base_paths``) and run
-Dijkstra only for sources not seen before or past the memo's cap.
-Reweighted matchings run Dijkstra on the graph's one work adjacency, which
-``DecodingGraph.csr_with_weights`` resets to the base weights and then
-writes the overlay into.
+the rows from the graph's memo (``DecodingGraph.base_rows``) and run
+Dijkstra only for sources not seen before or past the memo's cap.  A memo
+row holds every node's distance from the source and the id of the edge its
+shortest path arrives by.  A plain matching reads only the k x (k + 1)
+block of distances among its k events and the boundary, and walks each
+matched path back along the source row's edge ids
+(``DecodingGraph.base_path``); rows past the cap are computed per call and
+walked the same way.  Reweighted matchings run Dijkstra on the graph's one
+work adjacency, which ``DecodingGraph.csr_with_weights`` resets to the base
+weights and then writes the overlay into, and walk scipy's predecessor
+rows (``_walk_path``).
 
 The dense problem is one array, ``weights`` (see ``mwpm``), solved exactly
 in one of three ways, by its vertex count n.  ``lightest_unique_pairing``
@@ -43,7 +49,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .blossom import min_weight_perfect_matching
-from .graph import DecodingGraph
+from .graph import DecodingGraph, UnreachableNodeError
 from .pauli import PauliOperator
 
 #: weights are rounded to this many decimals before matching, so that
@@ -70,10 +76,6 @@ UNIQUE_MARGIN = 1e-9
 #: ``brute_force_matching`` refuses more events than this: 10 events already
 #: have 9,496 partitions into pairs and boundary singletons
 BRUTE_FORCE_MAX_EVENTS = 10
-
-
-class UnreachableNodeError(RuntimeError):
-    """An event node cannot reach the rest of the graph (construction bug)."""
 
 
 class TooManyEventsError(ValueError):
@@ -109,21 +111,22 @@ def shortest_paths(
 ):
     """All minimum path weights from each event to every node (and boundary).
 
-    Returns (dist, predecessors) with one row per event.  Without an
-    ``overlay`` (edge index -> new weight) the rows come from the graph's
-    memo of base-weight rows; with one, Dijkstra runs on the graph's work
-    adjacency.  The adjacency is symmetric, so a directed search gives the
-    same rows as an undirected one without transposing the matrix.
+    Returns (dist, predecessors) with one row per event, as scipy's Dijkstra
+    gives them.  Without an ``overlay`` (edge index -> new weight) the rows
+    come from the graph's memo of base-weight rows; with one, Dijkstra runs
+    on the graph's work adjacency.  The adjacency is symmetric, so a
+    directed search gives the same rows as an undirected one without
+    transposing the matrix.  Raises UnreachableNodeError when an event
+    cannot reach the boundary node.
     """
-    if overlay:
-        dist, pred = _sp_dijkstra(
-            graph.csr_with_weights(overlay),
-            directed=True,
-            indices=events,
-            return_predecessors=True,
-        )
-    else:
-        dist, pred = graph.base_paths(events)
+    if not overlay:
+        return graph.base_paths(events)
+    dist, pred = _sp_dijkstra(
+        graph.csr_with_weights(overlay),
+        directed=True,
+        indices=events,
+        return_predecessors=True,
+    )
     if np.isinf(dist[:, graph.boundary_node]).any():
         raise UnreachableNodeError("an event cannot reach the boundary node")
     return dist, pred
@@ -326,6 +329,34 @@ def _matching_result(
     return result
 
 
+def _plain_matching_result(
+    graph: DecodingGraph, events: list[int], edge, row, pairs, total: float
+) -> MatchingResult:
+    """``_matching_result`` on base weights: each leg is walked along its
+    source's parent edge ids (``DecodingGraph.base_path``), and a pair whose
+    path visits the boundary node is cut there into two boundary
+    pairings."""
+    k, bnd = len(events), graph.boundary_node
+    rows = row.tolist()
+    result = MatchingResult(total_weight=total)
+    for a, b in pairs:
+        u = events[a]
+        target = bnd if b == k else events[b]
+        eids, cut = graph.base_path(edge, rows[a], u, target)
+        if b == k:
+            legs = [(u, eids)]
+        elif cut:
+            legs = [(u, eids[:-cut]), (target, eids[-cut:])]
+        else:
+            result.pairs.append((u, target))
+            result.path_edges[(u, target)] = tuple(eids)
+            continue
+        for event, path in legs:
+            result.boundary_pairs.append(event)
+            result.path_edges[(event, -1)] = tuple(path)
+    return result
+
+
 def mwpm(
     graph: DecodingGraph,
     events: list[int],
@@ -355,10 +386,16 @@ def mwpm(
     k = len(events)
     if k == 0:
         return MatchingResult()
-    dist, pred = shortest_paths(graph, events, overlay=overlay)
     # row a: a's distance to every event, then to the boundary if k is odd,
     # so column k is the virtual boundary vertex
-    weights = dist[:, events + [graph.boundary_node] if k % 2 else events]
+    cols = events + [graph.boundary_node] if k % 2 else events
+    if overlay:
+        dist, pred = shortest_paths(graph, events, overlay=overlay)
+        weights = dist[:, cols]
+    else:
+        # only this block of the memo rows is read
+        dist, edge, row = graph.base_rows(events)
+        weights = dist[row[:, None], cols]
     nverts = k + (k % 2)
     pairs = None
     if prune_neighbors is not None and k > prune_neighbors + 2:
@@ -372,8 +409,10 @@ def mwpm(
         pairs = lightest_unique_pairing(weights)
     if pairs is None:
         pairs = min_weight_perfect_matching(nverts, _blossom_edges(weights))
-    total = sum(float(weights[a, b]) for a, b in pairs)
-    return _matching_result(graph, events, pred, pairs, total)
+    total = sum(weights.item(a, b) for a, b in pairs)
+    if overlay:
+        return _matching_result(graph, events, pred, pairs, total)
+    return _plain_matching_result(graph, events, edge, row, pairs, total)
 
 
 def brute_force_matching(

@@ -15,6 +15,7 @@ from surfdec.matcher import (
     UNIQUE_MARGIN,
     WEIGHT_DECIMALS,
     TooManyEventsError,
+    UnreachableNodeError,
     brute_force_matching,
     events_to_nodes,
     lightest_unique_pairing,
@@ -427,6 +428,47 @@ def test_enumeration_leaves_matchings_of_real_windows_unchanged(
         assert sum(w and r for w, r in zip(way, reweighted)) >= reweighted_floor
 
 
+@pytest.mark.parametrize(
+    "L, p, decoder, windows, crossing_floor",
+    [(7, 0.001, "mwpm", 300, 10), (5, 0.01, "irmwpm", 150, 50)],
+)
+def test_parent_edge_walk_equals_the_predecessor_walk(
+    monkeypatch, L, p, decoder, windows, crossing_floor
+):
+    # every plain matching of real windows, walked along the memo's parent
+    # edges, against _matching_result over a fresh scipy predecessor row
+    from surfdec.experiments import SimConfig
+
+    config = SimConfig(L=L, p=p, trials=1, decoder=decoder)
+    calls = [
+        (g, sorted(ev))
+        for g, ev, overlay in _recorded_matchings(config, windows, seed=L)
+        if ev and not overlay
+    ]
+    real = matcher._plain_matching_result
+    checked = crossing = 0
+
+    def compared(graph, events, edge, row, pairs, total):
+        nonlocal checked, crossing
+        got = real(graph, events, edge, row, pairs, total)
+        _dist, pred = _oracle_paths(graph, events)
+        want = matcher._matching_result(graph, events, pred, pairs, total)
+        assert got.pairs == want.pairs
+        assert got.boundary_pairs == want.boundary_pairs
+        assert list(got.path_edges.items()) == list(want.path_edges.items())
+        assert got.total_weight == want.total_weight
+        k = len(events)
+        crossing += sum(b < k for _a, b in pairs) - len(got.pairs)
+        checked += 1
+        return got
+
+    monkeypatch.setattr(matcher, "_plain_matching_result", compared)
+    for g, ev in calls:
+        mwpm(g, ev)
+    assert checked == len(calls) >= 150
+    assert crossing >= crossing_floor
+
+
 # ---------------------------------------------------------------------------
 # matcher on decoding graphs
 
@@ -656,7 +698,7 @@ def _memo_state(graph):
     return (
         graph._memo_slot.copy(),
         graph._memo_dist[:rows].copy(),
-        graph._memo_pred[:rows].copy(),
+        graph._memo_edge[:rows].copy(),
     )
 
 
@@ -759,9 +801,10 @@ def test_capped_memo_stops_growing(monkeypatch, layout5, circuit5):
             assert a.path_edges == b.path_edges
             assert a.total_weight == b.total_weight
     for g in capped:
-        assert g._memo_rows == len(g._memo_dist) == len(g._memo_pred) == 4
+        assert g._memo_rows == len(g._memo_dist) == len(g._memo_edge) == 4
         assert np.count_nonzero(g._memo_slot >= 0) == 4
         assert g._memo_dist.size <= graph_mod.MEMO_ENTRIES
+        assert g._memo_dist.nbytes + g._memo_edge.nbytes <= 12 * graph_mod.MEMO_ENTRIES
     assert uncapped[0]._memo_rows > 4
     _assert_oracle(capped[0], list(range(capped[0].n_nodes)))
     assert capped[0]._memo_rows == 4
@@ -773,7 +816,87 @@ def test_memo_respects_cap_at_distance_13():
     gx, _ = build_decoder_graphs(13, 13, 0.001)
     _assert_oracle(gx, [0, gx.n_nodes // 2, gx.boundary_node])
     assert len(gx._memo_dist) == MEMO_ENTRIES // gx.n_nodes < gx.n_nodes
-    assert gx._memo_dist.size + gx._memo_pred.size <= 2 * MEMO_ENTRIES
+    assert gx._memo_dist.size + gx._memo_edge.size <= 2 * MEMO_ENTRIES
+    assert gx._memo_dist.nbytes + gx._memo_edge.nbytes <= 12 * MEMO_ENTRIES
+
+
+def _assert_parent_edges(graph, sources, edge):
+    """Row i of ``edge`` holds, per node x, the edge from x's predecessor on
+    a fresh Dijkstra from source i to x, and -1 where it has none."""
+    _dist, pred = _oracle_paths(graph, sources)
+    for i in range(len(sources)):
+        want = [
+            graph.edge_between(int(p), x) if p >= 0 else -1
+            for x, p in enumerate(pred[i])
+        ]
+        assert edge[i].tolist() == want
+
+
+def test_memo_rows_hold_the_parent_edges(monkeypatch, graphs5):
+    from surfdec import graph as graph_mod
+
+    for g in graphs5:
+        every = list(range(g.n_nodes))
+        _dist, edge, row = g.base_rows(every)
+        assert edge is g._memo_edge and edge.dtype == np.int32
+        _assert_parent_edges(g, every, edge[row])
+        _assert_oracle(g, every)
+    # a capped memo: four rows stored, the others computed per call
+    capped = graph_mod.build_decoder_graphs(5, 5, 0.005)
+    monkeypatch.setattr(graph_mod, "MEMO_ENTRIES", 4 * capped[0].n_nodes + 5)
+    for g in capped:
+        every = list(range(g.n_nodes))
+        g.base_rows(every[:4])
+        _dist, edge, row = g.base_rows(every)
+        assert g._memo_rows == 4 and edge is not g._memo_edge
+        _assert_parent_edges(g, every, edge[row])
+        _assert_oracle(g, every[::-1])
+        assert g._memo_rows == 4
+
+
+def _cut_graph():
+    """_tiny_graph with a third, edgeless stabilizer: nodes 0-2, boundary 3."""
+    from fractions import Fraction
+
+    edges = [
+        Edge(0, 0, 1, Fraction(1), 1.0, 0b1),
+        Edge(1, 0, 3, Fraction(1), 10.0, 0b10),
+        Edge(2, 1, 3, Fraction(1), 10.0, 0b100),
+    ]
+    g = DecodingGraph(
+        kind="X",
+        L=2,
+        T=1,
+        p=0.1,
+        mode="circuit",
+        n_stabs=3,
+        n_layers=1,
+        stab_coords=((0, 1), (2, 1), (4, 1)),
+        edges=edges,
+        edge_lookup={(0, 1): 0, (0, 3): 1, (1, 3): 2},
+    )
+    g.finalize()
+    return g
+
+
+@pytest.mark.parametrize("memo_rows", [4, 1], ids=["memoized", "capped"])
+def test_unreachable_event_raises_when_its_row_is_filled(monkeypatch, memo_rows):
+    from surfdec import graph as graph_mod
+
+    g = _cut_graph()
+    monkeypatch.setattr(graph_mod, "MEMO_ENTRIES", memo_rows * g.n_nodes)
+    assert mwpm(g, [0]).boundary_pairs == [0]  # stores row 0
+    for overlay in (None, {0: 2.0}):
+        for events in ([2], [1, 2], [0, 2]):
+            # twice: a row that failed the check is never stored
+            for _ in range(2):
+                with pytest.raises(UnreachableNodeError):
+                    mwpm(g, events, overlay)
+    with pytest.raises(UnreachableNodeError):
+        g.base_rows([1, 2])
+    assert g._memo_rows == 1 and g._memo_slot.tolist() == [0, -1, -1, -1]
+    assert mwpm(g, [0, 1]).pairs == [(0, 1)]
+    assert g._memo_rows == min(2, memo_rows)
 
 
 def _networkx_weight(graph, events):
