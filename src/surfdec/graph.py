@@ -182,6 +182,8 @@ class DecodingGraph:
     _slot_edge: np.ndarray | None = field(default=None, repr=False, compare=False)
     # per edge: u ^ v, so that node ^ _edge_ends[e] is e's other end
     _edge_ends: list[int] | None = field(default=None, repr=False, compare=False)
+    # per edge: its correction mask, as matcher.matching_to_correction reads it
+    corrections: list[int] | None = field(default=None, repr=False, compare=False)
     # memo: node -> row of _memo_dist/_memo_edge (-1 when not stored)
     _memo_slot: np.ndarray | None = field(default=None, repr=False, compare=False)
     _memo_dist: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -233,6 +235,7 @@ class DecodingGraph:
         self._slot_edge = np.empty(len(slot_keys), dtype=np.int32)
         self._slot_edge[self._edge_data_pos] = np.arange(len(self.edges))[:, None]
         self._edge_ends = (u ^ v).tolist()
+        self.corrections = [e.correction for e in self.edges]
 
     def csr_with_weights(self, overlay: dict[int, float] | None = None) -> sp.csr_matrix:
         """The graph's work adjacency: base weights with ``overlay`` written in.
@@ -252,10 +255,10 @@ class DecodingGraph:
             data[self._edge_data_pos[ids]] = ws[:, None]
         return self._work
 
-    def base_rows(self, sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def base_rows(self, sources) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Base-weight rows from each source node, memoized: ``(dist, edge,
-        row)``, source i's distances being ``dist[row[i]]`` and its parent
-        edge ids ``edge[row[i]]`` (see the class docstring).
+        rows)``, source i's distances being ``dist[rows[i]]`` and its parent
+        edge ids ``edge[rows[i]]`` (see the class docstring).
 
         When every source is memoized, ``dist`` and ``edge`` are the memo
         itself, read-only by contract.  Missing rows are computed by one
@@ -273,11 +276,12 @@ class DecodingGraph:
             self._memo_slot = np.full(n, -1, dtype=np.intp)
             self._memo_dist = np.empty((capacity, n))
             self._memo_edge = np.empty((capacity, n), dtype=np.int32)
+        rows = [self._memo_slot.item(s) for s in sources]
+        if -1 not in rows:
+            return self._memo_dist, self._memo_edge, rows
         sources = np.asarray(sources, dtype=np.intp)
-        slot = self._memo_slot[sources]
+        slot = np.array(rows)
         hit = slot >= 0
-        if hit.all():
-            return self._memo_dist, self._memo_edge, slot
         missing = np.unique(sources[~hit])
         new_dist, pred = dijkstra(
             self._csr, directed=True, indices=missing, return_predecessors=True
@@ -297,7 +301,7 @@ class DecodingGraph:
         self._memo_slot[missing[:stored]] = np.arange(start, start + stored)
         self._memo_rows = start + stored
         if stored == len(missing):
-            return self._memo_dist, self._memo_edge, self._memo_slot[sources]
+            return self._memo_dist, self._memo_edge, self._memo_slot[sources].tolist()
         dist = np.empty((len(sources), n))
         edge = np.empty((len(sources), n), dtype=np.int32)
         dist[hit] = self._memo_dist[slot[hit]]
@@ -305,17 +309,17 @@ class DecodingGraph:
         fresh = np.searchsorted(missing, sources[~hit])
         dist[~hit] = new_dist[fresh]
         edge[~hit] = new_edge[fresh]
-        return dist, edge, np.arange(len(sources))
+        return dist, edge, list(range(len(sources)))
 
     def base_paths(self, sources) -> tuple[np.ndarray, np.ndarray]:
         """Base-weight (dist, pred) rows from each source node, one per
         source, as scipy's Dijkstra returns them: the predecessors are
         derived from ``base_rows``' parent edge ids."""
-        dist, edge, row = self.base_rows(sources)
-        edge = edge[row]
+        dist, edge, rows = self.base_rows(sources)
+        edge = edge[rows]
         ends = np.array(self._edge_ends, dtype=np.int32)
         nodes = np.arange(self.n_nodes, dtype=np.int32)
-        return dist[row], np.where(edge >= 0, ends[edge] ^ nodes, NO_PREDECESSOR)
+        return dist[rows], np.where(edge >= 0, ends[edge] ^ nodes, NO_PREDECESSOR)
 
     def base_path(
         self, edge: np.ndarray, row: int, source: int, target: int

@@ -23,16 +23,20 @@ work adjacency, which ``DecodingGraph.csr_with_weights`` resets to the base
 weights and then writes the overlay into, and walk scipy's predecessor
 rows (``_walk_path``).
 
-The dense problem is one array, ``weights`` (see ``mwpm``), solved exactly
-in one of three ways, by its vertex count n.  ``lightest_unique_pairing``
-scores every pairing at once from a fixed table up to
-``ENUMERATION_MAX_VERTICES``, and runs a dynamic program over vertex subsets
-up to ``SUBSET_MAX_VERTICES``; either way it returns the lightest pairing
-only when no other comes within ``UNIQUE_MARGIN`` of it.  Ties, larger
-problems and pruned problems go to blossom (``min_weight_perfect_matching``)
-on the edges ``_blossom_edges`` lists from the array.  A unique minimum is
-what any exact matcher returns, so every way gives the same pairs; on a
-tie, blossom's own tie-break decides.
+The dense problem is the block of distances among the events and the
+boundary (see ``mwpm``), solved exactly in one of four ways, by its vertex
+count n.  Up to ``INLINE_MAX_VERTICES`` its upper triangle is read as
+Python floats and every pairing is scored on them; up to
+``ENUMERATION_MAX_VERTICES`` numpy scores every pairing at once from a fixed
+table; up to ``SUBSET_MAX_VERTICES`` a dynamic program over vertex subsets
+runs.  All three are ``lightest_unique_pairing``, and each returns the
+lightest pairing only when no other comes within ``UNIQUE_MARGIN`` of it;
+the two enumerations give the same answer for the same block.  Ties,
+larger problems and pruned problems go to blossom
+(``min_weight_perfect_matching``) on the edges ``_blossom_edges`` lists
+from the block as an array.  A unique minimum is what any exact matcher
+returns, so every way gives the same pairs; on a tie, blossom's own
+tie-break decides.
 
 ``brute_force_matching`` enumerates every partition of the events into
 pairs and boundary singletons, with its own weights and total; it is the
@@ -55,6 +59,17 @@ from .pauli import PauliOperator
 #: weights are rounded to this many decimals before matching, so that
 #: dual-variable arithmetic inside blossom cannot drift across near-ties
 WEIGHT_DECIMALS = 12
+
+#: dense problems up to this many vertices are scored on Python floats,
+#: read one by one from the distance rows, instead of by the numpy table
+#: (``_lightest_inline`` adds at most three weights per pairing).  On 400
+#: plain problems of each size from 3,000 d=7, p=0.001 MWPM windows
+#: (Python 3.11.7, a shared 2-core machine, lowest median of three passes),
+#: reading and scoring the list took 1.3, 2.4 and 4.8 us at n = 2, 4 and
+#: 6, against 7.4, 8.1 and 8.4 us for gathering the numpy block and
+#: scoring the table; at n = 8 (105 pairings) the list took 15.8 us and
+#: numpy 9.5 us
+INLINE_MAX_VERTICES = 6
 
 #: dense problems up to this many vertices are solved by scoring all
 #: (n-1)!! pairings (945 at 10); the subset program is faster from 12 on
@@ -242,32 +257,98 @@ def _lightest_by_subsets(weights: np.ndarray) -> list[tuple[int, int]] | None:
     return pairs
 
 
-def lightest_unique_pairing(weights: np.ndarray) -> list[tuple[int, int]] | None:
+@functools.cache
+def _upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs ``(a, b)``, ``a < b``, of vertices 0..n-1, row by row: the
+    order of the list form of a dense problem."""
+    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
+
+
+@functools.cache
+def _inline_table(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """``_pairing_table`` for the list form of a dense problem of ``size``
+    weights: ``(slots, rows)``, ``slots[r]`` holding the positions in that
+    list of the weights of ``rows[r]``'s pairs, in the same order."""
+    n = (1 + math.isqrt(1 + 8 * size)) // 2
+    if n % 2 or n * (n - 1) // 2 != size or n > INLINE_MAX_VERTICES:
+        raise ValueError(
+            f"{size} weights are no list form of an even vertex count up to "
+            f"{INLINE_MAX_VERTICES}"
+        )
+    position = {pair: i for i, pair in enumerate(_upper_pairs(n))}
+    rows = _pairing_table(n)[1]
+    return tuple(tuple(position[pair] for pair in row) for row in rows), rows
+
+
+def _lightest_inline(w: list[float]) -> list[tuple[int, int]] | None:
+    """``lightest_unique_pairing`` on the list form ``w``, with Python
+    floats: each total adds its weights left to right in the table's pair
+    order, as numpy's sum over the table's short axis does, and the first
+    minimum wins, as numpy's argmin picks it."""
+    slots, rows = _inline_table(len(w))
+    width = len(slots[0])  # pairs per pairing: n / 2
+    if width == 3:
+        totals = [w[a] + w[b] + w[c] for a, b, c in slots]
+    elif width == 2:
+        totals = [w[a] + w[b] for a, b in slots]
+    else:  # one pairing of one pair
+        totals = list(w)
+    # numpy's argmin picks a NaN total, which then fails the margin test;
+    # the sum is NaN only when some total is, or holds both infinities
+    check = sum(totals)
+    if check != check and any(t != t for t in totals):
+        return None
+    lightest = min(totals)
+    best = totals.index(lightest)
+    totals[best] = math.inf
+    # written so that an infinite lightest total also falls through
+    if min(totals) - lightest > UNIQUE_MARGIN:
+        return list(rows[best])
+    return None
+
+
+def lightest_unique_pairing(
+    weights: np.ndarray | list[float],
+) -> list[tuple[int, int]] | None:
     """The minimum-weight perfect matching of a dense problem of at most
     ``SUBSET_MAX_VERTICES`` vertices, or None when another pairing is within
     ``UNIQUE_MARGIN`` of it.
 
-    ``weights`` has one column per vertex (an even count n) and at least
-    n - 1 rows; ``weights[a, b]`` for ``a < b`` is the cost of pairing a with
-    b, and nothing else is read.  Up to ``ENUMERATION_MAX_VERTICES`` every
-    pairing is scored from ``_pairing_table``; above, ``_lightest_by_subsets``
-    solves the problem.  Returns None as well when n exceeds
-    ``SUBSET_MAX_VERTICES``.  Pairs come as ``min_weight_perfect_matching``
-    gives them: ``(a, b)`` with ``a < b``, ascending by ``a``.
+    As an array, ``weights`` has one column per vertex (an even count n) and
+    at least n - 1 rows; ``weights[a, b]`` for ``a < b`` is the cost of
+    pairing a with b, and nothing else is read.  As a list (n at most
+    ``INLINE_MAX_VERTICES``) it holds those costs row by row: (0, 1),
+    (0, 2), ..., (n - 2, n - 1).  The problem is solved in one of three ways:
+
+    - a list: every pairing of ``_pairing_table`` is scored on Python
+      floats (``_lightest_inline``);
+    - an array up to ``ENUMERATION_MAX_VERTICES``: numpy scores every
+      pairing of the table at once;
+    - an array up to ``SUBSET_MAX_VERTICES``: the subset program
+      (``_lightest_by_subsets``).
+
+    Both enumerations add each pairing's weights left to right in the
+    table's pair order, take the first minimum and decline a NaN total or
+    an infinite minimum, so they give the same answer for the same problem.
+    Returns None as well when n exceeds ``SUBSET_MAX_VERTICES``; blossom,
+    the fourth way, solves what this declines.  Pairs come as
+    ``min_weight_perfect_matching`` gives them: ``(a, b)`` with ``a < b``,
+    ascending by ``a``.
     """
+    if isinstance(weights, list):
+        return _lightest_inline(weights)
     n = weights.shape[1]
     if n > SUBSET_MAX_VERTICES:
         return None
     if n > ENUMERATION_MAX_VERTICES:
         return _lightest_by_subsets(weights)
     flat, rows = _pairing_table(n)
-    if len(rows) == 1:
-        return list(rows[0])
     totals = np.take(weights, flat).sum(axis=0)
     best = int(totals.argmin())
     lightest = totals[best]
     totals[best] = np.inf
-    # written so that a NaN total also falls through to blossom
+    # written so that a NaN or infinite lightest total also falls through
+    # to blossom
     if totals.min() - lightest > UNIQUE_MARGIN:
         return list(rows[best])
     return None
@@ -330,14 +411,13 @@ def _matching_result(
 
 
 def _plain_matching_result(
-    graph: DecodingGraph, events: list[int], edge, row, pairs, total: float
+    graph: DecodingGraph, events: list[int], edge, rows: list[int], pairs, total: float
 ) -> MatchingResult:
     """``_matching_result`` on base weights: each leg is walked along its
     source's parent edge ids (``DecodingGraph.base_path``), and a pair whose
     path visits the boundary node is cut there into two boundary
     pairings."""
     k, bnd = len(events), graph.boundary_node
-    rows = row.tolist()
     result = MatchingResult(total_weight=total)
     for a, b in pairs:
         u = events[a]
@@ -368,12 +448,15 @@ def mwpm(
     ``events`` are node indices; an empty list returns an empty matching.
     With at most ``SUBSET_MAX_VERTICES`` dense vertices (events, plus the
     virtual boundary vertex when their count is odd) and no pruning, the
-    pairing is found by ``lightest_unique_pairing`` (enumeration, or the
-    subset program above ``ENUMERATION_MAX_VERTICES``) if its minimum is
-    unique; ties and larger problems go to blossom.  Deterministic for a
-    fixed set of events: they are sorted, a unique minimum does not depend
-    on the solver, and on ties blossom runs on distances pre-rounded to 12
-    decimals and visits vertices and edges in a fixed order.
+    pairing is found by ``lightest_unique_pairing`` if its minimum is
+    unique: on the block's upper triangle as a list of Python floats up to
+    ``INLINE_MAX_VERTICES``, on the block as an array above.  Ties and
+    larger problems go to blossom on the array.  ``total_weight`` adds the
+    pairs' weights left to right in pair order, as the enumeration does.
+    Deterministic for a fixed set of events: they are sorted, a unique
+    minimum does not depend on the solver, and on ties blossom runs on
+    distances pre-rounded to 12 decimals and visits vertices and edges in a
+    fixed order.
 
     ``prune_neighbors`` keeps only each event's m nearest partners in the
     dense matching problem (boundary routes always kept), which speeds up
@@ -387,32 +470,43 @@ def mwpm(
     if k == 0:
         return MatchingResult()
     # row a: a's distance to every event, then to the boundary if k is odd,
-    # so column k is the virtual boundary vertex
+    # so column k is the virtual boundary vertex; event a's distances are
+    # row rows[a] of dist
     cols = events + [graph.boundary_node] if k % 2 else events
     if overlay:
         dist, pred = shortest_paths(graph, events, overlay=overlay)
-        weights = dist[:, cols]
+        rows = range(k)
     else:
-        # only this block of the memo rows is read
-        dist, edge, row = graph.base_rows(events)
-        weights = dist[row[:, None], cols]
+        dist, edge, rows = graph.base_rows(events)
     nverts = k + (k % 2)
+    pruned = prune_neighbors is not None and k > prune_neighbors + 2
     pairs = None
-    if prune_neighbors is not None and k > prune_neighbors + 2:
-        try:
-            pairs = min_weight_perfect_matching(
-                nverts, _blossom_edges(weights, prune_neighbors)
-            )
-        except RuntimeError:
-            pass  # the pruned problem has no perfect matching: solve the exact one
-    else:
-        pairs = lightest_unique_pairing(weights)
+    if nverts <= INLINE_MAX_VERTICES and not pruned:
+        item = dist.item
+        pairs = lightest_unique_pairing(
+            [item(rows[a], cols[b]) for a, b in _upper_pairs(nverts)]
+        )
     if pairs is None:
-        pairs = min_weight_perfect_matching(nverts, _blossom_edges(weights))
-    total = sum(weights.item(a, b) for a, b in pairs)
+        # only this block of the rows is read
+        weights = dist[np.array(rows)[:, None], cols]
+        if pruned:
+            try:
+                pairs = min_weight_perfect_matching(
+                    nverts, _blossom_edges(weights, prune_neighbors)
+                )
+            except RuntimeError:
+                pass  # the pruned problem has no perfect matching: solve the exact one
+        elif nverts > INLINE_MAX_VERTICES:
+            pairs = lightest_unique_pairing(weights)
+        if pairs is None:
+            pairs = min_weight_perfect_matching(nverts, _blossom_edges(weights))
+    # left to right in pair order, as the enumeration adds its totals
+    total = 0.0
+    for a, b in pairs:
+        total += dist.item(rows[a], cols[b])
     if overlay:
         return _matching_result(graph, events, pred, pairs, total)
-    return _plain_matching_result(graph, events, edge, row, pairs, total)
+    return _plain_matching_result(graph, events, edge, rows, pairs, total)
 
 
 def brute_force_matching(
@@ -476,9 +570,11 @@ def matching_to_correction(
     temporal edges contribute nothing.  The result is an X-type Pauli for
     the X lattice and Z-type for the Z lattice.
     """
+    corrections = graph.corrections
     mask = 0
-    for eid in matching.all_edge_ids():
-        mask ^= graph.edges[eid].correction
+    for eids in matching.path_edges.values():
+        for eid in eids:
+            mask ^= corrections[eid]
     if graph.kind == "X":
         return PauliOperator(layout.n_data, mask, 0)
     return PauliOperator(layout.n_data, 0, mask)

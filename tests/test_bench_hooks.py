@@ -111,3 +111,29 @@ def test_large_dense_problems_reach_the_traced_blossom(bench, monkeypatch, k):
     assert sizes == [k + k % 2]
     names = [span[spans.NAME] for span in tracer.spans]
     assert names.count("blossom.min_weight_perfect_matching") == 1
+
+
+@pytest.mark.parametrize("k", [4, 5])  # 4 and 6 dense vertices
+def test_small_plain_matchings_stay_in_the_traced_mwpm_span(bench, monkeypatch, k):
+    # the list form is scored inside mwpm, so a traced run counts its time
+    # in matcher.mwpm.self_s; with a unique minimum blossom is not called
+    _, spans = bench
+    gx, _ = graph.build_decoder_graphs(5, 5, 0.01)
+    events = list(range(0, 6 * k, 6))
+    assert k + k % 2 <= matcher.INLINE_MAX_VERTICES
+    forms = []
+    real = matcher.lightest_unique_pairing
+
+    def recording(weights):
+        forms.append(type(weights))
+        return real(weights)
+
+    monkeypatch.setattr(matcher, "lightest_unique_pairing", recording)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        irmwpm.mwpm(gx, events)
+    finally:
+        tracer.uninstall()
+    assert forms == [list]
+    assert [span[spans.NAME] for span in tracer.spans] == ["matcher.mwpm"]

@@ -11,6 +11,7 @@ from surfdec.blossom import max_weight_matching, min_weight_perfect_matching
 from surfdec.graph import DecodingGraph, Edge
 from surfdec.matcher import (
     ENUMERATION_MAX_VERTICES,
+    INLINE_MAX_VERTICES,
     SUBSET_MAX_VERTICES,
     UNIQUE_MARGIN,
     WEIGHT_DECIMALS,
@@ -168,6 +169,11 @@ def test_enumeration_declines_problems_above_the_cutoff():
     assert _blossom_gap(weights)[2] > 1e-6
     assert lightest_unique_pairing(weights) is None
     assert lightest_unique_pairing(weights[:-2, :-2].copy()) is not None
+    # the list form stops at INLINE_MAX_VERTICES, and its length must be
+    # n(n-1)/2 for an even n
+    for size in (0, 3, (INLINE_MAX_VERTICES + 2) * (INLINE_MAX_VERTICES + 1) // 2):
+        with pytest.raises(ValueError):
+            lightest_unique_pairing([1.0] * size)
 
 
 _INT_WEIGHTS = st.integers(0, 6).map(float)
@@ -227,12 +233,51 @@ def _blossom_gap(weights):
     return pairs, total, runner_up - total
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data(), k=st.integers(1, ENUMERATION_MAX_VERTICES), integral=st.booleans())
-def test_enumeration_agrees_with_blossom_on_dense_instances(data, k, integral):
+def _list_form(weights):
+    """The list form of a dense problem: its upper triangle, row by row."""
+    n = weights.shape[1]
+    return [weights.item(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+# a third of the examples are spoiled, so 600 keep ~400 finite ones
+@settings(max_examples=600, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, ENUMERATION_MAX_VERTICES),
+    integral=st.booleans(),
+    spoiler=st.sampled_from([None, math.nan, math.inf]),
+)
+def test_enumeration_agrees_with_blossom_on_dense_instances(data, k, integral, spoiler):
     weights = _draw_weights(data, k, integral)
     nverts = weights.shape[1]
+    inline = nverts <= INLINE_MAX_VERTICES
+    if spoiler is not None:
+        # a NaN weight makes some totals NaN; an infinite weight on every
+        # pair of one vertex makes every total infinite: both are declined
+        if math.isnan(spoiler):
+            a = data.draw(st.integers(0, nverts - 2))
+            weights[a, data.draw(st.integers(a + 1, nverts - 1))] = math.nan
+        else:
+            v = data.draw(st.integers(0, nverts - 1))
+            weights[:v, v] = math.inf
+            weights[v : v + 1, v + 1 :] = math.inf
+        with np.errstate(invalid="ignore"):  # inf - inf in the numpy table
+            assert lightest_unique_pairing(weights) is None
+        if inline:
+            assert lightest_unique_pairing(_list_form(weights)) is None
+        return
     pairs = lightest_unique_pairing(weights)
+    flat, rows = matcher._pairing_table(nverts)
+    table = np.take(weights, flat).sum(axis=0)
+    if inline:
+        # the list form returns the table's answer, and mwpm's total, added
+        # left to right in pair order, is the table's total
+        assert lightest_unique_pairing(_list_form(weights)) == pairs
+        if pairs is not None:
+            total = 0.0
+            for a, b in pairs:
+                total += weights.item(a, b)
+            assert total == table[rows.index(tuple(pairs))]
 
     totals = sorted(
         math.fsum(weights[a, b] for a, b in pr)
@@ -399,13 +444,17 @@ def test_enumeration_leaves_matchings_of_real_windows_unchanged(
 
     config = SimConfig(L=L, p=p, trials=1, decoder=decoder)
     calls = [c for c in _recorded_matchings(config, windows, seed=L) if c[1]]
-    solved = []  # per call: (enumerated, solved by the subset program)
+    # per call: (enumerated, solved by the subset program, enumerated in
+    # the list form)
+    solved = []
     real_helper = matcher.lightest_unique_pairing
 
     def counted(weights):
         pairs = real_helper(weights)
-        small = weights.shape[1] <= ENUMERATION_MAX_VERTICES
-        solved.append((pairs is not None and small, pairs is not None and not small))
+        inline = isinstance(weights, list)
+        small = inline or weights.shape[1] <= ENUMERATION_MAX_VERTICES
+        answered = pairs is not None
+        solved.append((answered and small, answered and not small, answered and inline))
         return pairs
 
     monkeypatch.setattr(matcher, "lightest_unique_pairing", counted)
@@ -418,14 +467,21 @@ def test_enumeration_leaves_matchings_of_real_windows_unchanged(
         assert a.boundary_pairs == b.boundary_pairs
         assert a.path_edges == b.path_edges
         assert a.total_weight == b.total_weight
-    # the comparison covers matchings of both ways, reweighted ones among
-    # them: per way, floors on all and on reweighted calls
+    # the comparison covers matchings of every way, reweighted ones among
+    # them: per way, floors on all and on reweighted calls, and a floor on
+    # plain calls answered in the list form
     assert len(solved) == len(calls) >= 300
     reweighted = [bool(overlay) for _g, _ev, overlay in calls]
-    floors = {"irmwpm": [(300, 100), (400, 200)], "mwpm": [(300, 0), (10, 0)]}
-    for way, (floor, reweighted_floor) in zip(zip(*solved), floors[decoder]):
+    floors = {
+        "irmwpm": [(300, 100), (400, 200), (90, 40)],
+        "mwpm": [(300, 0), (10, 0), (400, 0)],
+    }
+    ways = list(zip(*solved))
+    for way, (floor, reweighted_floor) in zip(ways, floors[decoder]):
         assert sum(way) >= floor
         assert sum(w and r for w, r in zip(way, reweighted)) >= reweighted_floor
+    plain_floor = {"irmwpm": 40, "mwpm": 400}[decoder]
+    assert sum(w and not r for w, r in zip(ways[2], reweighted)) >= plain_floor
 
 
 @pytest.mark.parametrize(
