@@ -89,12 +89,9 @@ INTERIOR_COEFFS = {
 #: smallest distance whose faults of one signature share their logical action
 MIN_DECODING_DISTANCE = 3
 #: most base-weight shortest-path entries (rows x n_nodes) one graph
-#: memoizes: 12 bytes each (a distance and a parent edge id), so at most
+#: memoizes: 12 bytes each (a distance and scipy's predecessor), so at most
 #: 48 MB per lattice
 MEMO_ENTRIES = 1 << 22
-
-#: scipy's predecessor value for a source node and for unreachable nodes
-NO_PREDECESSOR = -9999
 
 
 class GraphBuildError(RuntimeError):
@@ -145,10 +142,10 @@ class DecodingGraph:
     base-weight shortest-path rows (``base_rows``), filled lazily and
     capped at ``MEMO_ENTRIES`` entries, and the work adjacency that
     ``csr_with_weights`` rewrites for each reweighted matching.  A memo
-    row holds, for every node, its distance from the source (float64) and
-    the id of the edge its shortest path arrives by (int32, -1 at the
-    source and at unreachable nodes): 12 bytes per entry.  Predecessor
-    rows are derived from the edge ids only for ``base_paths``.
+    row is a row of scipy's Dijkstra result: for every node, its distance
+    from the source (float64) and its predecessor on the shortest path
+    (int32, negative at the source and at unreachable nodes), 12 bytes
+    per entry.
 
     Circuit graphs also carry one round's single-fault table, read by
     ``window_events``: for each round-1 record of their pool, in
@@ -177,17 +174,12 @@ class DecodingGraph:
     _csr: sp.csr_matrix | None = field(default=None, repr=False)
     _edge_data_pos: np.ndarray | None = field(default=None, repr=False)
     _work: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-    # per CSR slot: its key row * n_nodes + col (ascending) and its edge id
-    _slot_keys: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _slot_edge: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # per edge: u ^ v, so that node ^ _edge_ends[e] is e's other end
-    _edge_ends: list[int] | None = field(default=None, repr=False, compare=False)
     # per edge: its correction mask, as matcher.matching_to_correction reads it
     corrections: list[int] | None = field(default=None, repr=False, compare=False)
-    # memo: node -> row of _memo_dist/_memo_edge (-1 when not stored)
+    # memo: node -> row of _memo_dist/_memo_pred (-1 when not stored)
     _memo_slot: np.ndarray | None = field(default=None, repr=False, compare=False)
     _memo_dist: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _memo_edge: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _memo_pred: np.ndarray | None = field(default=None, repr=False, compare=False)
     _memo_rows: int = field(default=0, repr=False, compare=False)
     fault_nodes: list[tuple[int, ...]] | None = field(
         default=None, repr=False, compare=False
@@ -231,10 +223,6 @@ class DecodingGraph:
         self._edge_data_pos = np.searchsorted(
             slot_keys, np.stack([u * n + v, v * n + u], axis=1)
         )
-        self._slot_keys = slot_keys
-        self._slot_edge = np.empty(len(slot_keys), dtype=np.int32)
-        self._slot_edge[self._edge_data_pos] = np.arange(len(self.edges))[:, None]
-        self._edge_ends = (u ^ v).tolist()
         self.corrections = [e.correction for e in self.edges]
 
     def csr_with_weights(self, overlay: dict[int, float] | None = None) -> sp.csr_matrix:
@@ -256,11 +244,11 @@ class DecodingGraph:
         return self._work
 
     def base_rows(self, sources) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Base-weight rows from each source node, memoized: ``(dist, edge,
-        rows)``, source i's distances being ``dist[rows[i]]`` and its parent
-        edge ids ``edge[rows[i]]`` (see the class docstring).
+        """Base-weight rows from each source node, memoized: ``(dist, pred,
+        rows)``, source i's distances being ``dist[rows[i]]`` and its
+        predecessors ``pred[rows[i]]``, as scipy's Dijkstra gives them.
 
-        When every source is memoized, ``dist`` and ``edge`` are the memo
+        When every source is memoized, ``dist`` and ``pred`` are the memo
         itself, read-only by contract.  Missing rows are computed by one
         Dijkstra call and stored while the memo holds fewer than
         MEMO_ENTRIES entries (rows x n_nodes); later rows are recomputed on
@@ -275,73 +263,35 @@ class DecodingGraph:
             capacity = min(n, MEMO_ENTRIES // n)
             self._memo_slot = np.full(n, -1, dtype=np.intp)
             self._memo_dist = np.empty((capacity, n))
-            self._memo_edge = np.empty((capacity, n), dtype=np.int32)
+            self._memo_pred = np.empty((capacity, n), dtype=np.int32)
         rows = [self._memo_slot.item(s) for s in sources]
         if -1 not in rows:
-            return self._memo_dist, self._memo_edge, rows
+            return self._memo_dist, self._memo_pred, rows
         sources = np.asarray(sources, dtype=np.intp)
         slot = np.array(rows)
         hit = slot >= 0
         missing = np.unique(sources[~hit])
-        new_dist, pred = dijkstra(
+        new_dist, new_pred = dijkstra(
             self._csr, directed=True, indices=missing, return_predecessors=True
         )
         if np.isinf(new_dist[:, self.boundary_node]).any():
             raise UnreachableNodeError("an event cannot reach the boundary node")
-        # the edge of slot (pred[x], x); a missing predecessor's key is
-        # negative, finds slot 0 and is masked out
-        keys = pred.astype(np.intp) * n + np.arange(n)
-        new_edge = np.where(
-            pred >= 0, self._slot_edge[np.searchsorted(self._slot_keys, keys)], -1
-        )
         start = self._memo_rows
         stored = min(len(missing), len(self._memo_dist) - start)
         self._memo_dist[start : start + stored] = new_dist[:stored]
-        self._memo_edge[start : start + stored] = new_edge[:stored]
+        self._memo_pred[start : start + stored] = new_pred[:stored]
         self._memo_slot[missing[:stored]] = np.arange(start, start + stored)
         self._memo_rows = start + stored
         if stored == len(missing):
-            return self._memo_dist, self._memo_edge, self._memo_slot[sources].tolist()
+            return self._memo_dist, self._memo_pred, self._memo_slot[sources].tolist()
         dist = np.empty((len(sources), n))
-        edge = np.empty((len(sources), n), dtype=np.int32)
+        pred = np.empty((len(sources), n), dtype=np.int32)
         dist[hit] = self._memo_dist[slot[hit]]
-        edge[hit] = self._memo_edge[slot[hit]]
+        pred[hit] = self._memo_pred[slot[hit]]
         fresh = np.searchsorted(missing, sources[~hit])
         dist[~hit] = new_dist[fresh]
-        edge[~hit] = new_edge[fresh]
-        return dist, edge, list(range(len(sources)))
-
-    def base_paths(self, sources) -> tuple[np.ndarray, np.ndarray]:
-        """Base-weight (dist, pred) rows from each source node, one per
-        source, as scipy's Dijkstra returns them: the predecessors are
-        derived from ``base_rows``' parent edge ids."""
-        dist, edge, rows = self.base_rows(sources)
-        edge = edge[rows]
-        ends = np.array(self._edge_ends, dtype=np.int32)
-        nodes = np.arange(self.n_nodes, dtype=np.int32)
-        return dist[rows], np.where(edge >= 0, ends[edge] ^ nodes, NO_PREDECESSOR)
-
-    def base_path(
-        self, edge: np.ndarray, row: int, source: int, target: int
-    ) -> tuple[list[int], int]:
-        """Edge ids of the base shortest path source -> target, walked back
-        from the target along the parent edge ids ``edge[row]`` of a
-        ``base_rows`` result for ``source``, and how many of them follow
-        the boundary node on the path (0 when it does not visit it)."""
-        bnd, ends = self.boundary_node, self._edge_ends
-        eids = []
-        cut = 0
-        node = target
-        while node != source:
-            e = edge.item(row, node)
-            if e < 0:
-                raise UnreachableNodeError(f"no path from {source} to {target}")
-            eids.append(e)
-            node ^= ends[e]
-            if node == bnd:
-                cut = len(eids)
-        eids.reverse()
-        return eids, cut
+        pred[~hit] = new_pred[fresh]
+        return dist, pred, list(range(len(sources)))
 
     def window_events(self, faults) -> tuple[list[int], int]:
         """Event node ids and residual mask of a window's faults, from the table.
@@ -367,10 +317,6 @@ class DecodingGraph:
             events.symmetric_difference_update([v + shift for v in table[row]])
             residual ^= residuals[row]
         return sorted(events), residual
-
-    def edge_between(self, u: int, v: int) -> int:
-        """Edge index for a node pair; raises KeyError if absent."""
-        return self.edge_lookup[(u, v) if u < v else (v, u)]
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,13 @@ boundary pairings.
 
 A base-weight row depends only on its source node, so plain matchings read
 the rows from the graph's memo (``DecodingGraph.base_rows``) and run
-Dijkstra only for sources not seen before or past the memo's cap.  A memo
-row holds every node's distance from the source and the id of the edge its
-shortest path arrives by.  A plain matching reads only the k x (k + 1)
-block of distances among its k events and the boundary, and walks each
-matched path back along the source row's edge ids
-(``DecodingGraph.base_path``); rows past the cap are computed per call and
-walked the same way.  Reweighted matchings run Dijkstra on the graph's one
-work adjacency, which ``DecodingGraph.csr_with_weights`` resets to the base
-weights and then writes the overlay into, and walk scipy's predecessor
-rows (``_walk_path``).
+Dijkstra only for sources not seen before or past the memo's cap.
+Reweighted matchings run Dijkstra on the graph's one work adjacency, which
+``DecodingGraph.csr_with_weights`` resets to the base weights and then
+writes the overlay into.  Either way ``shortest_paths`` returns scipy's
+distance and predecessor rows; a matching reads only the k x (k + 1) block
+of distances among its k events and the boundary, and walks each matched
+path back along its source's predecessor row (``_walk_path``).
 
 The dense problem is the block of distances among the events and the
 boundary (see ``mwpm``), solved exactly in one of four ways, by its vertex
@@ -126,16 +123,18 @@ def shortest_paths(
 ):
     """All minimum path weights from each event to every node (and boundary).
 
-    Returns (dist, predecessors) with one row per event, as scipy's Dijkstra
-    gives them.  Without an ``overlay`` (edge index -> new weight) the rows
-    come from the graph's memo of base-weight rows; with one, Dijkstra runs
-    on the graph's work adjacency.  The adjacency is symmetric, so a
-    directed search gives the same rows as an undirected one without
+    Returns ``(dist, pred, rows)``, rows of scipy's Dijkstra result: event
+    i's distances are ``dist[rows[i]]`` and its predecessors
+    ``pred[rows[i]]``.  Without an ``overlay`` (edge index -> new weight)
+    the rows come from the graph's memo of base-weight rows
+    (``DecodingGraph.base_rows``); with one, Dijkstra runs on the graph's
+    work adjacency and ``rows`` is 0..k-1.  The adjacency is symmetric, so
+    a directed search gives the same rows as an undirected one without
     transposing the matrix.  Raises UnreachableNodeError when an event
     cannot reach the boundary node.
     """
     if not overlay:
-        return graph.base_paths(events)
+        return graph.base_rows(events)
     dist, pred = _sp_dijkstra(
         graph.csr_with_weights(overlay),
         directed=True,
@@ -144,21 +143,30 @@ def shortest_paths(
     )
     if np.isinf(dist[:, graph.boundary_node]).any():
         raise UnreachableNodeError("an event cannot reach the boundary node")
-    return dist, pred
+    return dist, pred, list(range(len(events)))
 
 
-def _walk_path(graph: DecodingGraph, pred_row, source: int, target: int) -> list[int]:
-    """Node path target -> source via the predecessor row, as edge indices."""
-    edges = []
+def _walk_path(
+    graph: DecodingGraph, pred: np.ndarray, row: int, source: int, target: int
+) -> tuple[list[int], int]:
+    """Edge ids of the shortest path source -> target, walked back from the
+    target along the predecessor row ``pred[row]`` of a ``shortest_paths``
+    result for ``source``, and how many of them follow the boundary node on
+    the path (0 when it does not visit it)."""
+    bnd, lookup = graph.boundary_node, graph.edge_lookup
+    eids = []
+    cut = 0
     node = target
     while node != source:
-        prv = int(pred_row[node])
+        prv = pred.item(row, node)
         if prv < 0:
             raise UnreachableNodeError(f"no path from {source} to {target}")
-        edges.append(graph.edge_between(prv, node))
+        eids.append(lookup[(prv, node) if prv < node else (node, prv)])
         node = prv
-    edges.reverse()
-    return edges
+        if node == bnd:
+            cut = len(eids)
+    eids.reverse()
+    return eids, cut
 
 
 @functools.cache
@@ -382,47 +390,18 @@ def _blossom_edges(
 
 
 def _matching_result(
-    graph: DecodingGraph, events: list[int], pred, pairs, total: float
+    graph: DecodingGraph, events: list[int], pred, rows: list[int], pairs, total: float
 ) -> MatchingResult:
     """The matching of ``pairs`` of positions in ``events``, position
-    len(events) standing for the boundary."""
-    k, bnd = len(events), graph.boundary_node
-    result = MatchingResult(total_weight=total)
-    for a, b in pairs:
-        u = events[a]
-        if b == k:
-            legs = [(u, _walk_path(graph, pred[a], u, bnd))]
-        else:
-            v = events[b]
-            eids = _walk_path(graph, pred[a], u, v)
-            # a path through the boundary node enters and leaves it on
-            # consecutive edges: it is two boundary pairings
-            at_bnd = [bnd in (graph.edges[e].u, graph.edges[e].v) for e in eids]
-            if not any(at_bnd):
-                result.pairs.append((u, v))
-                result.path_edges[(u, v)] = tuple(eids)
-                continue
-            cut = at_bnd.index(True) + 1
-            legs = [(u, eids[:cut]), (v, eids[cut:])]
-        for event, path in legs:
-            result.boundary_pairs.append(event)
-            result.path_edges[(event, -1)] = tuple(path)
-    return result
-
-
-def _plain_matching_result(
-    graph: DecodingGraph, events: list[int], edge, rows: list[int], pairs, total: float
-) -> MatchingResult:
-    """``_matching_result`` on base weights: each leg is walked along its
-    source's parent edge ids (``DecodingGraph.base_path``), and a pair whose
-    path visits the boundary node is cut there into two boundary
-    pairings."""
+    len(events) standing for the boundary: each leg is walked along its
+    source's predecessor row (``_walk_path``), and a pair whose path visits
+    the boundary node is cut there into two boundary pairings."""
     k, bnd = len(events), graph.boundary_node
     result = MatchingResult(total_weight=total)
     for a, b in pairs:
         u = events[a]
         target = bnd if b == k else events[b]
-        eids, cut = graph.base_path(edge, rows[a], u, target)
+        eids, cut = _walk_path(graph, pred, rows[a], u, target)
         if b == k:
             legs = [(u, eids)]
         elif cut:
@@ -473,11 +452,7 @@ def mwpm(
     # so column k is the virtual boundary vertex; event a's distances are
     # row rows[a] of dist
     cols = events + [graph.boundary_node] if k % 2 else events
-    if overlay:
-        dist, pred = shortest_paths(graph, events, overlay=overlay)
-        rows = range(k)
-    else:
-        dist, edge, rows = graph.base_rows(events)
+    dist, pred, rows = shortest_paths(graph, events, overlay)
     nverts = k + (k % 2)
     pruned = prune_neighbors is not None and k > prune_neighbors + 2
     pairs = None
@@ -504,9 +479,7 @@ def mwpm(
     total = 0.0
     for a, b in pairs:
         total += dist.item(rows[a], cols[b])
-    if overlay:
-        return _matching_result(graph, events, pred, pairs, total)
-    return _plain_matching_result(graph, events, edge, rows, pairs, total)
+    return _matching_result(graph, events, pred, rows, pairs, total)
 
 
 def brute_force_matching(
@@ -527,14 +500,14 @@ def brute_force_matching(
         )
     if k == 0:
         return MatchingResult()
-    dist, pred = shortest_paths(graph, events, overlay=overlay)
+    dist, pred, rows = shortest_paths(graph, events, overlay)
     bnd = graph.boundary_node
     pair_w = {
-        (a, b): round(float(dist[a, events[b]]), WEIGHT_DECIMALS)
+        (a, b): round(float(dist[rows[a], events[b]]), WEIGHT_DECIMALS)
         for a in range(k)
         for b in range(a + 1, k)
     }
-    bound_w = [round(float(dist[a, bnd]), WEIGHT_DECIMALS) for a in range(k)]
+    bound_w = [round(float(dist[rows[a], bnd]), WEIGHT_DECIMALS) for a in range(k)]
 
     best: tuple[float, tuple] | None = None
 
@@ -558,7 +531,7 @@ def brute_force_matching(
     rec(tuple(range(k)), 0.0, ())
     total, pairing = best
     pairs = [(a, k if b == -1 else b) for a, b in pairing]
-    return _matching_result(graph, events, pred, pairs, float(total))
+    return _matching_result(graph, events, pred, rows, pairs, float(total))
 
 
 def matching_to_correction(

@@ -115,8 +115,9 @@ def test_large_dense_problems_reach_the_traced_blossom(bench, monkeypatch, k):
 
 @pytest.mark.parametrize("k", [4, 5])  # 4 and 6 dense vertices
 def test_small_plain_matchings_stay_in_the_traced_mwpm_span(bench, monkeypatch, k):
-    # the list form is scored inside mwpm, so a traced run counts its time
-    # in matcher.mwpm.self_s; with a unique minimum blossom is not called
+    # the rows come through matcher.shortest_paths, so a traced run times
+    # the memo lookup in its own span; the list form is scored inside mwpm,
+    # and with a unique minimum blossom is not called
     _, spans = bench
     gx, _ = graph.build_decoder_graphs(5, 5, 0.01)
     events = list(range(0, 6 * k, 6))
@@ -136,4 +137,6 @@ def test_small_plain_matchings_stay_in_the_traced_mwpm_span(bench, monkeypatch, 
     finally:
         tracer.uninstall()
     assert forms == [list]
-    assert [span[spans.NAME] for span in tracer.spans] == ["matcher.mwpm"]
+    names = [span[spans.NAME] for span in tracer.spans]
+    assert names == ["matcher.mwpm", "matcher.shortest_paths"]
+    assert tracer.spans[1][spans.PARENT] == 0

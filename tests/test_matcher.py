@@ -484,45 +484,81 @@ def test_enumeration_leaves_matchings_of_real_windows_unchanged(
     assert sum(w and not r for w, r in zip(ways[2], reweighted)) >= plain_floor
 
 
+def _reference_matching(graph, events, overlay, pairs, total):
+    """The matching of ``pairs`` (as ``mwpm`` numbers them), each path walked
+    back along a fresh scipy predecessor row with ``overlay`` and cut after
+    its first edge that touches the boundary node."""
+    _dist, pred = _oracle_paths(graph, events, overlay)
+    k, bnd = len(events), graph.boundary_node
+    result = matcher.MatchingResult(total_weight=total)
+    for a, b in pairs:
+        u = events[a]
+        target = bnd if b == k else events[b]
+        eids = []
+        node = target
+        while node != u:
+            prv = int(pred[a, node])
+            assert prv >= 0
+            eids.append(graph.edge_lookup[(min(prv, node), max(prv, node))])
+            node = prv
+        eids.reverse()
+        if b == k:
+            legs = [(u, eids)]
+        else:
+            at_bnd = [bnd in (graph.edges[e].u, graph.edges[e].v) for e in eids]
+            if not any(at_bnd):
+                result.pairs.append((u, target))
+                result.path_edges[(u, target)] = tuple(eids)
+                continue
+            cut = at_bnd.index(True) + 1
+            legs = [(u, eids[:cut]), (target, eids[cut:])]
+        for event, path in legs:
+            result.boundary_pairs.append(event)
+            result.path_edges[(event, -1)] = tuple(path)
+    return result
+
+
 @pytest.mark.parametrize(
-    "L, p, decoder, windows, crossing_floor",
-    [(7, 0.001, "mwpm", 300, 10), (5, 0.01, "irmwpm", 150, 50)],
+    "L, p, decoder, windows, crossing_floor, reweighted_crossing_floor",
+    [(7, 0.001, "mwpm", 300, 10, 0), (5, 0.01, "irmwpm", 150, 50, 50)],
 )
-def test_parent_edge_walk_equals_the_predecessor_walk(
-    monkeypatch, L, p, decoder, windows, crossing_floor
+def test_walk_equals_the_reference_walk(
+    monkeypatch, L, p, decoder, windows, crossing_floor, reweighted_crossing_floor
 ):
-    # every plain matching of real windows, walked along the memo's parent
-    # edges, against _matching_result over a fresh scipy predecessor row
+    # every matching of real windows, plain and reweighted, against the
+    # reference walk over a fresh scipy predecessor row
     from surfdec.experiments import SimConfig
 
     config = SimConfig(L=L, p=p, trials=1, decoder=decoder)
     calls = [
-        (g, sorted(ev))
+        (g, sorted(ev), overlay)
         for g, ev, overlay in _recorded_matchings(config, windows, seed=L)
-        if ev and not overlay
+        if ev
     ]
-    real = matcher._plain_matching_result
-    checked = crossing = 0
+    real = matcher._matching_result
+    checked = crossing = reweighted_crossing = 0
 
-    def compared(graph, events, edge, row, pairs, total):
-        nonlocal checked, crossing
-        got = real(graph, events, edge, row, pairs, total)
-        _dist, pred = _oracle_paths(graph, events)
-        want = matcher._matching_result(graph, events, pred, pairs, total)
+    def compared(graph, events, pred, rows, pairs, total):
+        nonlocal checked, crossing, reweighted_crossing
+        got = real(graph, events, pred, rows, pairs, total)
+        want = _reference_matching(graph, events, overlay, pairs, total)
         assert got.pairs == want.pairs
         assert got.boundary_pairs == want.boundary_pairs
         assert list(got.path_edges.items()) == list(want.path_edges.items())
         assert got.total_weight == want.total_weight
         k = len(events)
-        crossing += sum(b < k for _a, b in pairs) - len(got.pairs)
+        crossed = sum(b < k for _a, b in pairs) - len(got.pairs)
+        crossing += crossed
+        reweighted_crossing += crossed if overlay else 0
         checked += 1
         return got
 
-    monkeypatch.setattr(matcher, "_plain_matching_result", compared)
-    for g, ev in calls:
-        mwpm(g, ev)
+    monkeypatch.setattr(matcher, "_matching_result", compared)
+    for g, ev, overlay in calls:
+        mwpm(g, ev, overlay)
     assert checked == len(calls) >= 150
     assert crossing >= crossing_floor
+    assert reweighted_crossing >= reweighted_crossing_floor
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +622,7 @@ def test_shortest_paths_against_bellman_ford(graphs3):
     gx, _ = graphs3
     rng = np.random.default_rng(3)
     nodes = sorted(rng.choice(gx.n_nodes - 1, size=6, replace=False).tolist())
-    dist, _pred = shortest_paths(gx, nodes)
+    dist, _pred, rows = shortest_paths(gx, nodes)
 
     # independent O(VE) relaxation oracle
     inf = math.inf
@@ -603,7 +639,7 @@ def test_shortest_paths_against_bellman_ford(graphs3):
             if not changed:
                 break
         for node in range(gx.n_nodes):
-            assert dist[row, node] == pytest.approx(d[node], abs=1e-9)
+            assert dist[rows[row], node] == pytest.approx(d[node], abs=1e-9)
 
 
 def _random_instances(layout, circuit, graph, p, T, n, seed, max_events=8):
@@ -652,7 +688,7 @@ def test_mwpm_beats_random_valid_matchings(layout3, circuit3, graphs3):
     rng = np.random.default_rng(17)
     for ev, _ in _random_instances(layout3, circuit3, gx, 0.03, 3, 25, seed=29):
         opt = mwpm(gx, ev).total_weight
-        dist, _ = shortest_paths(gx, ev)
+        dist, _, rows = shortest_paths(gx, ev)
         bnd = gx.boundary_node
         for _ in range(100):
             order = list(rng.permutation(len(ev)))
@@ -661,9 +697,9 @@ def test_mwpm_beats_random_valid_matchings(layout3, circuit3, graphs3):
                 a = order.pop()
                 if order and rng.random() < 0.7:
                     b = order.pop(int(rng.integers(0, len(order))))
-                    total += dist[a, ev[b]]
+                    total += dist[rows[a], ev[b]]
                 else:
-                    total += dist[a, bnd]
+                    total += dist[rows[a], bnd]
             assert opt <= total + 1e-9
 
 
@@ -743,10 +779,10 @@ def _oracle_paths(graph, sources, overlay=None):
 
 
 def _assert_oracle(graph, sources, overlay=None):
-    dist, pred = shortest_paths(graph, sources, overlay)
+    dist, pred, rows = shortest_paths(graph, sources, overlay)
     want_dist, want_pred = _oracle_paths(graph, sources, overlay)
-    assert np.array_equal(dist, want_dist)
-    assert np.array_equal(pred, want_pred)
+    assert np.array_equal(dist[rows], want_dist)
+    assert np.array_equal(pred[rows], want_pred)
 
 
 def _memo_state(graph):
@@ -754,7 +790,7 @@ def _memo_state(graph):
     return (
         graph._memo_slot.copy(),
         graph._memo_dist[:rows].copy(),
-        graph._memo_edge[:rows].copy(),
+        graph._memo_pred[:rows].copy(),
     )
 
 
@@ -842,7 +878,7 @@ def test_capped_memo_stops_growing(monkeypatch, layout5, circuit5):
     uncapped = graph_mod.build_decoder_graphs(5, 5, 0.005)
     capped = graph_mod.build_decoder_graphs(5, 5, 0.005)
     for g in uncapped:
-        g.base_paths([0])  # allocates this memo before the cap is patched
+        g.base_rows([0])  # allocates this memo before the cap is patched
     monkeypatch.setattr(graph_mod, "MEMO_ENTRIES", 4 * capped[0].n_nodes + 5)
     rng = np.random.default_rng(12)
     params = NoiseParams(0.005)
@@ -857,10 +893,10 @@ def test_capped_memo_stops_growing(monkeypatch, layout5, circuit5):
             assert a.path_edges == b.path_edges
             assert a.total_weight == b.total_weight
     for g in capped:
-        assert g._memo_rows == len(g._memo_dist) == len(g._memo_edge) == 4
+        assert g._memo_rows == len(g._memo_dist) == len(g._memo_pred) == 4
         assert np.count_nonzero(g._memo_slot >= 0) == 4
         assert g._memo_dist.size <= graph_mod.MEMO_ENTRIES
-        assert g._memo_dist.nbytes + g._memo_edge.nbytes <= 12 * graph_mod.MEMO_ENTRIES
+        assert g._memo_dist.nbytes + g._memo_pred.nbytes <= 12 * graph_mod.MEMO_ENTRIES
     assert uncapped[0]._memo_rows > 4
     _assert_oracle(capped[0], list(range(capped[0].n_nodes)))
     assert capped[0]._memo_rows == 4
@@ -872,30 +908,20 @@ def test_memo_respects_cap_at_distance_13():
     gx, _ = build_decoder_graphs(13, 13, 0.001)
     _assert_oracle(gx, [0, gx.n_nodes // 2, gx.boundary_node])
     assert len(gx._memo_dist) == MEMO_ENTRIES // gx.n_nodes < gx.n_nodes
-    assert gx._memo_dist.size + gx._memo_edge.size <= 2 * MEMO_ENTRIES
-    assert gx._memo_dist.nbytes + gx._memo_edge.nbytes <= 12 * MEMO_ENTRIES
+    assert gx._memo_dist.size + gx._memo_pred.size <= 2 * MEMO_ENTRIES
+    assert gx._memo_dist.nbytes + gx._memo_pred.nbytes <= 12 * MEMO_ENTRIES
 
 
-def _assert_parent_edges(graph, sources, edge):
-    """Row i of ``edge`` holds, per node x, the edge from x's predecessor on
-    a fresh Dijkstra from source i to x, and -1 where it has none."""
-    _dist, pred = _oracle_paths(graph, sources)
-    for i in range(len(sources)):
-        want = [
-            graph.edge_between(int(p), x) if p >= 0 else -1
-            for x, p in enumerate(pred[i])
-        ]
-        assert edge[i].tolist() == want
-
-
-def test_memo_rows_hold_the_parent_edges(monkeypatch, graphs5):
+def test_memo_rows_equal_fresh_scipy_predecessors(monkeypatch, graphs5):
     from surfdec import graph as graph_mod
 
     for g in graphs5:
         every = list(range(g.n_nodes))
-        _dist, edge, row = g.base_rows(every)
-        assert edge is g._memo_edge and edge.dtype == np.int32
-        _assert_parent_edges(g, every, edge[row])
+        dist, pred, row = g.base_rows(every)
+        assert pred is g._memo_pred and pred.dtype == np.int32
+        want_dist, want_pred = _oracle_paths(g, every)
+        assert np.array_equal(dist[row], want_dist)
+        assert np.array_equal(pred[row], want_pred)
         _assert_oracle(g, every)
     # a capped memo: four rows stored, the others computed per call
     capped = graph_mod.build_decoder_graphs(5, 5, 0.005)
@@ -903,9 +929,12 @@ def test_memo_rows_hold_the_parent_edges(monkeypatch, graphs5):
     for g in capped:
         every = list(range(g.n_nodes))
         g.base_rows(every[:4])
-        _dist, edge, row = g.base_rows(every)
-        assert g._memo_rows == 4 and edge is not g._memo_edge
-        _assert_parent_edges(g, every, edge[row])
+        dist, pred, row = g.base_rows(every)
+        assert g._memo_rows == 4 and pred is not g._memo_pred
+        assert pred.dtype == np.int32
+        want_dist, want_pred = _oracle_paths(g, every)
+        assert np.array_equal(dist[row], want_dist)
+        assert np.array_equal(pred[row], want_pred)
         _assert_oracle(g, every[::-1])
         assert g._memo_rows == 4
 
