@@ -60,6 +60,7 @@ from .noise import (
     FaultRecord,
     InvalidFaultError,
     NoiseParams,
+    _collector_paused,
     enumerate_single_faults,
 )
 from .pauli import PauliOperator
@@ -188,14 +189,13 @@ class DecodingGraph:
     # edge index of each signature class of the pool the graph was built
     # from, placed at each fault round: shape (fault rounds, classes)
     _class_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # set once from n_stabs and n_layers: the matcher reads them per walked path
+    boundary_node: int = field(init=False, repr=False, compare=False)
+    n_nodes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_stabs * self.n_layers + 1
-
-    @property
-    def boundary_node(self) -> int:
-        return self.n_stabs * self.n_layers
+    def __post_init__(self) -> None:
+        self.boundary_node = self.n_stabs * self.n_layers
+        self.n_nodes = self.boundary_node + 1
 
     def node_id(self, stab: int, t: int) -> int:
         return (t - 1) * self.n_stabs + stab
@@ -755,6 +755,7 @@ def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:
     return records
 
 
+@_collector_paused()
 def build_decoder_graphs(
     L: int,
     T: int,
@@ -779,6 +780,7 @@ def build_decoder_graphs(
     return gx, gz
 
 
+@_collector_paused()
 def build_code_capacity_pair(L: int) -> tuple[DecodingGraph, DecodingGraph]:
     """Both 2D code-capacity lattices with same-qubit correlations.
 

@@ -42,7 +42,9 @@ from an initial data error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -582,6 +584,32 @@ def _column_masks(frame: np.ndarray) -> list[int]:
     return masks
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn CPython's cyclic garbage collector off for the block; nesting-safe.
+
+    On exit the collector is turned back on only if it was on at entry.
+    Fault tables and decoding graphs allocate several objects per single
+    fault and leave no reference cycles, yet those allocations set off
+    gen-2 passes that each walk the whole heap: ~43,000 tracked objects
+    after importing numpy and scipy, 8-15 ms a pass on a shared 2-core
+    machine (Python 3.11.7), and 8 passes in a cold d=17 build.  Paused,
+    cold builds took 33 instead of 55 ms at d=5 (with the code-capacity
+    pair) and 1.44 instead of 2.01 s at d=17.  Never use it around
+    decoding: blossom's recursive closures leave cycles on every call, and
+    with the collector off ``life-d5`` decodes got slower (p50 0.62 -> 0.66
+    ms, p90 1.21 -> 1.35 ms).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def enumerate_single_faults(
     circuit: SECircuit,
     T: int,

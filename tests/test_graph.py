@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from fractions import Fraction
@@ -578,3 +579,67 @@ def test_decoding_graphs_need_distance_3():
         with pytest.raises(ValueError, match="distance >= 3, got 2"):
             build()
     assert build_layout(2).L == 2
+
+
+def test_node_counts_are_fields_outside_repr(graphs3, cc_pair3):
+    for g in (*graphs3, *cc_pair3):
+        assert g.boundary_node == g.n_stabs * g.n_layers
+        assert g.n_nodes == g.boundary_node + 1
+        assert "boundary_node" not in repr(g) and "n_nodes" not in repr(g)
+
+
+#: the set-up calls that run with the cyclic garbage collector paused
+PAUSED_SETUP = {
+    "enumerate_single_faults": lambda circuit: enumerate_single_faults(circuit, 3),
+    "build_decoder_graphs": lambda _: build_decoder_graphs(3, 3, 0.01),
+    "build_code_capacity_pair": lambda _: build_code_capacity_pair(3),
+}
+
+
+@pytest.fixture
+def collector_restored():
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    yield
+    gc.set_threshold(*thresholds)
+    (gc.enable if enabled else gc.disable)()
+
+
+def _collections() -> list[int]:
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("name", sorted(PAUSED_SETUP))
+def test_setup_pauses_the_collector_only_inside_the_call(
+    name, enabled, circuit3, collector_restored
+):
+    # at these thresholds a running collector makes an older-generation pass
+    # every 300 allocations; gc.collect() starts every generation's count at
+    # 0, so the one young pass that the first allocation after the call owes
+    # cannot reach an older generation
+    gc.set_threshold(100, 2, 2)
+    (gc.enable if enabled else gc.disable)()
+    gc.collect()
+    before = _collections()
+    PAUSED_SETUP[name](circuit3)
+    assert _collections()[1:] == before[1:]
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_failed_build_restores_the_collector(enabled, collector_restored):
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(InvalidRateError):
+        build_decoder_graphs(5, 5, 0.4)
+    assert gc.isenabled() == enabled
+
+
+def test_setup_leaves_no_cyclic_garbage(circuit3, collector_restored):
+    # what keeps memory flat while set-up runs with the collector paused
+    gc.collect()
+    gc.disable()
+    build_decoder_graphs(3, 3, 0.01)
+    build_decoder_graphs(5, 5, 0.001)
+    build_code_capacity_pair(5)
+    enumerate_single_faults(circuit3, 3)
+    assert gc.collect() == 0
