@@ -85,6 +85,8 @@ INTERIOR_COEFFS = {
     "e": Fraction(8, 15),
     "f": Fraction(8, 15),
 }
+#: the same in integer units of p/15, as edge rates are summed
+_INTERIOR_UNITS = {letter: int(15 * c) for letter, c in INTERIOR_COEFFS.items()}
 
 
 #: smallest distance whose faults of one signature share their logical action
@@ -617,7 +619,7 @@ def _assemble(
                 letter=letter,
                 # an interior geometry whose rate the space or time edge cuts
                 boundary=b == boundary
-                or (letter is not None and coeff != INTERIOR_COEFFS[letter]),
+                or (letter is not None and n_units != _INTERIOR_UNITS[letter]),
                 n_fault_locations=n_loc,
             )
         )

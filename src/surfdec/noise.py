@@ -46,6 +46,7 @@ import contextlib
 import functools
 import gc
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -484,7 +485,8 @@ def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
     return kind.row + kind.payloads * fault.index + fault.payload
 
 
-#: fault columns propagated together; bounds the frame matrices' size
+#: fault columns propagated together, 64 to a word: each frame matrix of a
+#: block holds 512 bytes per qubit, whatever the number of faults
 _BLOCK = 4096
 
 
@@ -493,49 +495,72 @@ def _round_signatures(circuit: SECircuit, faults: list[tuple[str, int, int]]):
 
     Every fault gets its own column of the X and Z frame matrices, and all
     columns go through the round together: the four CNOT layers (each
-    followed by that layer's CNOT faults), the measurement (then the
-    measurement flips), the ancilla reset, the idle faults, and one
-    fault-free readout round.  Frames are linear, so each column is that
-    fault's own frame.  A fault of round 1 detects only in rounds 1 and 2:
-    from round 2 on the frame is a data error that every later round,
-    perfect or not, reads the same.  Returns per-fault lists of sorted
-    (stabilizer, round) X- and Z-lattice events and the residual X and Z
-    data-qubit masks.
+    followed by that layer's CNOT faults and, after the last, the
+    measurement flips), the measurement, the ancilla reset, the idle
+    faults, and one fault-free readout round.  Frames are linear, so each
+    column is that fault's own frame.  A fault of round 1 detects only in
+    rounds 1 and 2: from round 2 on the frame is a data error that every
+    later round, perfect or not, reads the same.  Returns per-fault lists
+    of sorted (stabilizer, round) X- and Z-lattice events and the residual
+    X and Z data-qubit masks.
+
+    Columns are bit-packed, ``_BLOCK`` at a time, into rows of ``uint64``
+    words per qubit (Pauli frames packed into machine words, as Stim's
+    frame simulator packs shots; Gidney, arXiv:2103.02202): a CNOT layer
+    is two row XORs, and each fault is one or two (qubit, word, bit) XORs.
     """
-    n_data, n_q = circuit.layout.n_data, circuit.n_qubits
-    # each fault flips the frame of one or two qubits (qa, qb; -1 for none)
-    # at one phase of the round: CNOT layer 0-3, 4 = measurement, 5 = idle;
-    # a measurement fault flips the outcome of ancilla meas_x or meas_z
+    n_data, n_x = circuit.layout.n_data, circuit.n_x
     n = len(faults)
-    phase = np.empty(n, dtype=np.int8)
-    qa, qb = np.full(n, -1), np.full(n, -1)
-    xa, za, xb, zb = (np.zeros(n, dtype=bool) for _ in range(4))
-    meas_x, meas_z = np.full(n, -1), np.full(n, -1)
-    for j, (kind, index, pay) in enumerate(faults):
-        if kind == "cnot":
-            phase[j], qa[j], qb[j] = circuit.cnot_flat[index]
-            xa[j], za[j] = PAYLOAD_XC[pay], PAYLOAD_ZC[pay]
-            xb[j], zb[j] = PAYLOAD_XT[pay], PAYLOAD_ZT[pay]
-        elif kind == "idle":
-            phase[j], qa[j] = 5, index
-            xa[j], za[j] = PAYLOAD_X1[pay], PAYLOAD_Z1[pay]
-        else:
-            phase[j] = 4
-            (meas_x if kind == "meas_x" else meas_z)[j] = index
+    kinds, index, pay = (
+        np.fromiter(map(operator.itemgetter(k), faults), dtype, n)
+        for k, dtype in enumerate(("U6", np.int64, np.int64))
+    )
+    cnot, idle, meas_x, meas_z = (
+        np.flatnonzero(kinds == kind) for kind in ("cnot", "idle", "meas_x", "meas_z")
+    )
+    layer, ctl, tgt = np.array(circuit.cnot_flat)[index[cnot]].T
+    pc, pi = pay[cnot], pay[idle]
+    # every flip of one qubit's frame: the fault (column) that makes it, its
+    # phase (after CNOT layer 0-3, 4 = after the reset), its qubit, and
+    # whether it flips X and Z; a measurement flip is the opposite Pauli on
+    # its ancilla after the last layer
+    flips = [
+        (cnot, layer, ctl, PAYLOAD_XC[pc], PAYLOAD_ZC[pc]),
+        (cnot, layer, tgt, PAYLOAD_XT[pc], PAYLOAD_ZT[pc]),
+        (idle, 4, index[idle], PAYLOAD_X1[pi], PAYLOAD_Z1[pi]),
+        (meas_x, 3, n_data + index[meas_x], False, True),
+        (meas_z, 3, n_data + n_x + index[meas_z], True, False),
+    ]
+    col, phase, qubit, fx, fz = (
+        np.concatenate([np.broadcast_to(f[k], len(f[0])) for f in flips])
+        for k in range(5)
+    )
+    slots = 5 * -(-n // _BLOCK)
+    # per frame, its flips sorted by (block, phase) slot, and each slot's bounds
+    sparse = []
+    for flag in (fx, fz):
+        c, q = col[flag], qubit[flag]
+        slot = c // _BLOCK * 5 + phase[flag]
+        order = np.argsort(slot, kind="stable")
+        c, q = c[order], q[order]
+        bounds = np.searchsorted(slot[order], np.arange(slots + 1)).tolist()
+        bit = np.uint64(1) << (c % 64).astype(np.uint64)
+        sparse.append((q, c % _BLOCK // 64, bit, bounds))
 
     anc = np.concatenate([circuit.x_anc_global, circuit.z_anc_global])
     x_events, z_events, x_res, z_res = [], [], [], []
     for lo in range(0, n, _BLOCK):
-        cols = slice(lo, min(lo + _BLOCK, n))
-        width = cols.stop - lo
-        x = np.zeros((n_q, width), dtype=bool)
-        z = np.zeros((n_q, width), dtype=bool)
+        width = min(_BLOCK, n - lo)
+        # little-endian words, so ``_set_bits`` reads bit b of word w from
+        # byte b // 8 of its bytes: column 64 w + b of the block
+        x = np.zeros((circuit.n_qubits, -(-width // 64)), dtype="<u8")
+        z = np.zeros_like(x)
 
         def inject(ph):
-            for q, fx, fz in ((qa, xa, za), (qb, xb, zb)):
-                j = np.nonzero((phase[cols] == ph) & (q[cols] >= 0))[0]
-                x[q[cols][j], j] ^= fx[cols][j]
-                z[q[cols][j], j] ^= fz[cols][j]
+            s = lo // _BLOCK * 5 + ph
+            for frame, (q, word, bit, bounds) in zip((x, z), sparse):
+                k = slice(bounds[s], bounds[s + 1])
+                np.bitwise_xor.at(frame, (q[k], word[k]), bit[k])
 
         outcomes = []
         for faulty in (True, False):
@@ -544,42 +569,47 @@ def _round_signatures(circuit: SECircuit, faults: list[tuple[str, int, int]]):
                 z[cs] ^= z[ts]
                 if faulty:
                     inject(k)
-            ox = z[circuit.x_anc_global]
-            oz = x[circuit.z_anc_global]
+            outcomes.append((z[circuit.x_anc_global], x[circuit.z_anc_global]))
+            x[anc] = 0
+            z[anc] = 0
             if faulty:
-                for o, m in ((ox, meas_x), (oz, meas_z)):
-                    j = np.nonzero(m[cols] >= 0)[0]
-                    o[m[cols][j], j] ^= True
-            outcomes.append((ox, oz))
-            x[anc] = False
-            z[anc] = False
-            if faulty:
-                inject(5)
+                inject(4)
         (ox1, oz1), (ox2, oz2) = outcomes
         # X-type errors show on Z-ancillas and vice versa
-        x_events += _column_events(oz1, oz1 ^ oz2)
-        z_events += _column_events(ox1, ox1 ^ ox2)
-        x_res += _column_masks(x[:n_data])
-        z_res += _column_masks(z[:n_data])
+        x_events += _column_events(oz1, oz1 ^ oz2, width)
+        z_events += _column_events(ox1, ox1 ^ ox2, width)
+        x_res += _column_masks(x[:n_data], width)
+        z_res += _column_masks(z[:n_data], width)
     return x_events, z_events, x_res, z_res
 
 
-def _column_events(first: np.ndarray, second: np.ndarray) -> list[tuple]:
-    """Per column, the sorted (row, round) events of two (rows, cols) rounds."""
-    r1, c1 = np.nonzero(first)
-    r2, c2 = np.nonzero(second)
-    rows, cols = np.concatenate([r1, r2]), np.concatenate([c1, c2])
-    rounds = np.repeat([1, 2], [len(r1), len(r2)])
-    order = np.lexsort((rounds, rows, cols))
-    pairs = list(zip(rows[order].tolist(), rounds[order].tolist()))
-    ends = np.cumsum(np.bincount(cols, minlength=first.shape[1])).tolist()
+def _set_bits(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every set bit of a (rows, words) packed frame, rows
+    ascending, then columns; only nonzero words are unpacked."""
+    rows, words = np.nonzero(frame)
+    bits = np.unpackbits(frame[rows, words].view(np.uint8), bitorder="little")
+    k, b = np.nonzero(bits.reshape(len(rows), 64))
+    return rows[k], words[k] * 64 + b
+
+
+def _column_events(first: np.ndarray, second: np.ndarray, width: int) -> list[tuple]:
+    """Per column, the sorted (row, round) events of two packed rounds."""
+    n = 2 * len(first)
+    r1, c1 = _set_bits(first)
+    r2, c2 = _set_bits(second)
+    # an event is 2 * row + round - 1 past n * column, so one sort orders
+    # the events by column, then row, then round
+    keys = np.sort(np.concatenate([c1 * n + 2 * r1, c2 * n + 2 * r2 + 1]))
+    events = [(row, t) for row in range(n // 2) for t in (1, 2)]
+    pairs = [events[k] for k in (keys % n).tolist()]
+    ends = np.cumsum(np.bincount(keys // n, minlength=width)).tolist()
     return [tuple(pairs[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def _column_masks(frame: np.ndarray) -> list[int]:
-    """Per column, the integer bit mask of a (qubits, cols) frame."""
-    masks = [0] * frame.shape[1]
-    for q, j in zip(*(a.tolist() for a in np.nonzero(frame))):
+def _column_masks(frame: np.ndarray, width: int) -> list[int]:
+    """Per column, the integer bit mask of a packed (qubits, words) frame."""
+    masks = [0] * width
+    for q, j in zip(*(a.tolist() for a in _set_bits(frame))):
         masks[j] |= 1 << q
     return masks
 
@@ -593,12 +623,10 @@ def _collector_paused():
     fault and leave no reference cycles, yet those allocations set off
     gen-2 passes that each walk the whole heap: ~43,000 tracked objects
     after importing numpy and scipy, 8-15 ms a pass on a shared 2-core
-    machine (Python 3.11.7), and 8 passes in a cold d=17 build.  Paused,
-    cold builds took 33 instead of 55 ms at d=5 (with the code-capacity
-    pair) and 1.44 instead of 2.01 s at d=17.  Never use it around
-    decoding: blossom's recursive closures leave cycles on every call, and
-    with the collector off ``life-d5`` decodes got slower (p50 0.62 -> 0.66
-    ms, p90 1.21 -> 1.35 ms).
+    machine (Python 3.11.7), and 8 passes in a cold d=17 build.  Never use
+    it around decoding: blossom's recursive closures leave cycles on every
+    call, and with the collector off ``life-d5`` decodes got slower (p50
+    0.62 -> 0.66 ms, p90 1.21 -> 1.35 ms).
     """
     enabled = gc.isenabled()
     gc.disable()

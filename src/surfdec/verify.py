@@ -305,12 +305,13 @@ def check_circuit_vs_ideal(report: VerifyReport, L: int, instances: int) -> None
     circuit = build_se_circuit(layout)
     rng = np.random.default_rng(SYNDROME_SEED)
     n = layout.n_data
-    n_x = len(layout.x_stabilizers)
     bad = 0
+
+    def mask() -> int:  # uniform over n bits, for any n
+        return int.from_bytes(rng.bytes(-(-n // 8)), "little") & ((1 << n) - 1)
+
     for _ in range(instances):
-        err = PauliOperator(
-            n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n))
-        )
+        err = PauliOperator(n, mask(), mask())
         hist = simulate(layout, circuit, [], 1, False, initial_error=err)
         expected = ideal_syndrome(layout, err)
         got = list(hist.x_anc_outcomes[0]) + list(hist.z_anc_outcomes[0])

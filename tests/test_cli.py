@@ -283,6 +283,14 @@ def test_verify_passes_at_its_smallest_window(capsys):
     assert "brute force (10 instances at L=3, T=3, p=0.02)" in out
 
 
+def test_verify_draws_errors_on_more_than_64_data_qubits(capsys):
+    # d=7 has 85 data qubits, past what one int64 draw can cover
+    rc = main(["verify", "--distance", "7", "--rounds", "3", "--instances", "5"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "syndrome circuit equals ideal syndrome (5 errors)" in out
+
+
 def test_lifetime_check_period_a_multiple_of_rounds_runs(tmp_path):
     out = tmp_path / "lt.csv"
     rc = main(

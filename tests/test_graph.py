@@ -130,6 +130,17 @@ def test_classification_covers_all_interior_edges(graphs3):
                 assert e.letter in "abcdef"
 
 
+@pytest.mark.parametrize("L", [3, 5, 7])
+def test_boundary_flag_follows_the_rational_rates(L):
+    # the flag is set from integer rate units; it must agree with the
+    # exact rates: a boundary-node edge, or a lettered edge whose rate is
+    # not its letter's interior rate
+    for g in build_decoder_graphs(L, L, 0.001):
+        for e in g.edges:
+            cut = e.letter is not None and e.coeff != INTERIOR_COEFFS[e.letter]
+            assert e.boundary == (e.v == g.boundary_node or cut)
+
+
 def test_temporal_means_same_stabilizer(graphs3):
     gx, _ = graphs3
     for e in gx.edges:

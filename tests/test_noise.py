@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from surfdec.noise import (
     _faulty_locations,
     _frame_plan,
     _round_faults,
+    _round_signatures,
     enumerate_single_faults,
     fault_row,
     sample_faults,
@@ -469,15 +471,32 @@ def _simulated_records(layout, circuit, T, include_idle):
 
 
 @pytest.mark.parametrize("include_idle", [True, False])
-@pytest.mark.parametrize("T", [1, 3])
-@pytest.mark.parametrize("L", [3, 5])
+@pytest.mark.parametrize("L, T", [(3, 1), (3, 3), (5, 1), (5, 3), (7, 1)])
 def test_enumeration_equals_per_fault_simulation(L, T, include_idle):
     # the one-round propagation shifted in time, record for record, against
-    # one simulate call per fault
+    # one simulate call per fault; at L = 7 the round's 5,019 faults (4,764
+    # without idles) fill one block of packed columns and part of a second,
+    # whose last word is partial
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
     records = enumerate_single_faults(circuit, T, include_idle)
     assert records == _simulated_records(layout, circuit, T, include_idle)
+
+
+def test_round_propagation_memory_does_not_grow_with_dense_frames():
+    # at d=13 one-byte-per-fault frame columns peaked at 16.2 MB and
+    # bit-packed ones at 8.0 MB, 3.3 MB of it the returned lists; frames or
+    # injection tables that grow with the fault count break the bound
+    circuit = build_se_circuit(build_layout(13))
+    faults = _round_faults(circuit, True)
+    _round_signatures(circuit, faults)  # numpy's first-call set-up stays out
+    tracemalloc.start()
+    try:
+        _round_signatures(circuit, faults)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
 
 
 @lru_cache(maxsize=None)
