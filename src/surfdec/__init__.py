@@ -29,7 +29,6 @@ from .graph import (
     build_decoder_graphs,
     build_graph,
     derive_correlations,
-    pool_round,
 )
 from .matcher import (
     MatchingResult,
@@ -83,7 +82,6 @@ __all__ = [
     "build_decoder_graphs",
     "build_graph",
     "derive_correlations",
-    "pool_round",
     "MatchingResult",
     "brute_force_matching",
     "events_to_nodes",

@@ -490,9 +490,18 @@ class FitParams:
 def fit_scaling(points: list[tuple[float, int, float]]) -> FitParams:
     """Least-squares fit of rate data (p, L, rate) in log10 space.
 
+    Every point needs 0 < p < 1, an integral distance >= 2 and a finite
+    rate in [0, 1], as ``FitParams.predict`` needs of its points; the first
+    point that has not raises FitError naming it.  Zero rates are skipped.
     Requires at least 6 points spanning at least 2 distances; raises
     FitError with diagnostics when the design matrix is rank deficient.
     """
+    for i, (p, L, r) in enumerate(points, 1):
+        if not (0 < p < 1 and L >= 2 and float(L).is_integer() and 0 <= r <= 1):
+            raise FitError(
+                f"point {i} (p={p:g}, distance={L:g}, rate={r:g}): need 0 < p < 1, "
+                "an integer distance >= 2 and a finite rate in [0, 1]"
+            )
     pts = [(p, L, r) for (p, L, r) in points if r > 0]
     if len(pts) < 6 or len({L for _, L, _ in pts}) < 2:
         raise FitError(

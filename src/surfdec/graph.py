@@ -15,15 +15,18 @@ weighs -ln(coeff p), and IRMWPM discounts a correlated edge to
 
 Single-fault signatures are time-translation invariant, so the graphs are
 built from one round: ``enumerate_single_faults(circuit, 1)``
-gives every fault of round 1 with its events in rounds 1 and 2, and
-``pool_round`` groups those records once by signature, adding rates in
-integer units of p/15 (CNOT payload 1, idle Pauli 5, measurement flip 15).
-The window's edges, their correlation rows and everything attached to them
-come from repeating the pooled classes at every fault round of the window,
-shifted in time.  ``_assemble`` places them once per lattice, for both
-circuit windows and the one-layer code-capacity lattice, and keeps each
-placement's edge for ``derive_correlations``.  Every window closes with a
-perfect readout layer, so a fault's events always lie inside it.
+gives every fault of round 1 with its events in rounds 1 and 2.
+``_assemble`` groups those records by their signature on its own lattice,
+adding rates in integer units of p/15 (CNOT payload 1, idle Pauli 5,
+measurement flip 15).  The window's edges, their correlation rows and
+everything attached to them come from repeating these signature classes
+at every fault round of the window, shifted in time.  ``_assemble``
+places them once per lattice, for both circuit windows and the one-layer
+code-capacity lattice, and keeps each record's class and each
+placement's edge; ``derive_correlations`` sums the rates of the records
+behind each pair of a primal and a dual class and places the pairs on
+those edges.  Every window closes with a perfect readout layer, so a
+fault's events always lie inside it.
 Fractions are formed only for the edge coefficients and the conditionals.
 
 Interior edges fall into six space-time geometry classes, labelled a-f.
@@ -151,7 +154,7 @@ class DecodingGraph:
     per entry.
 
     Circuit graphs also carry one round's single-fault table, read by
-    ``window_events``: for each round-1 record of their pool, in
+    ``window_events``: for each round-1 record they were built from, in
     ``noise.fault_row`` order, the node ids of its events on this lattice
     (``fault_nodes``, its class's placement at fault round 1) and its
     residual mask on this lattice's error type (``fault_residuals``: X on
@@ -188,8 +191,10 @@ class DecodingGraph:
         default=None, repr=False, compare=False
     )
     fault_residuals: list[int] | None = field(default=None, repr=False, compare=False)
-    # edge index of each signature class of the pool the graph was built
-    # from, placed at each fault round: shape (fault rounds, classes)
+    # signature class of each record the graph was built from (-1 without
+    # an event here), and the edge of each class placed at each fault
+    # round: shape (fault rounds, classes)
+    _record_class: np.ndarray | None = field(default=None, repr=False, compare=False)
     _class_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
     # set once from n_stabs and n_layers: the matcher reads them per walked path
     boundary_node: int = field(init=False, repr=False, compare=False)
@@ -321,178 +326,40 @@ class DecodingGraph:
         return sorted(events), residual
 
 
-@dataclass(frozen=True)
-class LatticeClasses:
-    """One lattice's distinct one-round signatures and the faults behind each.
-
-    Row i is signature class i.  ``stabs``/``rounds`` hold its events
-    (stabilizer, round 1 or 2; stabilizer -1 pads), ``units`` the summed
-    rate of its faults in units of p/15.  ``best_units``, ``best_order`` and
-    ``residual`` describe its highest-rate fault (the first in record order
-    on ties): rate, position in the round's records, and residual mask on
-    this lattice's error type.  ``residuals`` holds every residual mask of
-    its faults, and ``locations[loc_start[i]:loc_start[i + 1]]`` its
-    distinct (kind, index) fault locations, numbered within the round.
-    ``record_class`` and ``record_residual`` give each record its class (-1
-    without an event here) and residual mask.
-    """
-
-    stabs: np.ndarray
-    rounds: np.ndarray
-    units: np.ndarray
-    best_units: np.ndarray
-    best_order: np.ndarray
-    residual: list[int]
-    residuals: list[frozenset[int]]
-    loc_start: np.ndarray
-    locations: np.ndarray
-    record_class: list[int]
-    record_residual: list[int]
-
-
-@dataclass(frozen=True)
-class RoundPool:
-    """One round's single-fault records pooled by signature (``pool_round``).
-
-    ``joint_x``, ``joint_z`` and ``joint_units`` list every distinct pair of
-    non-empty X and Z signatures: its class on each lattice and the summed
-    rate of the faults that produce both.
-    """
-
-    x: LatticeClasses
-    z: LatticeClasses
-    joint_x: np.ndarray
-    joint_z: np.ndarray
-    joint_units: np.ndarray
-    n_locations: int
-
-    def lattice(self, kind: str) -> LatticeClasses:
-        return self.x if kind == "X" else self.z
-
-
-@dataclass
-class _Signature:
-    """One signature class while a round's records are pooled."""
-
-    index: int
-    events: tuple[tuple[int, int], ...]
-    best_units: int
-    best_order: int
-    residual: int
-    units: int = 0
-    residuals: set[int] = field(default_factory=set)
-    locations: set[int] = field(default_factory=set)
-
-
-def pool_round(records: list[FaultRecord]) -> RoundPool:
-    """Group one round's single-fault records by signature, once.
-
-    ``records`` are the faults of round 1 of a window closed by a perfect
-    round, as ``enumerate_single_faults(circuit, 1)`` returns them;
-    their events lie in rounds 1 and 2.  Rates add up as integers in units
-    of p/15 (``noise.RATE_UNITS``).
-    """
-    loc_index: dict[tuple[str, int], int] = {}
-    classes: dict[str, dict[tuple, _Signature]] = {"X": {}, "Z": {}}
-    record_ids = []  # each record's class on the X and the Z lattice, or -1
-    joint: dict[tuple[int, int], int] = {}
-    for order, rec in enumerate(records):
-        f = rec.fault
-        if f.round != 1:
-            raise ValueError(f"pooling takes round-1 records, got round {f.round}")
-        units = RATE_UNITS[f.kind]
-        loc = loc_index.setdefault((f.kind, f.index), len(loc_index))
-        ids = []
-        for kind, events, res in (
-            ("X", rec.x_events, rec.x_residual),
-            ("Z", rec.z_events, rec.z_residual),
-        ):
-            if not events:
-                ids.append(-1)
-                continue
-            by_events = classes[kind]
-            sig = by_events.get(events)
-            if sig is None:
-                sig = _Signature(len(by_events), events, units, order, res)
-                by_events[events] = sig
-            elif units > sig.best_units:
-                sig.best_units, sig.best_order, sig.residual = units, order, res
-            sig.units += units
-            sig.residuals.add(res)
-            sig.locations.add(loc)
-            ids.append(sig.index)
-        record_ids.append(ids)
-        if ids[0] >= 0 and ids[1] >= 0:
-            joint[(ids[0], ids[1])] = joint.get((ids[0], ids[1]), 0) + units
-    pairs = np.array(list(joint), dtype=np.int64).reshape(-1, 2)
-    x_res, z_res = [r.x_residual for r in records], [r.z_residual for r in records]
-    return RoundPool(
-        x=_lattice_classes(classes["X"], [x for x, _ in record_ids], x_res),
-        z=_lattice_classes(classes["Z"], [z for _, z in record_ids], z_res),
-        joint_x=pairs[:, 0],
-        joint_z=pairs[:, 1],
-        joint_units=np.array(list(joint.values()), dtype=np.int64),
-        n_locations=len(loc_index),
-    )
-
-
-def _lattice_classes(by_events: dict, record_class, record_residual) -> LatticeClasses:
-    sigs = list(by_events.values())
-    width = max([2] + [len(sig.events) for sig in sigs])
-    stabs = np.full((len(sigs), width), -1, dtype=np.int64)
-    rounds = np.zeros((len(sigs), width), dtype=np.int64)
-    for i, sig in enumerate(sigs):
-        for k, (s, t) in enumerate(sig.events):
-            stabs[i, k], rounds[i, k] = s, t
-    sizes = [len(sig.locations) for sig in sigs]
-    return LatticeClasses(
-        stabs=stabs,
-        rounds=rounds,
-        units=np.array([sig.units for sig in sigs], dtype=np.int64),
-        best_units=np.array([sig.best_units for sig in sigs], dtype=np.int64),
-        best_order=np.array([sig.best_order for sig in sigs], dtype=np.int64),
-        residual=[sig.residual for sig in sigs],
-        residuals=[frozenset(sig.residuals) for sig in sigs],
-        loc_start=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
-        locations=np.array(
-            [loc for sig in sigs for loc in sorted(sig.locations)], dtype=np.int64
-        ),
-        record_class=record_class,
-        record_residual=record_residual,
-    )
-
-
 def _place(
-    classes: LatticeClasses, n_stabs: int, n_layers: int, fault_rounds: int, kind: str
+    signatures: list[tuple], n_stabs: int, n_layers: int, fault_rounds: int, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every signature class repeated at every fault round of a window.
 
-    An event of round t of a class placed at fault round r lies on layer
-    t + r - 1, always one of layers 1..n_layers: circuit classes have
-    events of round 1 or 2, placed at fault rounds 1..T of T + 1 layers,
-    and code-capacity ones round-1 events at round 1 of one layer.  Every
-    class has an event, so every (fault round, class) pair is a placement.
-    Returns its (u, v) node ids as arrays of shape (fault rounds, classes),
-    v being the boundary node for a single event.
+    ``signatures`` holds each class's (stabilizer, round) events.  An event
+    of round t of a class placed at fault round r lies on layer t + r - 1,
+    always one of layers 1..n_layers: circuit classes have events of round
+    1 or 2, placed at fault rounds 1..T of T + 1 layers, and code-capacity
+    ones round-1 events at round 1 of one layer.  Every class has an event,
+    so every (fault round, class) pair is a placement.  Returns its (u, v)
+    node ids as arrays of shape (fault rounds, classes), v being the
+    boundary node for a single event.
     """
-    boundary = n_stabs * n_layers
-    present = classes.stabs >= 0
-    count = present.sum(axis=1)
-    if count.size and count.max() > 2:
-        raise GraphBuildError(
-            f"single fault produced {count.max()} events on the {kind} lattice"
-        )
+    most = max(map(len, signatures), default=0)
+    if most > 2:
+        raise GraphBuildError(f"single fault produced {most} events on the {kind} lattice")
+    # a single event is padded with stabilizer -1, which places at the boundary
+    events = np.array(
+        [sig + ((-1, 0),) if len(sig) == 1 else sig for sig in signatures],
+        dtype=np.int64,
+    ).reshape(-1, 2, 2)
+    stabs, rounds = events[..., 0], events[..., 1]
     r = np.arange(1, fault_rounds + 1)[:, None, None]
-    layer = classes.rounds + (r - 1)
+    layer = rounds + (r - 1)
     # the boundary id exceeds every node id, so it sorts behind real events
     nodes = np.sort(
-        np.where(present, (layer - 1) * n_stabs + classes.stabs, boundary), axis=2
+        np.where(stabs >= 0, (layer - 1) * n_stabs + stabs, n_stabs * n_layers), axis=2
     )
     return nodes[..., 0], nodes[..., 1]
 
 
 def _class_letters(
-    classes: LatticeClasses, coords: tuple[tuple[int, int], ...], kind: str
+    signatures: list[tuple], coords: tuple[tuple[int, int], ...], kind: str
 ) -> list[str | None]:
     """Matching-type letter of each two-event class; None for one event.
 
@@ -501,41 +368,48 @@ def _class_letters(
     outside ``GEOMETRY_LETTERS`` raises ``EdgeClassificationError``.
     """
     letters = []
-    for stabs, rounds in zip(classes.stabs.tolist(), classes.rounds.tolist()):
-        if stabs[1] < 0:
+    for sig in signatures:
+        if len(sig) == 1:
             letters.append(None)
             continue
         # the later event relative to the earlier, by position for equal rounds
-        (t1, (r1, c1)), (t2, (r2, c2)) = sorted(
-            (t, coords[s]) for s, t in zip(stabs, rounds)
-        )
+        (t1, (r1, c1)), (t2, (r2, c2)) = sorted((t, coords[s]) for s, t in sig)
         geom = (t2 - t1, r2 - r1, c2 - c1)
         letter = GEOMETRY_LETTERS.get(geom)
         if letter is None:
             raise EdgeClassificationError(
-                f"{kind}-lattice signature {list(zip(stabs, rounds))} "
-                f"geometry {geom} matches no class"
+                f"{kind}-lattice signature {list(sig)} geometry {geom} matches no class"
             )
         letters.append(letter)
     return letters
 
 
 def _assemble(
-    layout: CodeLayout, pool: RoundPool, kind: str, T: int, p: float, mode: str
+    layout: CodeLayout,
+    records: list[FaultRecord],
+    kind: str,
+    T: int,
+    p: float,
+    mode: str,
 ) -> DecodingGraph:
-    """One lattice from the pooled classes placed over the window.
+    """One lattice from one round's single-fault records placed over the window.
 
-    A circuit lattice places the classes at fault rounds 1..T of T + 1
-    layers and weighs each edge -ln(coeff p); a code-capacity lattice
-    places them on its one layer with unit weights and no letters.  An
-    edge's rate is the sum over every placed class whose signature is its
-    node pair.  Its correction and letter are those of its representative
-    class, the one holding the highest-rate fault behind it, the earliest
-    round and then record order breaking ties.  Every fault behind an edge
-    must share the same logical action, so that correction is well
-    defined; a conflict raises ``GraphBuildError``.  The graph keeps every
-    placement's edge for ``derive_correlations``, and a circuit graph its
-    single-fault table.
+    ``records`` are the faults of round 1, as ``enumerate_single_faults(
+    circuit, 1)`` returns them; a record of another round raises
+    ValueError.  The records with an event on this lattice are grouped by
+    signature into classes, numbered by first appearance, and rates add up
+    as integers in units of p/15 (``noise.RATE_UNITS``).  A circuit
+    lattice places the classes at fault rounds 1..T of T + 1 layers and
+    weighs each edge -ln(coeff p); a code-capacity lattice places them on
+    its one layer with unit weights and no letters.  An edge's rate is the
+    sum over every placed class whose signature is its node pair.  Its
+    correction and letter are those of its representative class, the one
+    holding the highest-rate fault behind it, the earliest round and then
+    record order breaking ties.  Every fault behind an edge must share the
+    same logical action, so that correction is well defined; a conflict
+    raises ``GraphBuildError``.  The graph keeps each record's class and
+    every placement's edge for ``derive_correlations``, and a circuit
+    graph its single-fault table.
     """
     if layout.L < MIN_DECODING_DISTANCE:
         raise ValueError(
@@ -543,31 +417,61 @@ def _assemble(
             f"{layout.L}: below it, faults with one detection signature act "
             "differently on the logical qubit"
         )
+    faults = [rec.fault for rec in records]
+    late = next((f.round for f in faults if f.round != 1), None)
+    if late is not None:
+        raise ValueError(f"graphs are built from round-1 records, got round {late}")
     circuit = mode == "circuit"
     fault_rounds, n_layers = (T, T + 1) if circuit else (1, 1)
     coords = layout.z_anc_coords if kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
     boundary = n_stabs * n_layers
-    classes = pool.lattice(kind)
-    u, v = _place(classes, n_stabs, n_layers, fault_rounds, kind)
-    n_classes = u.shape[1]
-    letters = _class_letters(classes, coords, kind) if circuit else [None] * n_classes
+    if kind == "X":
+        events = [rec.x_events for rec in records]
+        residuals = [rec.x_residual for rec in records]
+    else:
+        events = [rec.z_events for rec in records]
+        residuals = [rec.z_residual for rec in records]
+    # each record's class, -1 without an event on this lattice
+    class_of: dict[tuple, int] = {}
+    record_class = np.array(
+        [class_of.setdefault(sig, len(class_of)) if sig else -1 for sig in events],
+        dtype=np.int64,
+    )
+    n_classes = len(class_of)
+    units = np.array([RATE_UNITS[f.kind] for f in faults], dtype=np.int64)
+    locs: dict[tuple[str, int], int] = {}
+    loc = np.array(
+        [locs.setdefault((f.kind, f.index), len(locs)) for f in faults], dtype=np.int64
+    )
+    logical = layout.logical_z.z_mask if kind == "X" else layout.logical_x.x_mask
+    odd = np.array([(r & logical).bit_count() & 1 for r in residuals], dtype=np.int64)
+
+    # per class, over the records behind it: summed rate, highest-rate
+    # record (the earliest on ties), bit 1 if one leaves even logical
+    # parity and bit 2 if one leaves odd, and distinct locations
+    here = np.nonzero(record_class >= 0)[0]
+    cls = record_class[here]
+    class_units = np.bincount(cls, units[here], minlength=n_classes).astype(np.int64)
+    by_rate = here[np.lexsort((-units[here], cls))]
+    best = by_rate[np.searchsorted(record_class[by_rate], np.arange(n_classes))]
+    class_parity = np.zeros(n_classes, dtype=np.int64)
+    np.bitwise_or.at(class_parity, cls, 1 << odd[here])
+    class_locs = np.bincount(
+        np.unique(cls * len(locs) + loc[here]) // len(locs), minlength=n_classes
+    )
+
+    signatures = list(class_of)
+    u, v = _place(signatures, n_stabs, n_layers, fault_rounds, kind)
+    letters = _class_letters(signatures, coords, kind) if circuit else [None] * n_classes
     keys, edge = np.unique((u * (boundary + 1) + v).ravel(), return_inverse=True)
     # fault round index and class of each placement, in (round, class) order
     rr, cc = (a.ravel() for a in np.indices(u.shape))
     n_edges = len(keys)
-    units = np.zeros(n_edges, dtype=np.int64)
-    np.add.at(units, edge, classes.units[cc])
-    order = np.lexsort((classes.best_order[cc], rr, -classes.best_units[cc], edge))
+    edge_units = np.bincount(edge, class_units[cc], minlength=n_edges).astype(np.int64)
+    order = np.lexsort((best[cc], rr, -units[best[cc]], edge))
     rep = cc[order[np.searchsorted(edge[order], np.arange(n_edges))]]
 
-    logical = layout.logical_z.z_mask if kind == "X" else layout.logical_x.x_mask
-    # bit 1: some fault leaves even logical parity, bit 2: odd
-    class_parity = np.array(
-        [sum({1 << ((r & logical).bit_count() & 1) for r in rs})
-         for rs in classes.residuals],
-        dtype=np.int64,
-    )
     parity = np.zeros(n_edges, dtype=np.int64)
     np.bitwise_or.at(parity, edge, class_parity[cc])
     conflicts = np.nonzero(parity == 3)[0]
@@ -576,23 +480,15 @@ def _assemble(
         raise GraphBuildError(
             f"edge {key} has contributing faults with conflicting logical action"
         )
-
-    # distinct (fault round, location) pairs behind each edge
-    n_locs = np.diff(classes.loc_start)[cc]
-    placement = np.repeat(np.arange(len(cc)), n_locs)
-    first = np.repeat(classes.loc_start[cc] - np.cumsum(n_locs) + n_locs, n_locs)
-    loc = classes.locations[first + np.arange(len(placement))]
-    per_edge = fault_rounds * pool.n_locations
-    distinct = np.unique(
-        edge[placement] * per_edge + rr[placement] * pool.n_locations + loc
-    )
-    locations = np.bincount(distinct // per_edge, minlength=n_edges)
+    # one class per signature places at most one class per edge and fault
+    # round, so an edge's (fault round, location) pairs are all distinct
+    locations = np.bincount(edge, class_locs[cc], minlength=n_edges).astype(np.int64)
 
     edges: list[Edge] = []
     lookup: dict[tuple[int, int], int] = {}
     rated: dict[int, tuple[Fraction, float]] = {}
     for eid, (key, n_units, c, n_loc) in enumerate(
-        zip(keys.tolist(), units.tolist(), rep.tolist(), locations.tolist())
+        zip(keys.tolist(), edge_units.tolist(), rep.tolist(), locations.tolist())
     ):
         if n_units not in rated:
             coeff = Fraction(n_units, 15)
@@ -615,7 +511,7 @@ def _assemble(
                 v=b,
                 coeff=coeff,
                 weight=weight,
-                correction=classes.residual[c],
+                correction=residuals[best[c]],
                 letter=letter,
                 # an interior geometry whose rate the space or time edge cuts
                 boundary=b == boundary
@@ -635,14 +531,15 @@ def _assemble(
         stab_coords=coords,
         edges=edges,
         edge_lookup=lookup,
+        _record_class=record_class,
         _class_edges=edge.reshape(u.shape),
     )
     if circuit:  # a record's events: its class's nodes at fault round 1
         # (class -1, no event on this lattice, reads the () appended last)
         first = zip(u[0].tolist(), v[0].tolist())
         nodes = [(a,) if b == boundary else (a, b) for a, b in first] + [()]
-        g.fault_nodes = [nodes[c] for c in classes.record_class]
-        g.fault_residuals = classes.record_residual
+        g.fault_nodes = [nodes[c] for c in record_class.tolist()]
+        g.fault_residuals = residuals
     g.finalize()
     return g
 
@@ -652,14 +549,14 @@ def build_graph(
     params: NoiseParams,
     T: int,
     lattice_kind: str,
-    pool: RoundPool,
+    records: list[FaultRecord],
 ) -> DecodingGraph:
     """Assemble the decoding lattice for one error type of a T-round window.
 
-    ``pool`` is one round's single-fault records pooled by signature
-    (``pool_round(enumerate_single_faults(circuit, 1))``).  Its
-    classes are repeated at each of the window's fault rounds and summed
-    into edges in integer units of p/15 (see ``_assemble``).  Edge probabilities
+    ``records`` are one round's single faults
+    (``enumerate_single_faults(circuit, 1)``).  Their signature classes
+    are repeated at each of the window's fault rounds and summed into
+    edges in integer units of p/15 (see ``_assemble``).  Edge probabilities
     are direct first-order sums of contributing fault rates (valid for
     small p; every edge probability must stay below 1).  The window's
     T noisy rounds are followed by a perfect readout layer, so the graph
@@ -671,38 +568,51 @@ def build_graph(
         raise ValueError(f"T must be >= 1, got {T}")
     if params.p <= 0.0:
         raise DegenerateWeightError("p must be positive to form -ln weights")
-    return _assemble(layout, pool, lattice_kind, T, params.p, "circuit")
+    return _assemble(layout, records, lattice_kind, T, params.p, "circuit")
 
 
 def derive_correlations(
     graph_primal: DecodingGraph,
     graph_dual: DecodingGraph,
-    pool: RoundPool,
+    records: list[FaultRecord],
 ) -> None:
     """Conditional probabilities of dual-lattice edges given primal edges.
 
-    ``pool`` is the ``pool_round`` classes both graphs were built from.
-    Every class of joint signatures is placed at each fault round of the
-    window, on the edges each graph recorded for its placements.  For each
-    primal edge e and dual edge f sharing a contributing fault, P(f | e) =
-    (sum of joint fault rates) / (sum of e's fault rates), summed in
-    integer units of p/15 and formed as an exact rational.  The rows are
-    stored on ``graph_primal.corr_to_dual``, and the same rows with each
-    conditional as its discounted weight on ``dual_weights``.
+    ``records`` are the round-1 faults both graphs were built from.  The
+    rates of the records with an event on both lattices are summed per
+    pair of a primal and a dual signature class, and each pair is placed
+    at every fault round of the window, on the edges each graph recorded
+    for its classes' placements.  For each primal edge e and dual edge f
+    sharing a contributing fault, P(f | e) = (sum of joint fault rates) /
+    (sum of e's fault rates), summed in integer units of p/15 and formed
+    as an exact rational.  The rows are stored on
+    ``graph_primal.corr_to_dual``, and the same rows with each conditional
+    as its discounted weight on ``dual_weights``.
     """
     pk, dk = graph_primal.kind, graph_dual.kind
     if {pk, dk} != {"X", "Z"}:
         raise ValueError("correlations need one X and one Z lattice")
     primal_ids, dual_ids = graph_primal._class_edges, graph_dual._class_edges
-    if primal_ids is None or dual_ids is None or len(primal_ids) != len(dual_ids):
+    pc, dc = graph_primal._record_class, graph_dual._record_class
+    if (
+        primal_ids is None
+        or dual_ids is None
+        or len(primal_ids) != len(dual_ids)
+        or not len(pc) == len(dc) == len(records)
+    ):
         raise ValueError("correlations need two lattices assembled for one window")
-    jx, jz = pool.joint_x, pool.joint_z
-    pe = primal_ids[:, jx if pk == "X" else jz]
-    de = dual_ids[:, jz if pk == "X" else jx]
+    both = np.nonzero((pc >= 0) & (dc >= 0))[0]
+    units = [RATE_UNITS[records[i].fault.kind] for i in both.tolist()]
+    n_dc = dual_ids.shape[1]
+    classes, which = np.unique(pc[both] * n_dc + dc[both], return_inverse=True)
+    joint_units = np.bincount(which, units, minlength=len(classes)).astype(np.int64)
+    jp, jd = np.divmod(classes, n_dc)
+    pe, de = primal_ids[:, jp], dual_ids[:, jd]
     n_dual = len(graph_dual.edges)
     pairs, which = np.unique((pe * n_dual + de).ravel(), return_inverse=True)
-    joint = np.zeros(len(pairs), dtype=np.int64)
-    np.add.at(joint, which, np.broadcast_to(pool.joint_units, pe.shape).ravel())
+    joint = np.bincount(
+        which, np.broadcast_to(joint_units, pe.shape).ravel(), minlength=len(pairs)
+    ).astype(np.int64)
 
     # P(f | e) = (j / 15) / coeff(e), as a numerator and denominator per pair
     primal, dual = np.divmod(pairs, n_dual)
@@ -766,19 +676,19 @@ def build_decoder_graphs(
 ) -> tuple[DecodingGraph, DecodingGraph]:
     """Both lattices plus cross-correlations for a distance-L, T-round window.
 
-    One round of single faults is enumerated and pooled once; both
-    lattices and both correlation tables repeat that pool over the window,
-    and each lattice reads its single-fault table from it
+    One round of single faults is enumerated once; both lattices and both
+    correlation tables repeat its records over the window, and each
+    lattice reads its single-fault table from them
     (``DecodingGraph.window_events``).
     """
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    pool = pool_round(enumerate_single_faults(circuit, 1, include_idle))
+    records = enumerate_single_faults(circuit, 1, include_idle)
     params = NoiseParams(p)
-    gx = build_graph(layout, params, T, "X", pool)
-    gz = build_graph(layout, params, T, "Z", pool)
-    derive_correlations(gx, gz, pool)
-    derive_correlations(gz, gx, pool)
+    gx = build_graph(layout, params, T, "X", records)
+    gz = build_graph(layout, params, T, "Z", records)
+    derive_correlations(gx, gz, records)
+    derive_correlations(gz, gx, records)
     return gx, gz
 
 
@@ -790,11 +700,11 @@ def build_code_capacity_pair(L: int) -> tuple[DecodingGraph, DecodingGraph]:
     weighs 1, and reweighting a correlated edge sets it to 0.
     """
     layout = build_layout(L)
-    pool = pool_round(_code_capacity_records(layout))
-    gx = _assemble(layout, pool, "X", 0, 0.0, "code_capacity")
-    gz = _assemble(layout, pool, "Z", 0, 0.0, "code_capacity")
-    derive_correlations(gx, gz, pool)
-    derive_correlations(gz, gx, pool)
+    records = _code_capacity_records(layout)
+    gx = _assemble(layout, records, "X", 0, 0.0, "code_capacity")
+    gz = _assemble(layout, records, "Z", 0, 0.0, "code_capacity")
+    derive_correlations(gx, gz, records)
+    derive_correlations(gz, gx, records)
     return gx, gz
 
 

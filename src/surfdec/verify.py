@@ -330,8 +330,11 @@ def run_verification(L: int, T: int, p: float, instances: int) -> VerifyReport:
     ``instances`` is the number of random instances of each oracle check.
     The interior checks need a window whose lattices hold every edge class
     and every conditional row away from the space and time boundaries: at
-    least distance 4 and 3 rounds.  A smaller window raises ValueError.
+    least distance 4 and 3 rounds.  A smaller window, or fewer than one
+    instance, raises ValueError.
     """
+    if instances < 1:
+        raise ValueError(f"verification needs instances >= 1, got {instances}")
     if L < 4 or T < 3:
         raise ValueError(
             f"verification needs distance >= 4 and rounds >= 3, got {L} and {T}: "

@@ -274,6 +274,16 @@ def test_verify_rejects_a_window_without_an_interior(capsys, window):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_instance(capsys, instances):
+    # these used to print [ok] lines for checks over no instances and exit 0
+    rc = main(["verify", "--distance", "5", "--rounds", "3", "--instances", instances])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"instances >= 1, got {instances}" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_passes_at_its_smallest_window(capsys):
     rc = main(["verify", "--distance", "4", "--rounds", "3", "--instances", "10"])
     assert rc == 0
@@ -401,6 +411,27 @@ def test_fit_with_too_few_points_is_a_usage_error(tmp_path, capsys):
     assert err == [
         "usage error: need >= 6 positive-rate points over >= 2 distances, got 2"
     ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, named",
+    [("5,0.01,inf", "p=0.01, distance=5, rate=inf"),
+     ("5,0.01,nan", "p=0.01, distance=5, rate=nan"),
+     ("5,0,0.01", "p=0, distance=5, rate=0.01")],
+    ids=["inf-rate", "nan-rate", "p0"],
+)
+def test_fit_rejects_a_rate_point_outside_the_model(tmp_path, capsys, row, named):
+    # an inf rate used to fit to NaN and exit 0, and p = 0 to fail with only
+    # "math domain error"; the 13th row follows the 12 of _fit_rates
+    rates = _fit_rates(tmp_path)
+    with rates.open("a") as fh:
+        fh.write(row + "\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(rates), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ")
+    assert f"point 13 ({named})" in err[0]
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -23,7 +24,6 @@ from surfdec.graph import (
     build_decoder_graphs,
     build_graph,
     graph_to_dict,
-    pool_round,
 )
 from surfdec.matcher import events_to_nodes
 from surfdec.noise import (
@@ -201,17 +201,19 @@ def test_weights_are_neg_log_probability(graphs3):
 
 
 def test_rate_validation(layout3, circuit3):
-    pool = pool_round(enumerate_single_faults(circuit3, 1))
+    records = enumerate_single_faults(circuit3, 1)
     with pytest.raises(DegenerateWeightError):
-        build_graph(layout3, NoiseParams(0.0), 2, "X", pool)
+        build_graph(layout3, NoiseParams(0.0), 2, "X", records)
     with pytest.raises(InvalidRateError):
         # max coefficient 42/15 puts p_max at 15/42
-        build_graph(layout3, NoiseParams(0.4), 2, "X", pool)
+        build_graph(layout3, NoiseParams(0.4), 2, "X", records)
 
 
-def test_pooling_takes_one_round(circuit3):
-    with pytest.raises(ValueError):
-        pool_round(enumerate_single_faults(circuit3, 2))
+def test_pooling_takes_one_round(layout3, circuit3):
+    with pytest.raises(ValueError, match="round-1 records, got round 2"):
+        build_graph(
+            layout3, NoiseParams(0.001), 2, "X", enumerate_single_faults(circuit3, 2)
+        )
 
 
 def test_geometry_letter_table_is_total():
@@ -228,19 +230,17 @@ def _record(index, x_events, x_residual=0):
 def test_signature_of_no_geometry_class_is_rejected(layout3):
     # X-lattice stabilizers 0 and 5 sit at (0, 1) and (4, 3): geometry
     # (0, 4, 2) in one round is none of a-f
-    pool = pool_round([_record(0, ((0, 1), (5, 1)))])
+    records = [_record(0, ((0, 1), (5, 1)))]
     with pytest.raises(EdgeClassificationError, match=r"\(0, 4, 2\)"):
-        build_graph(layout3, NoiseParams(0.001), 2, "X", pool)
+        build_graph(layout3, NoiseParams(0.001), 2, "X", records)
 
 
 def test_edge_with_conflicting_logical_action_is_rejected(layout3):
     # two faults on one boundary edge, one of them flipping the logical
     logical = layout3.logical_z.z_mask
-    pool = pool_round(
-        [_record(0, ((0, 1),)), _record(1, ((0, 1),), logical & -logical)]
-    )
+    records = [_record(0, ((0, 1),)), _record(1, ((0, 1),), logical & -logical)]
     with pytest.raises(GraphBuildError, match="conflicting logical action"):
-        build_graph(layout3, NoiseParams(0.001), 2, "X", pool)
+        build_graph(layout3, NoiseParams(0.001), 2, "X", records)
 
 
 def test_code_capacity_graphs(cc_pair3):
@@ -255,6 +255,43 @@ def test_code_capacity_graphs(cc_pair3):
             deid, cond = corr[0]
             assert cond == Fraction(1, 2)
             assert dual.edges[deid].correction == e.correction
+
+
+#: sha256 of ``json.dumps(graph_to_dict(g), sort_keys=True)`` for lattices
+#: that no dump-graph pin covers, recorded before the signature classes were
+#: grouped inside each lattice's assembly
+GRAPH_DICT_SHA256 = {
+    ("code_capacity", 3, "X"):
+        "3adb22bf4ee111997366ba3ca6ccc16e081af6cce2b496ab31d254cfa88498c0",
+    ("code_capacity", 3, "Z"):
+        "91074f83b276586b1e3f1d7bfdc5b739cd7f6e2f026c3f8aa5889d3cdb399cf6",
+    ("code_capacity", 5, "X"):
+        "e555c2b341a2ad5e0ec66b95966e54fda3ea22f96ee8bce0e91e28a7e6e256f6",
+    ("code_capacity", 5, "Z"):
+        "4334bec70b5dbc4d68a9b472a70ed21ffb541e2e95d8194c106c1d93069ae165",
+    ("circuit_no_idle", 5, "X"):
+        "316a39a088fb8793877c9b20d6e2dc817790bd4f84cedc819da829f26f767aca",
+    ("circuit_no_idle", 5, "Z"):
+        "fb20ec456a12ccc999207869f2247358c3d407007bf5a89b98881a1151a23164",
+}
+
+
+def _graph_dict_digest(graph):
+    blob = json.dumps(graph_to_dict(graph), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("L", [3, 5])
+def test_code_capacity_lattices_are_pinned(L, cc_pair3, cc_pair5):
+    for g in cc_pair3 if L == 3 else cc_pair5:
+        assert _graph_dict_digest(g) == GRAPH_DICT_SHA256[("code_capacity", L, g.kind)]
+        # reweighting a correlated code-capacity edge sets it to 0
+        assert all(w == 0.0 for row in g.dual_weights for _, w in row)
+
+
+def test_circuit_lattices_without_idle_noise_are_pinned():
+    for g in build_decoder_graphs(5, 5, 0.001, include_idle=False):
+        assert _graph_dict_digest(g) == GRAPH_DICT_SHA256[("circuit_no_idle", 5, g.kind)]
 
 
 def test_graph_dump_round_trips(tmp_path, graphs3):
@@ -363,8 +400,9 @@ def _reference_correlations(primal, dual, records):
     primal.corr_to_dual = [tuple(row) for row in table]
 
 
-@pytest.mark.parametrize("include_idle", [True, False])
-@pytest.mark.parametrize("L", [3, 5])
+@pytest.mark.parametrize(
+    "L, include_idle", [(3, False), (3, True), (5, False), (5, True), (7, True)]
+)
 def test_one_round_build_equals_full_window_reference(L, include_idle):
     T, p = L, 0.001
     layout = build_layout(L)
@@ -377,6 +415,20 @@ def test_one_round_build_equals_full_window_reference(L, include_idle):
     gx, gz = build_decoder_graphs(L, T, p, include_idle)
     assert graph_to_dict(gx) == graph_to_dict(ref_x)
     assert graph_to_dict(gz) == graph_to_dict(ref_z)
+    round_1 = [rec for rec in records if rec.fault.round == 1]
+    for g in (gx, gz):
+        # each conditional discounts its edge to -ln(conditional)
+        assert g.dual_weights == [
+            tuple((de, -math.log(float(cond))) for de, cond in row)
+            for row in g.corr_to_dual
+        ]
+        # the single-fault table holds each round-1 record's own events
+        # and residual on this lattice
+        assert len(g.fault_nodes) == len(g.fault_residuals) == len(round_1)
+        for rec, nodes, residual in zip(round_1, g.fault_nodes, g.fault_residuals):
+            events = rec.x_events if g.kind == "X" else rec.z_events
+            assert nodes == tuple(sorted(g.node_id(s, t) for s, t in events))
+            assert residual == (rec.x_residual if g.kind == "X" else rec.z_residual)
 
 
 def test_deep_window_interior_classes():
