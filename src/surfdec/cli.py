@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import shlex
 import sys
 
@@ -49,6 +50,17 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _check_outputs(args) -> None:
+    """Reject an output path that cannot be written, before any work runs."""
+    for flag in ("out", "json", "csv"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise ValueError(f"cannot write --{flag} {path}")
 
 
 def _bool_flag(value: str) -> bool:
@@ -274,16 +286,22 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    points = []
     try:
         with open(args.input, newline="") as fh:
-            points = [
-                (float(row["p"]), int(row["distance"]), float(row["rate"]))
-                for row in csv.DictReader(fh)
-            ]
+            reader = csv.DictReader(fh)
+            for row in reader:
+                for column in ("p", "distance", "rate"):
+                    try:
+                        row[column] = float(row[column])
+                    except (KeyError, TypeError, ValueError):
+                        raise ValueError(
+                            f"{args.input}:{reader.line_num}: column {column} "
+                            f"holds {row.get(column)!r}, not a number"
+                        ) from None
+                points.append((row["p"], row["distance"], row["rate"]))
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc.strerror}") from None
-    except (KeyError, TypeError):
-        raise ValueError(f"{args.input}: rows need p, distance and rate") from None
     fit = fit_scaling(points)
     try:
         rates = [fit.predict(p, L) for p, L in args.predict]
@@ -377,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(_with_config_flags(argv))  # exits 2 on usage errors
+        _check_outputs(args)
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         # invalid parameter combinations are usage errors

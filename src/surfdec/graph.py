@@ -9,25 +9,22 @@ probabilities are pooled from the same faults, as exact rationals.
 
 This module states every matching weight, once per graph.  A circuit edge
 weighs -ln(coeff p), and IRMWPM discounts a correlated edge to
--ln(conditional); on code-capacity lattices these are 1 and 0.
-``derive_correlations`` stores the discounts beside the conditionals
-(``dual_weights``), and ``irmwpm.reweight`` only selects among them.
+-ln(conditional); on code-capacity lattices these are 1 and 0.  Each
+conditional in ``corr_to_dual`` is a ``Conditional`` that carries its
+discount as ``weight``, and ``irmwpm.reweight`` only selects among them.
 
 Single-fault signatures are time-translation invariant, so the graphs are
-built from one round: ``enumerate_single_faults(circuit, 1)``
-gives every fault of round 1 with its events in rounds 1 and 2.
-``_assemble`` groups those records by their signature on its own lattice,
-adding rates in integer units of p/15 (CNOT payload 1, idle Pauli 5,
-measurement flip 15).  The window's edges, their correlation rows and
-everything attached to them come from repeating these signature classes
-at every fault round of the window, shifted in time.  ``_assemble``
-places them once per lattice, for both circuit windows and the one-layer
-code-capacity lattice, and keeps each record's class and each
-placement's edge; ``derive_correlations`` sums the rates of the records
-behind each pair of a primal and a dual class and places the pairs on
-those edges.  Every window closes with a perfect readout layer, so a
-fault's events always lie inside it.
-Fractions are formed only for the edge coefficients and the conditionals.
+built from one round: ``enumerate_single_faults(circuit, 1)`` gives every
+fault of round 1 with its events in rounds 1 and 2.  ``_assemble`` groups
+those records into classes by their signature on its own lattice, adds
+rates in integer units of p/15 (CNOT payload 1, idle Pauli 5, measurement
+flip 15) and places every class at every fault round of the window, for
+circuit windows and the one-layer code-capacity lattice alike.
+``derive_correlations`` sums the rates behind each pair of a primal and a
+dual class and places the pairs on those classes' edges.  Every window
+closes with a perfect readout layer, so a fault's events always lie
+inside it.  Fractions are formed only for the edge coefficients and the
+conditionals.
 
 Interior edges fall into six space-time geometry classes, labelled a-f.
 A class's geometry does not depend on the round it is placed at, so each
@@ -135,6 +132,13 @@ class Edge:
     n_fault_locations: int = 0
 
 
+class Conditional(Fraction):
+    """P(dual edge | primal edge), exact, carrying the ``weight`` IRMWPM
+    discounts the dual edge to: -ln of it on circuit lattices, else 0.0."""
+
+    __slots__ = ("weight",)
+
+
 @dataclass
 class DecodingGraph:
     """Static decoding lattice for one error type ('X' or 'Z').
@@ -143,15 +147,15 @@ class DecodingGraph:
     for rounds 1..n_layers, plus the boundary node ``n_layers * n_stabs``.
     A circuit window has T noisy layers and a perfect readout layer.
 
-    The edges and the base adjacency ``_csr`` are immutable after
-    ``finalize``.  Two per-graph buffers are mutable: the memo of
-    base-weight shortest-path rows (``base_rows``), filled lazily and
-    capped at ``MEMO_ENTRIES`` entries, and the work adjacency that
-    ``csr_with_weights`` rewrites for each reweighted matching.  A memo
-    row is a row of scipy's Dijkstra result: for every node, its distance
-    from the source (float64) and its predecessor on the shortest path
-    (int32, negative at the source and at unreachable nodes), 12 bytes
-    per entry.
+    Construction derives ``n_stabs``, ``edge_lookup``, ``corrections`` and
+    the base adjacency ``_csr``; they and the edges are immutable from then
+    on.  Two per-graph buffers are mutable: the memo of base-weight
+    shortest-path rows (``base_rows``), filled lazily and capped at
+    ``MEMO_ENTRIES`` entries, and the work adjacency that
+    ``csr_with_weights`` rewrites for each reweighted matching.  A memo row
+    is a row of scipy's Dijkstra result: for every node, its distance from
+    the source (float64) and its predecessor on the shortest path (int32,
+    negative at the source and at unreachable nodes), 12 bytes per entry.
 
     Circuit graphs also carry one round's single-fault table, read by
     ``window_events``: for each round-1 record they were built from, in
@@ -167,21 +171,12 @@ class DecodingGraph:
     T: int
     p: float
     mode: str  # "circuit" or "code_capacity"
-    n_stabs: int
     n_layers: int
     stab_coords: tuple[tuple[int, int], ...]
     edges: list[Edge]
-    edge_lookup: dict[tuple[int, int], int] = field(repr=False)
-    # conditional probabilities toward the dual lattice:
-    # edge index -> tuple of (dual edge index, conditional probability)
-    corr_to_dual: list[tuple[tuple[int, Fraction], ...]] | None = None
-    # the same rows with each conditional as the weight it discounts to
-    dual_weights: list[tuple[tuple[int, float], ...]] | None = None
-    _csr: sp.csr_matrix | None = field(default=None, repr=False)
-    _edge_data_pos: np.ndarray | None = field(default=None, repr=False)
+    # edge index -> its (dual edge index, conditional probability) pairs
+    corr_to_dual: list[tuple[tuple[int, Conditional], ...]] | None = None
     _work: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-    # per edge: its correction mask, as matcher.matching_to_correction reads it
-    corrections: list[int] | None = field(default=None, repr=False, compare=False)
     # memo: node -> row of _memo_dist/_memo_pred (-1 when not stored)
     _memo_slot: np.ndarray | None = field(default=None, repr=False, compare=False)
     _memo_dist: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -196,13 +191,36 @@ class DecodingGraph:
     # round: shape (fault rounds, classes)
     _record_class: np.ndarray | None = field(default=None, repr=False, compare=False)
     _class_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # set once from n_stabs and n_layers: the matcher reads them per walked path
+    # derived from stab_coords, n_layers and the edges at construction
+    n_stabs: int = field(init=False)
     boundary_node: int = field(init=False, repr=False, compare=False)
     n_nodes: int = field(init=False, repr=False, compare=False)
+    edge_lookup: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    # per edge: its correction mask, as matcher.matching_to_correction reads it
+    corrections: list[int] = field(init=False, repr=False, compare=False)
+    _csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    _edge_data_pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.n_stabs = len(self.stab_coords)
         self.boundary_node = self.n_stabs * self.n_layers
-        self.n_nodes = self.boundary_node + 1
+        self.n_nodes = n = self.boundary_node + 1
+        self.edge_lookup = {(e.u, e.v): e.index for e in self.edges}
+        self.corrections = [e.correction for e in self.edges]
+        u = np.array([e.u for e in self.edges], dtype=np.intp)
+        v = np.array([e.v for e in self.edges], dtype=np.intp)
+        w = np.array([e.weight for e in self.edges], dtype=float)
+        # canonical CSR: each row's columns ascend, so neighbour order (which
+        # decides shortest-path ties) does not depend on the edge order
+        self._csr = csr = sp.coo_matrix(
+            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(n, n),
+        ).tocsr()
+        # slot k holds (row, indices[k]); its key row * n + col ascends with k
+        slot_keys = np.repeat(np.arange(n), np.diff(csr.indptr)) * n + csr.indices
+        self._edge_data_pos = np.searchsorted(
+            slot_keys, np.stack([u * n + v, v * n + u], axis=1)
+        )
 
     def node_id(self, stab: int, t: int) -> int:
         return (t - 1) * self.n_stabs + stab
@@ -211,35 +229,12 @@ class DecodingGraph:
         """(stabilizer, round) of a non-boundary node id."""
         return node % self.n_stabs, node // self.n_stabs + 1
 
-    def finalize(self) -> None:
-        """Build the sparse adjacency used for shortest-path queries."""
-        n = self.n_nodes
-        u = np.array([e.u for e in self.edges], dtype=np.intp)
-        v = np.array([e.v for e in self.edges], dtype=np.intp)
-        w = np.array([e.weight for e in self.edges], dtype=float)
-        coo = sp.coo_matrix(
-            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(n, n),
-        )
-        # canonical CSR: each row's columns ascend, so neighbour order (which
-        # decides shortest-path ties) does not depend on the edge order
-        csr = coo.tocsr()
-        # slot k holds (row, indices[k]); its key row * n + col ascends with k
-        slot_keys = np.repeat(np.arange(n), np.diff(csr.indptr)) * n + csr.indices
-        self._csr = csr
-        self._edge_data_pos = np.searchsorted(
-            slot_keys, np.stack([u * n + v, v * n + u], axis=1)
-        )
-        self.corrections = [e.correction for e in self.edges]
-
     def csr_with_weights(self, overlay: dict[int, float] | None = None) -> sp.csr_matrix:
         """The graph's work adjacency: base weights with ``overlay`` written in.
 
         One matrix per graph, rewritten by every call, so the result is
         valid only until the next call; the base adjacency is never written.
         """
-        if self._csr is None:
-            self.finalize()
         if self._work is None:
             self._work = self._csr.copy()
         data = self._work.data
@@ -263,8 +258,6 @@ class DecodingGraph:
         Raises UnreachableNodeError, storing nothing, when a computed row
         does not reach the boundary node.
         """
-        if self._csr is None:
-            self.finalize()
         n = self.n_nodes
         if self._memo_slot is None:
             capacity = min(n, MEMO_ENTRIES // n)
@@ -485,7 +478,6 @@ def _assemble(
     locations = np.bincount(edge, class_locs[cc], minlength=n_edges).astype(np.int64)
 
     edges: list[Edge] = []
-    lookup: dict[tuple[int, int], int] = {}
     rated: dict[int, tuple[Fraction, float]] = {}
     for eid, (key, n_units, c, n_loc) in enumerate(
         zip(keys.tolist(), edge_units.tolist(), rep.tolist(), locations.tolist())
@@ -519,18 +511,15 @@ def _assemble(
                 n_fault_locations=n_loc,
             )
         )
-        lookup[(a, b)] = eid
     g = DecodingGraph(
         kind=kind,
         L=layout.L,
         T=T,
         p=p,
         mode=mode,
-        n_stabs=n_stabs,
         n_layers=n_layers,
         stab_coords=coords,
         edges=edges,
-        edge_lookup=lookup,
         _record_class=record_class,
         _class_edges=edge.reshape(u.shape),
     )
@@ -540,7 +529,6 @@ def _assemble(
         nodes = [(a,) if b == boundary else (a, b) for a, b in first] + [()]
         g.fault_nodes = [nodes[c] for c in record_class.tolist()]
         g.fault_residuals = residuals
-    g.finalize()
     return g
 
 
@@ -585,12 +573,10 @@ def derive_correlations(
     for its classes' placements.  For each primal edge e and dual edge f
     sharing a contributing fault, P(f | e) = (sum of joint fault rates) /
     (sum of e's fault rates), summed in integer units of p/15 and formed
-    as an exact rational.  The rows are stored on
-    ``graph_primal.corr_to_dual``, and the same rows with each conditional
-    as its discounted weight on ``dual_weights``.
+    as one ``Conditional`` per distinct value.  The rows are stored on
+    ``graph_primal.corr_to_dual``.
     """
-    pk, dk = graph_primal.kind, graph_dual.kind
-    if {pk, dk} != {"X", "Z"}:
+    if {graph_primal.kind, graph_dual.kind} != {"X", "Z"}:
         raise ValueError("correlations need one X and one Z lattice")
     primal_ids, dual_ids = graph_primal._class_edges, graph_dual._class_edges
     pc, dc = graph_primal._record_class, graph_dual._record_class
@@ -619,26 +605,20 @@ def derive_correlations(
     nums = np.array([e.coeff.numerator for e in graph_primal.edges], dtype=np.int64)
     dens = np.array([e.coeff.denominator for e in graph_primal.edges], dtype=np.int64)
     num, den = joint * dens[primal], 15 * nums[primal]
+    # in lowest terms, so that one key stands for one value
+    common = np.gcd(num, den)
+    num, den = num // common, den // common
     width = int(den.max(initial=0)) + 1
     distinct, which = np.unique(num * width + den, return_inverse=True)
-    conds = [Fraction(*divmod(key, width)) for key in distinct.tolist()]
+    conds = [Conditional(*divmod(key, width)) for key in distinct.tolist()]
     for cond in conds:
         if not 0 < cond <= 1:
             raise GraphBuildError(f"conditional {cond} outside (0, 1]")
-    if graph_primal.mode == "circuit":
-        discounts = [-math.log(float(cond)) for cond in conds]
-    else:
-        discounts = [0.0] * len(conds)
-    duals, which = dual.tolist(), which.ravel()
+        cond.weight = -math.log(float(cond)) if graph_primal.mode == "circuit" else 0.0
+    # indexing an object array shares each distinct conditional among its entries
+    entries = list(zip(dual.tolist(), np.array(conds, dtype=object)[which].tolist()))
     ends = np.cumsum(np.bincount(primal, minlength=len(graph_primal.edges))).tolist()
-
-    def rows(values):
-        # indexing an object array shares each distinct value among its entries
-        entries = list(zip(duals, np.array(values, dtype=object)[which].tolist()))
-        return [tuple(entries[a:b]) for a, b in zip([0] + ends, ends)]
-
-    graph_primal.corr_to_dual = rows(conds)
-    graph_primal.dual_weights = rows(discounts)
+    graph_primal.corr_to_dual = [tuple(entries[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:

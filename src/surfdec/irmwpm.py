@@ -9,10 +9,10 @@ its current matching was made with is not matched again: matching is
 deterministic, so the call would return the same matching.
 
 Reweighting always starts from the base weights: every edge in the dual
-correction pulls each of its correlated primal edges down to the discounted
-weight the dual graph's ``dual_weights`` table holds for it (the weights
-are stated in ``graph``); if several dual edges touch the same primal edge
-the smallest weight wins.  An edge traversed by an even number of matched
+correction pulls each of its correlated primal edges down to the weight
+that their conditional in the dual graph's ``corr_to_dual`` carries (stated
+in ``graph``); if several dual edges touch the same primal edge the
+smallest weight wins.  An edge traversed by an even number of matched
 paths cancels out of the dual correction and discounts nothing.
 
 The integer Pauli weight of the joint estimate is tracked at every half
@@ -103,22 +103,22 @@ def reweight(
     out of the correction, and discounting its correlates would let the
     next matching add a data qubit outside the joint estimate at no cost.
 
-    ``dual_graph.dual_weights`` maps each dual edge to its (primal edge,
-    discounted weight) pairs, built with the graph.  With
-    ``reweight_boundary`` off, dual edges incident to the virtual boundary
-    node do not trigger updates.
+    ``dual_graph.corr_to_dual`` maps each dual edge to its (primal edge,
+    conditional) pairs, each conditional carrying the discounted weight.
+    With ``reweight_boundary`` off, dual edges incident to the virtual
+    boundary node do not trigger updates.
     """
-    discounts = dual_graph.dual_weights
-    if discounts is None:
+    correlates = dual_graph.corr_to_dual
+    if correlates is None:
         raise ValueError("correlation map has not been derived for the dual graph")
     overlay: dict[int, float] = {}
     skip_node = None if reweight_boundary else dual_graph.boundary_node
     for eid, traversals in Counter(dual_matching.all_edge_ids()).items():
         if traversals % 2 == 0 or dual_graph.edges[eid].v == skip_node:
             continue
-        for primal_eid, w in discounts[eid]:
-            if w < overlay.get(primal_eid, math.inf):
-                overlay[primal_eid] = w
+        for primal_eid, cond in correlates[eid]:
+            if cond.weight < overlay.get(primal_eid, math.inf):
+                overlay[primal_eid] = cond.weight
     return overlay
 
 

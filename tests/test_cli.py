@@ -255,6 +255,35 @@ def test_decoding_commands_reject_distance_2(tmp_path, monkeypatch, capsys, comm
     assert "distance >= 3, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["simulate", "--distance", "3", "--p", "0.01", "--trials", "5"], "--out"),
+        (["simulate", "--distance", "3", "--p", "0.01", "--trials", "5",
+          "--out", "{ok}"], "--json"),
+        (["threshold", "--distances", "3", "5", "--p-grid", "0.001", "0.002",
+          "0.003", "0.004", "--trials", "5", "--out", "{ok}"], "--csv"),
+    ],
+    ids=["simulate-out", "simulate-json", "threshold-csv"],
+)
+def test_unwritable_output_is_a_usage_error_before_any_trial(
+    tmp_path, monkeypatch, capsys, command, flag
+):
+    # an output file in a missing directory used to fail with a traceback
+    # and exit 1, after every trial had run
+    def no_estimate(config):
+        raise AssertionError(f"simulated {config} before the outputs were checked")
+
+    monkeypatch.setattr(cli, "estimate_rate", no_estimate)
+    ok = tmp_path / "ok"
+    for bad in (tmp_path / "missing" / "x", tmp_path):
+        argv = [arg.replace("{ok}", str(ok)) for arg in command]
+        assert main([*argv, flag, str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"usage error: cannot write {flag} {bad}"]
+    assert not ok.exists()
+
+
 def test_layout_commands_accept_distance_2(tmp_path):
     for command in ("dump-layout", "enumerate-faults"):
         out = tmp_path / f"{command}.json"
@@ -399,7 +428,38 @@ def test_fit_input_errors_are_usage_errors(tmp_path, capsys):
         assert main(["fit", "--in", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("usage error: ") for line in err)
+    assert err[1] == f"usage error: {no_rate}:2: column rate holds None, not a number"
     assert not out.exists()
+
+
+def test_fit_names_the_file_line_and_column_of_a_bad_cell(tmp_path, capsys):
+    # used to read only "could not convert string to float: 'abc'"
+    rates = _fit_rates(tmp_path)
+    with rates.open("a") as fh:
+        fh.write("5,0.01,abc\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(rates), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"usage error: {rates}:14: column rate holds 'abc', not a number"]
+    assert not out.exists()
+
+
+def test_fit_reads_an_integral_distance_written_as_a_float(tmp_path):
+    # "5.0" used to fail int() with a usage error naming no row
+    rates = _fit_rates(tmp_path)
+    as_floats = tmp_path / "floats.csv"
+    lines = rates.read_text().splitlines()
+    as_floats.write_text(
+        "\n".join(lines[:1] + [line.replace(",", ".0,", 1) for line in lines[1:]])
+        + "\n"
+    )
+    assert "5.0,0.002," in as_floats.read_text()
+    blobs = []
+    for path in (rates, as_floats):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["fit", "--in", str(path), "--out", str(out)]) == 0
+        blobs.append(json.loads(out.read_text()))
+    assert blobs[0] == blobs[1]
 
 
 def test_fit_with_too_few_points_is_a_usage_error(tmp_path, capsys):

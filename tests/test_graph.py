@@ -23,6 +23,7 @@ from surfdec.graph import (
     build_code_capacity_pair,
     build_decoder_graphs,
     build_graph,
+    derive_correlations,
     graph_to_dict,
 )
 from surfdec.matcher import events_to_nodes
@@ -216,6 +217,29 @@ def test_pooling_takes_one_round(layout3, circuit3):
         )
 
 
+def test_correlations_need_one_window_of_both_kinds(layout3, circuit3):
+    records = enumerate_single_faults(circuit3, 1)
+    params = NoiseParams(0.001)
+    gx, gz = (build_graph(layout3, params, 3, kind, records) for kind in "XZ")
+    with pytest.raises(ValueError, match="one X and one Z lattice"):
+        derive_correlations(gx, gx, records)
+    # a window of 2 rounds places each class twice, against 3 times in gx
+    gz_short = build_graph(layout3, params, 2, "Z", records)
+    with pytest.raises(ValueError, match="two lattices assembled for one window"):
+        derive_correlations(gx, gz_short, records)
+    # records of a window without idle noise are not the graphs' records
+    other = enumerate_single_faults(circuit3, 1, include_idle=False)
+    with pytest.raises(ValueError, match="two lattices assembled for one window"):
+        derive_correlations(gx, gz, other)
+    assert gx.corr_to_dual is None and gz.corr_to_dual is None
+
+
+def test_each_distinct_conditional_is_one_shared_object(graphs5, cc_pair5):
+    for g in (*graphs5, *cc_pair5):
+        conds = [cond for row in g.corr_to_dual for _, cond in row]
+        assert len({id(cond) for cond in conds}) == len(set(conds))
+
+
 def test_geometry_letter_table_is_total():
     assert set(GEOMETRY_LETTERS.values()) == set("abcdef")
     assert set(INTERIOR_COEFFS) == set("abcdef")
@@ -286,7 +310,7 @@ def test_code_capacity_lattices_are_pinned(L, cc_pair3, cc_pair5):
     for g in cc_pair3 if L == 3 else cc_pair5:
         assert _graph_dict_digest(g) == GRAPH_DICT_SHA256[("code_capacity", L, g.kind)]
         # reweighting a correlated code-capacity edge sets it to 0
-        assert all(w == 0.0 for row in g.dual_weights for _, w in row)
+        assert all(cond.weight == 0.0 for row in g.corr_to_dual for _, cond in row)
 
 
 def test_circuit_lattices_without_idle_noise_are_pinned():
@@ -372,9 +396,8 @@ def _reference_graph(layout, records, kind, T, p):
             )
         )
     return DecodingGraph(
-        kind=kind, L=layout.L, T=T, p=p, mode="circuit", n_stabs=n_stabs,
-        n_layers=n_layers, stab_coords=coords, edges=edges,
-        edge_lookup={(e.u, e.v): e.index for e in edges},
+        kind=kind, L=layout.L, T=T, p=p, mode="circuit", n_layers=n_layers,
+        stab_coords=coords, edges=edges,
     )
 
 
@@ -418,10 +441,9 @@ def test_one_round_build_equals_full_window_reference(L, include_idle):
     round_1 = [rec for rec in records if rec.fault.round == 1]
     for g in (gx, gz):
         # each conditional discounts its edge to -ln(conditional)
-        assert g.dual_weights == [
-            tuple((de, -math.log(float(cond))) for de, cond in row)
-            for row in g.corr_to_dual
-        ]
+        for row in g.corr_to_dual:
+            for _, cond in row:
+                assert cond.weight == -math.log(float(cond))
         # the single-fault table holds each round-1 record's own events
         # and residual on this lattice
         assert len(g.fault_nodes) == len(g.fault_residuals) == len(round_1)
@@ -442,7 +464,7 @@ def test_deep_window_interior_classes():
     assert report.matched_conditionals == N_INTERIOR_CONDITIONALS == 32
 
 
-def _loop_finalize(graph):
+def _loop_csr(graph):
     """The per-slot loop that once mapped edges to CSR slots (reference)."""
     import scipy.sparse as sp
 
@@ -476,9 +498,9 @@ def _loop_finalize(graph):
     ],
     ids=["d3-closed", "d5-closed", "code-capacity"],
 )
-def test_finalize_matches_slot_loop(build):
+def test_csr_matches_slot_loop(build):
     for graph in build():
-        csr, edge_pos = _loop_finalize(graph)
+        csr, edge_pos = _loop_csr(graph)
         for name in ("indptr", "indices", "data"):
             got, want = getattr(graph._csr, name), getattr(csr, name)
             assert got.dtype == want.dtype

@@ -40,22 +40,23 @@ def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _unread_fields(sources: list[str], cls: str) -> list[str]:
-    """Annotated fields of class ``cls`` that no source reads as an attribute.
+def _unread_fields(sources: list[str], readers: list[str]) -> list[str]:
+    """``Class.field`` for each annotated field of a class in ``sources``
+    that no source or reader reads as an attribute.
 
     Reads inside the class's ``__post_init__`` do not count: a field that
-    is only validated configures nothing.
+    is only validated or derived from configures nothing.
     """
     fields: list[str] = []
     read: set[str] = set()
-    for source in sources:
+    for source in sources + readers:
         tree = ast.parse(source)
         validation: set[int] = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == cls:
+            if isinstance(node, ast.ClassDef):
                 for stmt in node.body:
-                    if isinstance(stmt, ast.AnnAssign):
-                        fields.append(stmt.target.id)
+                    if isinstance(stmt, ast.AnnAssign) and source in sources:
+                        fields.append(f"{node.name}.{stmt.target.id}")
                     elif getattr(stmt, "name", None) == "__post_init__":
                         validation |= {id(n) for n in ast.walk(stmt)}
         read |= {
@@ -65,7 +66,7 @@ def _unread_fields(sources: list[str], cls: str) -> list[str]:
             and isinstance(n.ctx, ast.Load)
             and id(n) not in validation
         }
-    return [name for name in fields if name not in read]
+    return [name for name in fields if name.split(".")[1] not in read]
 
 
 def test_unread_field_check_sees_unread_fields():
@@ -76,16 +77,22 @@ def test_unread_field_check_sees_unread_fields():
         "    c: int = 1\n"
         "    def __post_init__(self):\n"
         "        assert self.b >= 0\n"
+        "class D:\n"
+        "    d: int\n"
+        "    e: int\n"
         "def f(cfg):\n"
         "    return cfg.a\n"
     )
-    assert _unread_fields([src], "C") == ["b", "c"]
+    reader = "class E:\n    f: int\nprint(x.d)\n"
+    assert _unread_fields([src], [reader]) == ["C.b", "C.c", "D.e"]
 
 
-def test_every_simconfig_field_is_read():
-    # a configuration field nothing reads is a dead option
+def test_every_annotated_field_is_read():
+    # a field that nothing in the package or the benchmark reads is a dead
+    # option or stale state, such as a table that lost its last reader
     sources = [path.read_text() for path in MODULES]
-    assert _unread_fields(sources, "SimConfig") == []
+    readers = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    assert _unread_fields(sources, readers) == []
 
 
 def _unread_names(sources: list[str], names: list[str]) -> list[str]:

@@ -76,21 +76,16 @@ def test_reweight_code_capacity_zeroes(cc_pair3, layout3):
 
 
 def test_reweight_never_negative(graphs5, cc_pair5):
-    # the discount table lists corr_to_dual's dual edges in the same order,
-    # each weighing exactly -ln(conditional) on circuit lattices, 0 on
-    # code-capacity ones
-    for g in (*graphs5, *cc_pair5):
-        assert len(g.dual_weights) == len(g.corr_to_dual)
-        for row, discounts in zip(g.corr_to_dual, g.dual_weights):
-            assert [deid for deid, _ in discounts] == [deid for deid, _ in row]
+    # each conditional weighs exactly -ln(conditional) on circuit lattices,
+    # 0 on code-capacity ones
     for g in graphs5:
-        for row, discounts in zip(g.corr_to_dual, g.dual_weights):
-            for (_deid, cond), (_, w) in zip(row, discounts):
+        for row in g.corr_to_dual:
+            for _deid, cond in row:
                 assert 0 < cond < 1
-                assert w == -math.log(float(cond))
-                assert w > 0
+                assert cond.weight == -math.log(float(cond))
+                assert cond.weight > 0
     for g in cc_pair5:
-        ws = [w for row in g.dual_weights for _, w in row]
+        ws = [cond.weight for row in g.corr_to_dual for _, cond in row]
         assert ws and all(w == 0.0 for w in ws)
 
 

@@ -579,13 +579,11 @@ def _tiny_graph(pair_w=1.0, bound_w=10.0):
         T=1,
         p=0.1,
         mode="circuit",
-        n_stabs=2,
         n_layers=1,
         stab_coords=((0, 1), (2, 1)),
         edges=edges,
-        edge_lookup={(0, 1): 0, (0, 2): 1, (1, 2): 2},
     )
-    g.finalize()
+    assert g.edge_lookup == {(0, 1): 0, (0, 2): 1, (1, 2): 2}
     return g
 
 
@@ -954,13 +952,10 @@ def _cut_graph():
         T=1,
         p=0.1,
         mode="circuit",
-        n_stabs=3,
         n_layers=1,
         stab_coords=((0, 1), (2, 1), (4, 1)),
         edges=edges,
-        edge_lookup={(0, 1): 0, (0, 3): 1, (1, 3): 2},
     )
-    g.finalize()
     return g
 
 
