@@ -16,7 +16,7 @@ from .code import (
 )
 from .noise import (
     FaultEvent,
-    FaultRecord,
+    FaultTable,
     NoiseParams,
     SyndromeHistory,
     enumerate_single_faults,
@@ -71,7 +71,7 @@ __all__ = [
     "build_se_circuit",
     "ideal_syndrome",
     "FaultEvent",
-    "FaultRecord",
+    "FaultTable",
     "NoiseParams",
     "SyndromeHistory",
     "enumerate_single_faults",

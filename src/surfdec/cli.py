@@ -16,6 +16,7 @@ import json
 import os
 import shlex
 import sys
+from fractions import Fraction
 
 from .code import build_layout, build_se_circuit, layout_to_dict
 from .experiments import (
@@ -326,7 +327,7 @@ def _cmd_enumerate(args) -> int:
     T = args.rounds if args.rounds is not None else L
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(circuit, T, args.idle_noise)
+    table = enumerate_single_faults(circuit, T, args.idle_noise)
     _write_json(
         args.out,
         {
@@ -336,20 +337,22 @@ def _cmd_enumerate(args) -> int:
             "idle_noise": args.idle_noise,
             "faults": [
                 {
-                    "fault": rec.fault.describe(circuit),
-                    "round": rec.fault.round,
-                    "kind": rec.fault.kind,
-                    "index": rec.fault.index,
-                    "payload": rec.fault.payload,
-                    "coefficient": str(rec.coeff),
-                    "x_lattice_events": [list(e) for e in rec.x_events],
-                    "z_lattice_events": [list(e) for e in rec.z_events],
+                    "fault": fault.describe(circuit),
+                    "round": fault.round,
+                    "kind": fault.kind,
+                    "index": fault.index,
+                    "payload": fault.payload,
+                    "coefficient": str(Fraction(units, 15)),
+                    "x_lattice_events": [list(e) for e in x_events],
+                    "z_lattice_events": [list(e) for e in z_events],
                 }
-                for rec in records
+                for fault, units, x_events, z_events in zip(
+                    table.faults(), table.units.tolist(), table.x_events, table.z_events
+                )
             ],
         },
     )
-    _progress(f"enumerated {len(records)} faults")
+    _progress(f"enumerated {len(table)} faults")
     return 0
 
 

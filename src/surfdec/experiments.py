@@ -62,6 +62,8 @@ class SimConfig:
             raise ValueError("p must be in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.decoder not in DECODERS:

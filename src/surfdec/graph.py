@@ -15,8 +15,9 @@ discount as ``weight``, and ``irmwpm.reweight`` only selects among them.
 
 Single-fault signatures are time-translation invariant, so the graphs are
 built from one round: ``enumerate_single_faults(circuit, 1)`` gives every
-fault of round 1 with its events in rounds 1 and 2.  ``_assemble`` groups
-those records into classes by their signature on its own lattice, adds
+fault of round 1 with its events in rounds 1 and 2, as one
+``noise.FaultTable`` of columns.  ``_assemble`` reads those columns and
+groups the rows into classes by their signature on its own lattice, adds
 rates in integer units of p/15 (CNOT payload 1, idle Pauli 5, measurement
 flip 15) and places every class at every fault round of the window, for
 circuit windows and the one-layer code-capacity lattice alike.
@@ -55,9 +56,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .code import CodeLayout, build_layout, build_se_circuit, ideal_syndrome
 from .noise import (
-    RATE_UNITS,
-    FaultEvent,
-    FaultRecord,
+    FAULT_KINDS,
+    FaultTable,
     InvalidFaultError,
     NoiseParams,
     _collector_paused,
@@ -158,7 +158,7 @@ class DecodingGraph:
     negative at the source and at unreachable nodes), 12 bytes per entry.
 
     Circuit graphs also carry one round's single-fault table, read by
-    ``window_events``: for each round-1 record they were built from, in
+    ``window_events``: for each round-1 fault they were built from, in
     ``noise.fault_row`` order, the node ids of its events on this lattice
     (``fault_nodes``, its class's placement at fault round 1) and its
     residual mask on this lattice's error type (``fault_residuals``: X on
@@ -186,10 +186,10 @@ class DecodingGraph:
         default=None, repr=False, compare=False
     )
     fault_residuals: list[int] | None = field(default=None, repr=False, compare=False)
-    # signature class of each record the graph was built from (-1 without
+    # signature class of each fault the graph was built from (-1 without
     # an event here), and the edge of each class placed at each fault
     # round: shape (fault rounds, classes)
-    _record_class: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _fault_class: np.ndarray | None = field(default=None, repr=False, compare=False)
     _class_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
     # derived from stab_coords, n_layers and the edges at construction
     n_stabs: int = field(init=False)
@@ -379,30 +379,31 @@ def _class_letters(
 
 def _assemble(
     layout: CodeLayout,
-    records: list[FaultRecord],
+    table: FaultTable,
     kind: str,
     T: int,
     p: float,
     mode: str,
 ) -> DecodingGraph:
-    """One lattice from one round's single-fault records placed over the window.
+    """One lattice from one round's single faults placed over the window.
 
-    ``records`` are the faults of round 1, as ``enumerate_single_faults(
-    circuit, 1)`` returns them; a record of another round raises
-    ValueError.  The records with an event on this lattice are grouped by
+    ``table`` holds the faults of round 1, as ``enumerate_single_faults(
+    circuit, 1)`` returns them; a fault of another round raises
+    ValueError.  The faults with an event on this lattice are grouped by
     signature into classes, numbered by first appearance, and rates add up
-    as integers in units of p/15 (``noise.RATE_UNITS``).  A circuit
+    as integers in units of p/15 (``FaultTable.units``).  A circuit
     lattice places the classes at fault rounds 1..T of T + 1 layers and
     weighs each edge -ln(coeff p); a code-capacity lattice places them on
     its one layer with unit weights and no letters.  An edge's rate is the
     sum over every placed class whose signature is its node pair.  Its
     correction and letter are those of its representative class, the one
     holding the highest-rate fault behind it, the earliest round and then
-    record order breaking ties.  Every fault behind an edge must share the
+    row order breaking ties.  Every fault behind an edge must share the
     same logical action, so that correction is well defined; a conflict
-    raises ``GraphBuildError``.  The graph keeps each record's class and
-    every placement's edge for ``derive_correlations``, and a circuit
-    graph its single-fault table.
+    raises ``GraphBuildError``, and an edge probability of 1 or more
+    ``InvalidRateError``, naming the bound that the largest rate sets on p.
+    The graph keeps each fault's class and every placement's edge for
+    ``derive_correlations``, and a circuit graph its single-fault table.
     """
     if layout.L < MIN_DECODING_DISTANCE:
         raise ValueError(
@@ -410,49 +411,41 @@ def _assemble(
             f"{layout.L}: below it, faults with one detection signature act "
             "differently on the logical qubit"
         )
-    faults = [rec.fault for rec in records]
-    late = next((f.round for f in faults if f.round != 1), None)
-    if late is not None:
-        raise ValueError(f"graphs are built from round-1 records, got round {late}")
+    late = table.round[table.round != 1]
+    if len(late):
+        raise ValueError(f"graphs are built from round-1 faults, got round {late[0]}")
     circuit = mode == "circuit"
     fault_rounds, n_layers = (T, T + 1) if circuit else (1, 1)
     coords = layout.z_anc_coords if kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
     boundary = n_stabs * n_layers
     if kind == "X":
-        events = [rec.x_events for rec in records]
-        residuals = [rec.x_residual for rec in records]
+        events, residuals = table.x_events, table.x_residual
     else:
-        events = [rec.z_events for rec in records]
-        residuals = [rec.z_residual for rec in records]
-    # each record's class, -1 without an event on this lattice
+        events, residuals = table.z_events, table.z_residual
+    # each fault's class, -1 without an event on this lattice
     class_of: dict[tuple, int] = {}
-    record_class = np.array(
+    fault_class = np.array(
         [class_of.setdefault(sig, len(class_of)) if sig else -1 for sig in events],
         dtype=np.int64,
     )
-    n_classes = len(class_of)
-    units = np.array([RATE_UNITS[f.kind] for f in faults], dtype=np.int64)
-    locs: dict[tuple[str, int], int] = {}
-    loc = np.array(
-        [locs.setdefault((f.kind, f.index), len(locs)) for f in faults], dtype=np.int64
-    )
+    n_classes, n, units = len(class_of), len(table), table.units
+    # a location's rows are contiguous, so a row less its payload names it
+    loc = np.arange(n) - table.payload
     logical = layout.logical_z.z_mask if kind == "X" else layout.logical_x.x_mask
     odd = np.array([(r & logical).bit_count() & 1 for r in residuals], dtype=np.int64)
 
-    # per class, over the records behind it: summed rate, highest-rate
-    # record (the earliest on ties), bit 1 if one leaves even logical
+    # per class, over the faults behind it: summed rate, highest-rate
+    # fault (the earliest on ties), bit 1 if one leaves even logical
     # parity and bit 2 if one leaves odd, and distinct locations
-    here = np.nonzero(record_class >= 0)[0]
-    cls = record_class[here]
+    here = np.nonzero(fault_class >= 0)[0]
+    cls = fault_class[here]
     class_units = np.bincount(cls, units[here], minlength=n_classes).astype(np.int64)
     by_rate = here[np.lexsort((-units[here], cls))]
-    best = by_rate[np.searchsorted(record_class[by_rate], np.arange(n_classes))]
+    best = by_rate[np.searchsorted(fault_class[by_rate], np.arange(n_classes))]
     class_parity = np.zeros(n_classes, dtype=np.int64)
     np.bitwise_or.at(class_parity, cls, 1 << odd[here])
-    class_locs = np.bincount(
-        np.unique(cls * len(locs) + loc[here]) // len(locs), minlength=n_classes
-    )
+    class_locs = np.bincount(np.unique(cls * n + loc[here]) // n, minlength=n_classes)
 
     signatures = list(class_of)
     u, v = _place(signatures, n_stabs, n_layers, fault_rounds, kind)
@@ -477,22 +470,23 @@ def _assemble(
     # round, so an edge's (fault round, location) pairs are all distinct
     locations = np.bincount(edge, class_locs[cc], minlength=n_edges).astype(np.int64)
 
-    edges: list[Edge] = []
+    top = Fraction(int(edge_units.max()), 15)
+    if circuit and float(top) * p >= 1.0:
+        raise InvalidRateError(
+            f"p = {p} puts edge probability at {float(top) * p:.3f} >= 1 "
+            f"(p_max = {1 / float(top):.4f} for this graph)"
+        )
     rated: dict[int, tuple[Fraction, float]] = {}
+    for n_units in np.unique(edge_units).tolist():
+        coeff = Fraction(n_units, 15)
+        prob = float(coeff) * p
+        if circuit and prob <= 0.0:
+            raise DegenerateWeightError("p = 0 gives infinite edge weights")
+        rated[n_units] = coeff, -math.log(prob) if circuit else 1.0
+    edges: list[Edge] = []
     for eid, (key, n_units, c, n_loc) in enumerate(
         zip(keys.tolist(), edge_units.tolist(), rep.tolist(), locations.tolist())
     ):
-        if n_units not in rated:
-            coeff = Fraction(n_units, 15)
-            prob = float(coeff) * p
-            if circuit and prob <= 0.0:
-                raise DegenerateWeightError("p = 0 gives infinite edge weights")
-            if circuit and prob >= 1.0:
-                raise InvalidRateError(
-                    f"p = {p} puts edge probability at {prob:.3f} >= 1 "
-                    f"(p_max = {1 / float(coeff):.4f} for this graph)"
-                )
-            rated[n_units] = coeff, -math.log(prob) if circuit else 1.0
         coeff, weight = rated[n_units]
         a, b = divmod(key, boundary + 1)
         letter = letters[c]
@@ -520,14 +514,14 @@ def _assemble(
         n_layers=n_layers,
         stab_coords=coords,
         edges=edges,
-        _record_class=record_class,
+        _fault_class=fault_class,
         _class_edges=edge.reshape(u.shape),
     )
-    if circuit:  # a record's events: its class's nodes at fault round 1
+    if circuit:  # a fault's events: its class's nodes at fault round 1
         # (class -1, no event on this lattice, reads the () appended last)
         first = zip(u[0].tolist(), v[0].tolist())
         nodes = [(a,) if b == boundary else (a, b) for a, b in first] + [()]
-        g.fault_nodes = [nodes[c] for c in record_class.tolist()]
+        g.fault_nodes = [nodes[c] for c in fault_class.tolist()]
         g.fault_residuals = residuals
     return g
 
@@ -537,11 +531,11 @@ def build_graph(
     params: NoiseParams,
     T: int,
     lattice_kind: str,
-    records: list[FaultRecord],
+    table: FaultTable,
 ) -> DecodingGraph:
     """Assemble the decoding lattice for one error type of a T-round window.
 
-    ``records`` are one round's single faults
+    ``table`` holds one round's single faults
     (``enumerate_single_faults(circuit, 1)``).  Their signature classes
     are repeated at each of the window's fault rounds and summed into
     edges in integer units of p/15 (see ``_assemble``).  Edge probabilities
@@ -556,18 +550,18 @@ def build_graph(
         raise ValueError(f"T must be >= 1, got {T}")
     if params.p <= 0.0:
         raise DegenerateWeightError("p must be positive to form -ln weights")
-    return _assemble(layout, records, lattice_kind, T, params.p, "circuit")
+    return _assemble(layout, table, lattice_kind, T, params.p, "circuit")
 
 
 def derive_correlations(
     graph_primal: DecodingGraph,
     graph_dual: DecodingGraph,
-    records: list[FaultRecord],
+    table: FaultTable,
 ) -> None:
     """Conditional probabilities of dual-lattice edges given primal edges.
 
-    ``records`` are the round-1 faults both graphs were built from.  The
-    rates of the records with an event on both lattices are summed per
+    ``table`` holds the round-1 faults both graphs were built from.  The
+    rates of the faults with an event on both lattices are summed per
     pair of a primal and a dual signature class, and each pair is placed
     at every fault round of the window, on the edges each graph recorded
     for its classes' placements.  For each primal edge e and dual edge f
@@ -579,16 +573,16 @@ def derive_correlations(
     if {graph_primal.kind, graph_dual.kind} != {"X", "Z"}:
         raise ValueError("correlations need one X and one Z lattice")
     primal_ids, dual_ids = graph_primal._class_edges, graph_dual._class_edges
-    pc, dc = graph_primal._record_class, graph_dual._record_class
+    pc, dc = graph_primal._fault_class, graph_dual._fault_class
     if (
         primal_ids is None
         or dual_ids is None
         or len(primal_ids) != len(dual_ids)
-        or not len(pc) == len(dc) == len(records)
+        or not len(pc) == len(dc) == len(table)
     ):
         raise ValueError("correlations need two lattices assembled for one window")
     both = np.nonzero((pc >= 0) & (dc >= 0))[0]
-    units = [RATE_UNITS[records[i].fault.kind] for i in both.tolist()]
+    units = table.units[both]
     n_dc = dual_ids.shape[1]
     classes, which = np.unique(pc[both] * n_dc + dc[both], return_inverse=True)
     joint_units = np.bincount(which, units, minlength=len(classes)).astype(np.int64)
@@ -621,30 +615,24 @@ def derive_correlations(
     graph_primal.corr_to_dual = [tuple(entries[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def _code_capacity_records(layout: CodeLayout) -> list[FaultRecord]:
-    """Single data-qubit Pauli 'enumeration' for the code-capacity model."""
-    n_x = len(layout.x_stabilizers)
-    records = []
+def _code_capacity_faults(layout: CodeLayout) -> FaultTable:
+    """The code-capacity model as one round of idle faults: each single
+    data-qubit X, Y and Z, read by one perfect syndrome readout."""
+    n_x, n_z = len(layout.x_stabilizers), len(layout.z_stabilizers)
+    x_events, z_events, x_res, z_res = [], [], [], []
     for q in range(layout.n_data):
-        for pay, kind in enumerate("XYZ"):
+        for kind in "XYZ":
             err = PauliOperator.single(layout.n_data, q, kind)
             syn = ideal_syndrome(layout, err)
-            z_events = tuple((i, 1) for i in range(n_x) if syn[i])
-            x_events = tuple(
-                (i, 1) for i in range(len(layout.z_stabilizers)) if syn[n_x + i]
-            )
-            fault = FaultEvent(1, "idle", q, pay)
-            records.append(
-                FaultRecord(
-                    fault=fault,
-                    x_events=x_events,
-                    z_events=z_events,
-                    coeff=fault.coefficient(),
-                    x_residual=err.x_mask,
-                    z_residual=err.z_mask,
-                )
-            )
-    return records
+            x_events.append(tuple((i, 1) for i in range(n_z) if syn[n_x + i]))
+            z_events.append(tuple((i, 1) for i in range(n_x) if syn[i]))
+            x_res.append(err.x_mask)
+            z_res.append(err.z_mask)
+    rows = np.arange(3 * layout.n_data)
+    idle = np.full_like(rows, FAULT_KINDS.index("idle"))
+    return FaultTable(
+        np.ones_like(rows), idle, rows // 3, rows % 3, x_events, z_events, x_res, z_res
+    )
 
 
 @_collector_paused()
@@ -656,19 +644,19 @@ def build_decoder_graphs(
 ) -> tuple[DecodingGraph, DecodingGraph]:
     """Both lattices plus cross-correlations for a distance-L, T-round window.
 
-    One round of single faults is enumerated once; both lattices and both
-    correlation tables repeat its records over the window, and each
-    lattice reads its single-fault table from them
+    One round of single faults is enumerated once, as one ``FaultTable``;
+    both lattices and both correlation tables repeat its rows over the
+    window, and each lattice reads its single-fault table from them
     (``DecodingGraph.window_events``).
     """
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(circuit, 1, include_idle)
+    table = enumerate_single_faults(circuit, 1, include_idle)
     params = NoiseParams(p)
-    gx = build_graph(layout, params, T, "X", records)
-    gz = build_graph(layout, params, T, "Z", records)
-    derive_correlations(gx, gz, records)
-    derive_correlations(gz, gx, records)
+    gx = build_graph(layout, params, T, "X", table)
+    gz = build_graph(layout, params, T, "Z", table)
+    derive_correlations(gx, gz, table)
+    derive_correlations(gz, gx, table)
     return gx, gz
 
 
@@ -680,11 +668,11 @@ def build_code_capacity_pair(L: int) -> tuple[DecodingGraph, DecodingGraph]:
     weighs 1, and reweighting a correlated edge sets it to 0.
     """
     layout = build_layout(L)
-    records = _code_capacity_records(layout)
-    gx = _assemble(layout, records, "X", 0, 0.0, "code_capacity")
-    gz = _assemble(layout, records, "Z", 0, 0.0, "code_capacity")
-    derive_correlations(gx, gz, records)
-    derive_correlations(gz, gx, records)
+    table = _code_capacity_faults(layout)
+    gx = _assemble(layout, table, "X", 0, 0.0, "code_capacity")
+    gz = _assemble(layout, table, "Z", 0, 0.0, "code_capacity")
+    derive_correlations(gx, gz, table)
+    derive_correlations(gz, gx, table)
     return gx, gz
 
 

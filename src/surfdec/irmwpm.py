@@ -60,9 +60,6 @@ class IterationTrace:
     stop_reason: str = ""
     monotonic: bool = True
 
-    def weights(self) -> list[int]:
-        return [s.pauli_weight for s in self.steps]
-
     def to_dict(self) -> dict:
         """JSON-ready export for iteration-count studies."""
         return {

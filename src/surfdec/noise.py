@@ -32,12 +32,13 @@ offset away, so a whole layer is a few masks, shifts and XORs
 (``_FramePlan``), and the residual's masks are the data integers.
 
 That linearity is what the decoding windows use: ``enumerate_single_faults``
-gives every fault of one round with its events and residual, and a memory
-window's events are the symmetric difference of its faults' one-round
-signatures shifted to their rounds (``fault_row`` locates a sampled fault in
-that table; ``graph.DecodingGraph.window_events`` reads it).  ``simulate``
-stays as the oracle for that table and as the path of windows that start
-from an initial data error.
+gives every fault of one round with its events and residual as one
+``FaultTable`` of columns, and a memory window's events are the symmetric
+difference of its faults' one-round signatures shifted to their rounds
+(``fault_row`` locates a sampled fault in that table;
+``graph.DecodingGraph.window_events`` reads it).  ``simulate`` stays as the
+oracle for that table and as the path of windows that start from an initial
+data error.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ import contextlib
 import functools
 import gc
 import math
-import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,10 +69,13 @@ PAYLOAD_Z1 = np.array([False, True, True])
 
 _PAULI_NAMES = "IXYZ"
 
-#: first-order rate of one fault location, in integer units of p/15: one
-#: two-qubit payload p/15, one idle Pauli p/3, a measurement flip p
-RATE_UNITS = {"cnot": 1, "idle": 5, "meas_x": 15, "meas_z": 15}
-_COEFFS = {kind: Fraction(u, 15) for kind, u in RATE_UNITS.items()}
+#: a round's fault kinds in row order, idles last; a ``FaultTable``
+#: holds each row's kind as its position here
+FAULT_KINDS = ("cnot", "meas_x", "meas_z", "idle")
+#: first-order rate of one fault, by kind, in integer units of p/15: one
+#: two-qubit payload p/15, a measurement flip p, one idle Pauli p/3
+RATE_UNITS = np.array([1, 15, 15, 5])
+RATE_UNITS.flags.writeable = False
 
 
 class InvalidNoiseError(ValueError):
@@ -123,10 +125,6 @@ class FaultEvent:
             )
         return f"r{self.round} {self.kind}{self.index} flip"
 
-    def coefficient(self) -> Fraction:
-        """First-order probability of this fault in units of p."""
-        return _COEFFS[self.kind]
-
 
 @dataclass(frozen=True)
 class SyndromeHistory:
@@ -148,7 +146,7 @@ class SyndromeHistory:
 
 class _Kind(NamedTuple):
     """One fault kind of a round: its name, its numbers of locations and
-    payloads, and its first row among the round's records."""
+    payloads, and its first row among the round's faults."""
 
     name: str
     count: int
@@ -163,21 +161,21 @@ _ROUND_LOCATIONS: dict[int, tuple[tuple[str, int, int], ...]] = {}
 
 
 def _kind_table(circuit: SECircuit) -> dict[str, _Kind]:
-    """One round's fault kinds in record order, idles last, by name.
+    """One round's fault kinds in ``FAULT_KINDS`` order, by name.
 
     The one statement of a round's kinds, their location counts and
-    payload ranges: the sampler, ``_round_faults`` and ``fault_row`` all
-    read it.  Built from the first circuit of each distance and shared, so
-    read only.
+    payload ranges: the sampler, ``enumerate_single_faults`` and
+    ``fault_row`` all read it.  Built from the first circuit of each
+    distance and shared, so read only.
     """
     kinds = _KIND_TABLES.get(circuit.layout.L)
     if kinds is None:
         kinds, row = {}, 0
-        names, payloads = ("cnot", "meas_x", "meas_z", "idle"), (15, 1, 1, 3)
+        payloads = (15, 1, 1, 3)
         counts = (
             circuit.n_cnots_per_round, circuit.n_x, circuit.n_z, circuit.layout.n_data
         )
-        for name, count, k in zip(names, counts, payloads):
+        for name, count, k in zip(FAULT_KINDS, counts, payloads):
             kinds[name] = _Kind(name, count, k, row)
             row += count * k
         _KIND_TABLES[circuit.layout.L] = kinds
@@ -186,7 +184,7 @@ def _kind_table(circuit: SECircuit) -> dict[str, _Kind]:
 
 def _round_locations(circuit: SECircuit) -> tuple[tuple[str, int, int], ...]:
     """(kind, index, payloads) of every fault location of one round, in
-    record order, idles last; built once per distance and shared."""
+    row order, idles last; built once per distance and shared."""
     locations = _ROUND_LOCATIONS.get(circuit.layout.L)
     if locations is None:
         locations = _ROUND_LOCATIONS[circuit.layout.L] = tuple(
@@ -438,42 +436,52 @@ def simulate(
     )
 
 
-@dataclass(frozen=True)
-class FaultRecord:
-    """One enumerated fault with its detection signature and rate.
+@dataclass(eq=False, repr=False)
+class FaultTable:
+    """Single faults with their detection signatures and residuals, as columns.
 
-    ``x_residual`` / ``z_residual`` are the data-qubit masks of the fault's
-    residual error after all rounds; they supply the per-edge correction
-    content when decoding graphs are assembled.
+    Row i is one fault: its round, its kind as a position in
+    ``FAULT_KINDS``, its location index and payload (as in ``FaultEvent``),
+    its sorted (stabilizer, round) X- and Z-lattice events, the data-qubit
+    X and Z masks of its residual error after all rounds, and (``units``)
+    its first-order rate in units of p/15.  ``len()`` counts the faults.
     """
 
-    fault: FaultEvent
-    x_events: tuple[tuple[int, int], ...]
-    z_events: tuple[tuple[int, int], ...]
-    coeff: Fraction  # first-order probability = coeff * p
-    x_residual: int = 0
-    z_residual: int = 0
+    round: np.ndarray
+    kind: np.ndarray
+    index: np.ndarray
+    payload: np.ndarray
+    x_events: list[tuple[tuple[int, int], ...]]
+    z_events: list[tuple[tuple[int, int], ...]]
+    x_residual: list[int]
+    z_residual: list[int]
+    units: np.ndarray = field(init=False)
 
+    def __post_init__(self) -> None:
+        self.units = RATE_UNITS[self.kind]
 
-def _round_faults(circuit: SECircuit, include_idle: bool) -> list[tuple[str, int, int]]:
-    """(kind, index, payload) of every fault of one round, in record order."""
-    return [
-        (kind, index, pay)
-        for kind, index, payloads in _round_locations(circuit)
-        if include_idle or kind != "idle"
-        for pay in range(payloads)
-    ]
+    def __len__(self) -> int:
+        return len(self.round)
+
+    def faults(self) -> list[FaultEvent]:
+        """The rows as ``FaultEvent`` objects, as ``simulate`` takes them."""
+        columns = (self.round, self.kind, self.index, self.payload)
+        return [
+            FaultEvent(t, FAULT_KINDS[k], i, pay)
+            for t, k, i, pay in zip(*(c.tolist() for c in columns))
+        ]
 
 
 def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
-    """Position of a fault's location and payload among one round's records.
+    """Position of a fault's location and payload among one round's faults.
 
-    Rows follow ``_round_faults``: the kinds of ``_kind_table``, idles
-    included, one after the other, and within a kind location ``i`` with
-    payload ``k`` at ``payloads * i + k`` past the kind's first row.  The
-    fault's round is not looked at.  Raises ``InvalidFaultError`` for an
-    unknown kind or an index or payload out of range (measurement flips
-    take payload 0).
+    Rows follow ``_kind_table``, as each round of ``enumerate_single_faults``
+    does: its kinds, idles included, one after the other, and within a kind
+    location ``i`` with payload ``k`` at ``payloads * i + k`` past the
+    kind's first row, so a location's rows are contiguous.  The fault's
+    round is not looked at.  Raises ``InvalidFaultError`` for an unknown
+    kind or an index or payload out of range (measurement flips take
+    payload 0).
     """
     kind = _kind_table(circuit).get(fault.kind)
     if kind is None:
@@ -490,8 +498,11 @@ def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
 _BLOCK = 4096
 
 
-def _round_signatures(circuit: SECircuit, faults: list[tuple[str, int, int]]):
-    """Detection events and residuals of each single fault of round 1.
+def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
+    """Every single fault of round 1 with its detection events and residual.
+
+    Rows follow ``fault_row``, idles only with ``include_idle``; the
+    (kind, index, payload) columns are read off ``_kind_table``'s blocks.
 
     Every fault gets its own column of the X and Z frame matrices, and all
     columns go through the round together: the four CNOT layers (each
@@ -500,23 +511,22 @@ def _round_signatures(circuit: SECircuit, faults: list[tuple[str, int, int]]):
     faults, and one fault-free readout round.  Frames are linear, so each
     column is that fault's own frame.  A fault of round 1 detects only in
     rounds 1 and 2: from round 2 on the frame is a data error that every
-    later round, perfect or not, reads the same.  Returns per-fault lists
-    of sorted (stabilizer, round) X- and Z-lattice events and the residual
-    X and Z data-qubit masks.
+    later round, perfect or not, reads the same.
 
     Columns are bit-packed, ``_BLOCK`` at a time, into rows of ``uint64``
     words per qubit (Pauli frames packed into machine words, as Stim's
     frame simulator packs shots; Gidney, arXiv:2103.02202): a CNOT layer
     is two row XORs, and each fault is one or two (qubit, word, bit) XORs.
     """
-    n_data, n_x = circuit.layout.n_data, circuit.n_x
-    n = len(faults)
-    kinds, index, pay = (
-        np.fromiter(map(operator.itemgetter(k), faults), dtype, n)
-        for k, dtype in enumerate(("U6", np.int64, np.int64))
-    )
-    cnot, idle, meas_x, meas_z = (
-        np.flatnonzero(kinds == kind) for kind in ("cnot", "idle", "meas_x", "meas_z")
+    kinds = list(_kind_table(circuit).values())
+    if not include_idle:
+        kinds.pop()  # idles come last
+    kind = np.repeat(np.arange(len(kinds)), [k.count * k.payloads for k in kinds])
+    index = np.concatenate([np.arange(k.count).repeat(k.payloads) for k in kinds])
+    pay = np.concatenate([np.tile(np.arange(k.payloads), k.count) for k in kinds])
+    n_data, n_x, n = circuit.layout.n_data, circuit.n_x, len(kind)
+    cnot, meas_x, meas_z, idle = (
+        np.flatnonzero(kind == code) for code in range(len(FAULT_KINDS))
     )
     layer, ctl, tgt = np.array(circuit.cnot_flat)[index[cnot]].T
     pc, pi = pay[cnot], pay[idle]
@@ -580,7 +590,8 @@ def _round_signatures(circuit: SECircuit, faults: list[tuple[str, int, int]]):
         z_events += _column_events(ox1, ox1 ^ ox2, width)
         x_res += _column_masks(x[:n_data], width)
         z_res += _column_masks(z[:n_data], width)
-    return x_events, z_events, x_res, z_res
+    rounds = np.ones(n, dtype=np.int64)
+    return FaultTable(rounds, kind, index, pay, x_events, z_events, x_res, z_res)
 
 
 def _set_bits(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -642,15 +653,15 @@ def enumerate_single_faults(
     circuit: SECircuit,
     T: int,
     include_idle: bool = True,
-) -> list[FaultRecord]:
+) -> FaultTable:
     """Every possible single fault once, with its signature and residual.
 
-    The returned list covers every (round, location, payload) triple of the
-    noise model exactly once, rounds ascending; within a round in
-    ``_round_faults`` order, idles only with ``include_idle``, the
-    sampler's idle-noise switch.  Signatures are sorted event tuples; the
-    linearity of frame propagation makes them the exact first-order
-    detection pattern of the fault.
+    The returned table covers every (round, location, payload) triple of
+    the noise model exactly once, rounds ascending; within a round in
+    ``fault_row`` order, idles only with ``include_idle``, the sampler's
+    idle-noise switch.  Signatures are sorted event tuples; the linearity
+    of frame propagation makes them the exact first-order detection
+    pattern of the fault.
 
     One round is propagated (see ``_round_signatures``); single-fault
     signatures are time-translation invariant, so the fault of round t has
@@ -659,18 +670,14 @@ def enumerate_single_faults(
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    faults = _round_faults(circuit, include_idle)
-    x_events, z_events, x_res, z_res = _round_signatures(circuit, faults)
-    records = []
-    for t in range(1, T + 1):
-        shift = t - 1
-        for (kind, index, pay), xe, ze, xr, zr in zip(
-            faults, x_events, z_events, x_res, z_res
-        ):
-            if shift:
-                xe = tuple((s, r + shift) for s, r in xe)
-                ze = tuple((s, r + shift) for s, r in ze)
-            fault = FaultEvent(t, kind, index, pay)
-            records.append(FaultRecord(fault, xe, ze, _COEFFS[kind], xr, zr))
-    return records
-
+    first = _round_signatures(circuit, include_idle)
+    return FaultTable(
+        np.arange(1, T + 1).repeat(len(first)),
+        *(np.tile(column, T) for column in (first.kind, first.index, first.payload)),
+        *(
+            sigs + [tuple((s, r + k) for s, r in e) for k in range(1, T) for e in sigs]
+            for sigs in (first.x_events, first.z_events)
+        ),
+        first.x_residual * T,
+        first.z_residual * T,
+    )

@@ -417,12 +417,12 @@ def test_criterion_09_linearity_and_monte_carlo_consistency():
 
     # single-fault signature frequencies vs first-order enumeration
     p = 0.002
-    records = enumerate_single_faults(circuit, 3)
-    total = sum(r.coeff for r in records)
+    table = enumerate_single_faults(circuit, 3)
+    coeffs = [Fraction(units, 15) for units in table.units.tolist()]
+    total = sum(coeffs)
     sig_coeff = {}
-    for r in records:
-        key = (r.x_events, r.z_events)
-        sig_coeff[key] = sig_coeff.get(key, Fraction(0)) + r.coeff
+    for key, coeff in zip(zip(table.x_events, table.z_events), coeffs):
+        sig_coeff[key] = sig_coeff.get(key, Fraction(0)) + coeff
     n_samples = 1_000_000 if FULL else 120_000
     top_n = 40 if FULL else 12
     rng = np.random.default_rng(56)

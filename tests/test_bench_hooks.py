@@ -140,3 +140,23 @@ def test_small_plain_matchings_stay_in_the_traced_mwpm_span(bench, monkeypatch, 
     names = [span[spans.NAME] for span in tracer.spans]
     assert names == ["matcher.mwpm", "matcher.shortest_paths"]
     assert tracer.spans[1][spans.PARENT] == 0
+
+
+def test_traced_setup_counts_one_round_of_fault_rows(bench):
+    # the tracer records len() of enumerate_single_faults' result: one row
+    # per single fault of one round, here 144 CNOTs x 15 payloads, 40
+    # measurement flips and 41 idle qubits x 3 Paulis; a table whose len()
+    # counted its columns would report 8
+    _, spans = bench
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        graph.build_decoder_graphs(5, 5, 0.001)
+    finally:
+        tracer.uninstall()
+    enumerations = [
+        span for span in tracer.spans
+        if span[spans.NAME] == "noise.enumerate_single_faults"
+    ]
+    assert len(enumerations) == 1
+    assert enumerations[0][spans.INFO] == {"records": 2323}

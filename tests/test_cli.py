@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from surfdec import cli
+from surfdec import cli, experiments
 from surfdec.cli import main
 
 
@@ -253,6 +253,33 @@ def test_decoding_commands_reject_distance_2(tmp_path, monkeypatch, capsys, comm
     assert main([*command, "--out", str(out)]) == 2
     assert not out.exists()
     assert "distance >= 3, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--distance", "3", "--p", "0.01", "--trials", "2"],
+        ["lifetime", "--distance", "3", "--p", "0.01", "--trials", "2"],
+        ["threshold", "--distances", "3", "5", "--p-grid", "0.001", "0.002",
+         "0.003", "0.004", "--trials", "2"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_negative_seed_is_a_usage_error_before_any_graph(
+    tmp_path, monkeypatch, capsys, command
+):
+    # numpy used to reject the seed only after both graphs were built, with
+    # a message that named neither the flag nor the value
+    def no_build(*args):
+        raise AssertionError("graphs built before the seed was checked")
+
+    monkeypatch.setattr(experiments, "build_decoder_graphs", no_build)
+    out = tmp_path / "out"
+    assert main([*command, "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: seed must be >= 0, got -1"
+    ]
 
 
 @pytest.mark.parametrize(

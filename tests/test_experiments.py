@@ -152,13 +152,13 @@ def test_single_fault_within_radius_never_fails(layout3, circuit3, layout5, circ
         pairs = [build_decoder_graphs(L, L, p) for p in (0.001, 0.016)]
         gx, gz = pairs[0]
         decoded = {}
-        for rec in enumerate_single_faults(circuit, L):
-            rows = [(fault_row(circuit, rec.fault), rec.fault.round)]
+        for fault in enumerate_single_faults(circuit, L).faults():
+            rows = [(fault_row(circuit, fault), fault.round)]
             ev_x, x_mask = gx.window_events(rows)
             ev_z, z_mask = gz.window_events(rows)
             residual = PauliOperator(layout.n_data, x_mask, z_mask)
             if L == 3:
-                hist = simulate(layout, circuit, [rec.fault], L, True)
+                hist = simulate(layout, circuit, [fault], L, True)
                 assert ev_x == events_to_nodes(gx, hist.x_lattice_events)
                 assert ev_z == events_to_nodes(gz, hist.z_lattice_events)
                 assert residual == hist.residual
@@ -179,7 +179,7 @@ def test_single_fault_within_radius_never_fails(layout3, circuit3, layout5, circ
                     e_x, e_z, _ = decoded[key]
                     corrected = multiply(multiply(residual, e_x), e_z)
                     assert not _logical_failure(layout, corrected), (
-                        rec.fault, graphs[0].p, max_iterations
+                        fault, graphs[0].p, max_iterations
                     )
 
 

@@ -29,10 +29,9 @@ from surfdec.graph import (
 from surfdec.matcher import events_to_nodes
 from surfdec.noise import (
     FaultEvent,
-    FaultRecord,
+    FaultTable,
     InvalidFaultError,
     NoiseParams,
-    _round_faults,
     enumerate_single_faults,
     fault_row,
     sample_faults,
@@ -164,9 +163,9 @@ def test_spatial_same_round_never_temporal(graphs3):
 
 def test_every_fault_signature_is_an_edge(circuit3, graphs3):
     gx, gz = graphs3
-    records = enumerate_single_faults(circuit3, 3)
-    for rec in records:
-        for g, sig in ((gx, rec.x_events), (gz, rec.z_events)):
+    table = enumerate_single_faults(circuit3, 3)
+    for g, signatures in ((gx, table.x_events), (gz, table.z_events)):
+        for sig in signatures:
             if not sig:
                 continue
             nodes = sorted(g.node_id(s, t) for s, t in sig)
@@ -202,32 +201,45 @@ def test_weights_are_neg_log_probability(graphs3):
 
 
 def test_rate_validation(layout3, circuit3):
-    records = enumerate_single_faults(circuit3, 1)
+    table = enumerate_single_faults(circuit3, 1)
     with pytest.raises(DegenerateWeightError):
-        build_graph(layout3, NoiseParams(0.0), 2, "X", records)
+        build_graph(layout3, NoiseParams(0.0), 2, "X", table)
     with pytest.raises(InvalidRateError):
         # max coefficient 42/15 puts p_max at 15/42
-        build_graph(layout3, NoiseParams(0.4), 2, "X", records)
+        build_graph(layout3, NoiseParams(0.4), 2, "X", table)
+
+
+@pytest.mark.parametrize("kind", ["X", "Z"])
+@pytest.mark.parametrize("p", [0.36, 0.45, 0.5, 0.9])
+def test_rate_error_names_the_largest_edge_rate(layout3, circuit3, kind, p):
+    # the largest coefficient on both d=3 lattices is 42/15, so p_max is
+    # 15/42 whatever edge first reaches probability 1; p = 0.5 and 0.9 used
+    # to report 0.4839 and 0.5556, bounds that 0.36 and 0.45 break too
+    table = enumerate_single_faults(circuit3, 1)
+    with pytest.raises(InvalidRateError, match=r"p_max = 0\.3571 "):
+        build_graph(layout3, NoiseParams(p), 3, kind, table)
+    g = build_graph(layout3, NoiseParams(0.35), 3, kind, table)
+    assert max(e.coeff for e in g.edges) == Fraction(42, 15)
 
 
 def test_pooling_takes_one_round(layout3, circuit3):
-    with pytest.raises(ValueError, match="round-1 records, got round 2"):
+    with pytest.raises(ValueError, match="round-1 faults, got round 2"):
         build_graph(
             layout3, NoiseParams(0.001), 2, "X", enumerate_single_faults(circuit3, 2)
         )
 
 
 def test_correlations_need_one_window_of_both_kinds(layout3, circuit3):
-    records = enumerate_single_faults(circuit3, 1)
+    table = enumerate_single_faults(circuit3, 1)
     params = NoiseParams(0.001)
-    gx, gz = (build_graph(layout3, params, 3, kind, records) for kind in "XZ")
+    gx, gz = (build_graph(layout3, params, 3, kind, table) for kind in "XZ")
     with pytest.raises(ValueError, match="one X and one Z lattice"):
-        derive_correlations(gx, gx, records)
+        derive_correlations(gx, gx, table)
     # a window of 2 rounds places each class twice, against 3 times in gx
-    gz_short = build_graph(layout3, params, 2, "Z", records)
+    gz_short = build_graph(layout3, params, 2, "Z", table)
     with pytest.raises(ValueError, match="two lattices assembled for one window"):
-        derive_correlations(gx, gz_short, records)
-    # records of a window without idle noise are not the graphs' records
+        derive_correlations(gx, gz_short, table)
+    # the faults of a window without idle noise are not the graphs' faults
     other = enumerate_single_faults(circuit3, 1, include_idle=False)
     with pytest.raises(ValueError, match="two lattices assembled for one window"):
         derive_correlations(gx, gz, other)
@@ -245,26 +257,48 @@ def test_geometry_letter_table_is_total():
     assert set(INTERIOR_COEFFS) == set("abcdef")
 
 
-def _record(index, x_events, x_residual=0):
-    """A synthetic round-1 CNOT fault seen only on the X lattice."""
-    fault = FaultEvent(1, "cnot", index, 0)
-    return FaultRecord(fault, x_events, (), fault.coefficient(), x_residual, 0)
+def _cnot_faults(x_events, x_residuals):
+    """Synthetic round-1 faults on CNOTs 0, 1, ... (payload 0), seen only
+    on the X lattice."""
+    n = len(x_events)
+    zeros = np.zeros(n, dtype=np.int64)
+    return FaultTable(
+        zeros + 1, zeros, np.arange(n), zeros, x_events, [()] * n, x_residuals, [0] * n
+    )
 
 
 def test_signature_of_no_geometry_class_is_rejected(layout3):
     # X-lattice stabilizers 0 and 5 sit at (0, 1) and (4, 3): geometry
     # (0, 4, 2) in one round is none of a-f
-    records = [_record(0, ((0, 1), (5, 1)))]
+    table = _cnot_faults([((0, 1), (5, 1))], [0])
     with pytest.raises(EdgeClassificationError, match=r"\(0, 4, 2\)"):
-        build_graph(layout3, NoiseParams(0.001), 2, "X", records)
+        build_graph(layout3, NoiseParams(0.001), 2, "X", table)
 
 
 def test_edge_with_conflicting_logical_action_is_rejected(layout3):
     # two faults on one boundary edge, one of them flipping the logical
     logical = layout3.logical_z.z_mask
-    records = [_record(0, ((0, 1),)), _record(1, ((0, 1),), logical & -logical)]
+    table = _cnot_faults([((0, 1),), ((0, 1),)], [0, logical & -logical])
     with pytest.raises(GraphBuildError, match="conflicting logical action"):
-        build_graph(layout3, NoiseParams(0.001), 2, "X", records)
+        build_graph(layout3, NoiseParams(0.001), 2, "X", table)
+
+
+def test_graph_set_up_builds_no_fault_event(monkeypatch):
+    # one round's single faults stay one column table from propagation to
+    # graph; no set-up path makes an object per fault
+    built = []
+    init = FaultEvent.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FaultEvent, "__init__", counting)
+    FaultEvent(1, "idle", 0, 0)
+    assert len(built) == 1  # the count sees a construction
+    build_decoder_graphs(5, 5, 0.001)
+    build_code_capacity_pair(5)
+    assert len(built) == 1
 
 
 def test_code_capacity_graphs(cc_pair3):
@@ -332,10 +366,10 @@ def test_graph_dump_round_trips(tmp_path, graphs3):
     )
 
 
-# -- reference: Fraction pooling over every record of the full window ---------
+# -- reference: Fraction pooling over every fault of the full window ----------
 
 
-def _reference_graph(layout, records, kind, T, p):
+def _reference_graph(layout, table, kind, T, p):
     n_layers = T + 1
     coords = layout.z_anc_coords if kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
@@ -346,30 +380,34 @@ def _reference_graph(layout, records, kind, T, p):
         return PauliOperator(layout.n_data, *((mask, 0) if kind == "X" else (0, mask)))
 
     pooled = {}
-    for rec in records:
-        sig = rec.x_events if kind == "X" else rec.z_events
+    if kind == "X":
+        signatures, residuals = table.x_events, table.x_residual
+    else:
+        signatures, residuals = table.z_events, table.z_residual
+    rows = zip(table.faults(), table.units.tolist(), signatures, residuals)
+    for fault, units, sig, residual in rows:
         if not sig:
             continue
         assert len(sig) <= 2
         nodes = sorted((t - 1) * n_stabs + s for s, t in sig)
         key = (nodes[0], nodes[1]) if len(nodes) == 2 else (nodes[0], boundary)
-        residual = rec.x_residual if kind == "X" else rec.z_residual
+        coeff = Fraction(units, 15)
         entry = pooled.setdefault(
             key,
             {
                 "coeff": Fraction(0),
                 "residual": residual,
-                "rep": rec.coeff,
+                "rep": coeff,
                 "locs": set(),
             },
         )
         assert commutation_parity(pauli(residual), logical) == commutation_parity(
             pauli(entry["residual"]), logical
         )
-        if rec.coeff > entry["rep"]:
-            entry["residual"], entry["rep"] = residual, rec.coeff
-        entry["coeff"] += rec.coeff
-        entry["locs"].add((rec.fault.round, rec.fault.kind, rec.fault.index))
+        if coeff > entry["rep"]:
+            entry["residual"], entry["rep"] = residual, coeff
+        entry["coeff"] += coeff
+        entry["locs"].add((fault.round, fault.kind, fault.index))
     edges = []
     for eid, key in enumerate(sorted(pooled)):
         entry = pooled[key]
@@ -401,7 +439,7 @@ def _reference_graph(layout, records, kind, T, p):
     )
 
 
-def _reference_correlations(primal, dual, records):
+def _reference_correlations(primal, dual, table):
     def edge_of(graph, sig):
         if not sig:
             return None
@@ -412,15 +450,17 @@ def _reference_correlations(primal, dual, records):
         return graph.edge_lookup[key]
 
     joint = {}
-    for rec in records:
-        pe = edge_of(primal, rec.x_events if primal.kind == "X" else rec.z_events)
-        de = edge_of(dual, rec.x_events if dual.kind == "X" else rec.z_events)
+    for units, x_events, z_events in zip(
+        table.units.tolist(), table.x_events, table.z_events
+    ):
+        pe = edge_of(primal, x_events if primal.kind == "X" else z_events)
+        de = edge_of(dual, x_events if dual.kind == "X" else z_events)
         if pe is not None and de is not None:
-            joint[(pe, de)] = joint.get((pe, de), Fraction(0)) + rec.coeff
-    table = [[] for _ in primal.edges]
+            joint[(pe, de)] = joint.get((pe, de), Fraction(0)) + Fraction(units, 15)
+    rows = [[] for _ in primal.edges]
     for (pe, de), j in sorted(joint.items()):
-        table[pe].append((de, j / primal.edges[pe].coeff))
-    primal.corr_to_dual = [tuple(row) for row in table]
+        rows[pe].append((de, j / primal.edges[pe].coeff))
+    primal.corr_to_dual = [tuple(row) for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -430,27 +470,30 @@ def test_one_round_build_equals_full_window_reference(L, include_idle):
     T, p = L, 0.001
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(circuit, T, include_idle)
-    ref_x = _reference_graph(layout, records, "X", T, p)
-    ref_z = _reference_graph(layout, records, "Z", T, p)
-    _reference_correlations(ref_x, ref_z, records)
-    _reference_correlations(ref_z, ref_x, records)
+    table = enumerate_single_faults(circuit, T, include_idle)
+    ref_x = _reference_graph(layout, table, "X", T, p)
+    ref_z = _reference_graph(layout, table, "Z", T, p)
+    _reference_correlations(ref_x, ref_z, table)
+    _reference_correlations(ref_z, ref_x, table)
     gx, gz = build_decoder_graphs(L, T, p, include_idle)
     assert graph_to_dict(gx) == graph_to_dict(ref_x)
     assert graph_to_dict(gz) == graph_to_dict(ref_z)
-    round_1 = [rec for rec in records if rec.fault.round == 1]
+    n_round_1 = int((table.round == 1).sum())
     for g in (gx, gz):
         # each conditional discounts its edge to -ln(conditional)
         for row in g.corr_to_dual:
             for _, cond in row:
                 assert cond.weight == -math.log(float(cond))
-        # the single-fault table holds each round-1 record's own events
-        # and residual on this lattice
-        assert len(g.fault_nodes) == len(g.fault_residuals) == len(round_1)
-        for rec, nodes, residual in zip(round_1, g.fault_nodes, g.fault_residuals):
-            events = rec.x_events if g.kind == "X" else rec.z_events
-            assert nodes == tuple(sorted(g.node_id(s, t) for s, t in events))
-            assert residual == (rec.x_residual if g.kind == "X" else rec.z_residual)
+        # the single-fault table holds each round-1 fault's own events
+        # and residual on this lattice (round 1 comes first)
+        if g.kind == "X":
+            events, residuals = table.x_events, table.x_residual
+        else:
+            events, residuals = table.z_events, table.z_residual
+        assert len(g.fault_nodes) == len(g.fault_residuals) == n_round_1
+        for sig, nodes in zip(events, g.fault_nodes):
+            assert nodes == tuple(sorted(g.node_id(s, t) for s, t in sig))
+        assert g.fault_residuals == residuals[:n_round_1]
 
 
 def test_deep_window_interior_classes():
@@ -537,6 +580,12 @@ def _table_graphs(L, T, include_idle):
     return (layout, circuit, *build_decoder_graphs(L, T, 0.001, include_idle))
 
 
+@lru_cache(maxsize=None)
+def _round_1_faults(L, include_idle):
+    circuit = build_se_circuit(build_layout(L))
+    return enumerate_single_faults(circuit, 1, include_idle).faults()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     L=st.sampled_from([3, 5, 7]),
@@ -555,8 +604,11 @@ def test_window_events_equal_simulation(L, rounds, include_idle, p, seed, last_r
     faults = sample_faults(
         circuit, NoiseParams(p), T, np.random.default_rng(seed), include_idle
     )
-    locations = _round_faults(circuit, include_idle)
-    faults += [FaultEvent(T, *locations[int(u * len(locations))]) for u in last_round]
+    round_1 = _round_1_faults(L, include_idle)
+    faults += [
+        FaultEvent(T, f.kind, f.index, f.payload)
+        for f in (round_1[int(u * len(round_1))] for u in last_round)
+    ]
     hist = simulate(layout, circuit, faults, T, True)
     rows = [(fault_row(circuit, f), f.round) for f in faults]
     assert gx.window_events(rows) == (
@@ -642,9 +694,9 @@ def test_window_events_reject_faults_outside_the_table():
 
 def test_single_fault_table_only_on_circuit_graphs(graphs3, cc_pair3):
     layout = build_layout(3)
-    n_records = len(enumerate_single_faults(build_se_circuit(layout), 1))
+    n_faults = len(enumerate_single_faults(build_se_circuit(layout), 1))
     for g in graphs3:
-        assert len(g.fault_nodes) == len(g.fault_residuals) == n_records
+        assert len(g.fault_nodes) == len(g.fault_residuals) == n_faults
         assert "fault_nodes" not in graph_to_dict(g)
         assert "fault_residuals" not in graph_to_dict(g)
     for g in cc_pair3:

@@ -226,7 +226,7 @@ def test_code_capacity_monotone_exhaustive(cc_pair3, layout3):
         _, _, trace = decode(
             gx, gz, ev_x, ev_z, layout3, max_iterations=15
         )  # raises MonotonicityError on any increase
-        ws = trace.weights()
+        ws = [s.pauli_weight for s in trace.steps]
         assert all(b <= a for a, b in zip(ws, ws[1:]))
 
 
@@ -249,7 +249,7 @@ def test_shared_dual_edge_keeps_code_capacity_monotone(cc_pair5, layout5):
     ev_x = [4, 5, 8, 9, 13, 14, 18, 19]
     ev_z = [1, 6, 7, 12, 13, 14]
     _, _, trace = decode(gx, gz, ev_x, ev_z, layout5)  # raises on any increase
-    ws = trace.weights()
+    ws = [s.pauli_weight for s in trace.steps]
     assert ws[:3] == [7, 7, 6]
     assert all(b <= a for a, b in zip(ws, ws[1:]))
 

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from surfdec.code import build_layout, build_se_circuit, ideal_syndrome
 from surfdec.noise import (
+    FAULT_KINDS,
     FaultEvent,
-    FaultRecord,
     InvalidFaultError,
     InvalidNoiseError,
     NoiseParams,
     _faulty_locations,
     _frame_plan,
-    _round_faults,
     _round_signatures,
     enumerate_single_faults,
     fault_row,
@@ -296,10 +295,10 @@ def test_invalid_fault_location(layout3, circuit3):
 
 @pytest.mark.parametrize("include_idle", [True, False])
 def test_fault_row_is_the_position_in_the_round_records(circuit3, include_idle):
-    faults = _round_faults(circuit3, include_idle)
-    for row, (kind, index, pay) in enumerate(faults):
+    faults = enumerate_single_faults(circuit3, 1, include_idle).faults()
+    for row, f in enumerate(faults):
         for t in (1, 4):
-            assert fault_row(circuit3, FaultEvent(t, kind, index, pay)) == row
+            assert fault_row(circuit3, FaultEvent(t, f.kind, f.index, f.payload)) == row
 
 
 @pytest.mark.parametrize(
@@ -357,22 +356,38 @@ def test_linearity_over_fault_pairs(layout3, circuit3):
 
 
 def test_enumeration_at_most_two_events_per_lattice(circuit3):
-    records = enumerate_single_faults(circuit3, 3)
-    for rec in records:
-        assert len(rec.x_events) <= 2
-        assert len(rec.z_events) <= 2
+    table = enumerate_single_faults(circuit3, 3)
+    assert max(map(len, table.x_events + table.z_events)) <= 2
 
 
 def test_enumeration_coefficients(circuit3):
-    records = enumerate_single_faults(circuit3, 3)
-    for rec in records:
-        expected = {
-            "idle": Fraction(1, 3),
-            "cnot": Fraction(1, 15),
-            "meas_x": Fraction(1),
-            "meas_z": Fraction(1),
-        }[rec.fault.kind]
-        assert rec.coeff == expected
+    table = enumerate_single_faults(circuit3, 3)
+    expected = {
+        "idle": Fraction(1, 3),
+        "cnot": Fraction(1, 15),
+        "meas_x": Fraction(1),
+        "meas_z": Fraction(1),
+    }
+    for fault, units in zip(table.faults(), table.units.tolist()):
+        assert Fraction(units, 15) == expected[fault.kind]
+
+
+def test_table_columns_are_the_rounds_repeated(circuit3):
+    # rounds ascending, each the round-1 rows with their events shifted
+    first = enumerate_single_faults(circuit3, 1)
+    table = enumerate_single_faults(circuit3, 3)
+    n = len(first)
+    assert len(table) == 3 * n == len(table.x_events) == len(table.z_residual)
+    assert table.round.tolist() == [1] * n + [2] * n + [3] * n
+    for name in ("kind", "index", "payload", "units"):
+        assert getattr(table, name).tolist() == getattr(first, name).tolist() * 3
+    assert table.x_residual == first.x_residual * 3
+    assert table.z_events[2 * n :] == [
+        tuple((s, r + 2) for s, r in sig) for sig in first.z_events
+    ]
+    # kinds in FAULT_KINDS order, one contiguous block each
+    kinds = table.kind[:n].tolist()
+    assert kinds == sorted(kinds) and set(kinds) == set(range(len(FAULT_KINDS)))
 
 
 def test_enumeration_counts(layout3, circuit3):
@@ -391,12 +406,12 @@ def test_enumeration_counts(layout3, circuit3):
 
 def test_temporal_edge_has_five_fault_locations(circuit3):
     # an interior temporal pair is produced by 4 CNOT locations + 1 flip
-    records = enumerate_single_faults(circuit3, 3)
+    table = enumerate_single_faults(circuit3, 3)
     target = ((3, 2), (3, 3))
     locations = {
-        (r.fault.round, r.fault.kind, r.fault.index)
-        for r in records
-        if r.x_events == target
+        (f.round, f.kind, f.index)
+        for f, events in zip(table.faults(), table.x_events)
+        if events == target
     }
     assert len(locations) == 5
     kinds = Counter(kind for _, kind, _ in locations)
@@ -410,7 +425,8 @@ def test_idle_noise_off_runs_clean(layout3, circuit3):
     simulate(layout3, circuit3, faults, 3, True)
 
     def locations(include_idle):
-        return {(kind, index) for kind, index, _ in _round_faults(circuit3, include_idle)}
+        faults = enumerate_single_faults(circuit3, 1, include_idle).faults()
+        return {(f.kind, f.index) for f in faults}
 
     assert len(locations(False)) == len(locations(True)) - layout3.n_data
 
@@ -419,14 +435,12 @@ def test_monte_carlo_single_fault_signatures(layout3, circuit3):
     # among trials with exactly one fault, signature frequencies equal the
     # enumeration's relative rates (exact conditional law, 3-sigma band)
     T, p = 3, 0.002
-    records = enumerate_single_faults(circuit3, T)
-    total = sum(r.coeff for r in records if r.fault.kind != "cnot") + Fraction(
-        sum(1 for r in records if r.fault.kind == "cnot"), 15
-    )
+    table = enumerate_single_faults(circuit3, T)
+    coeffs = [Fraction(units, 15) for units in table.units.tolist()]
+    total = sum(coeffs)
     sig_coeff = {}
-    for r in records:
-        key = (r.x_events, r.z_events)
-        sig_coeff[key] = sig_coeff.get(key, Fraction(0)) + r.coeff
+    for key, coeff in zip(zip(table.x_events, table.z_events), coeffs):
+        sig_coeff[key] = sig_coeff.get(key, Fraction(0)) + coeff
 
     rng = np.random.default_rng(11)
     params = NoiseParams(p)
@@ -452,35 +466,21 @@ def test_monte_carlo_single_fault_signatures(layout3, circuit3):
         assert abs(counts[sig] - expect) <= 3 * sigma, (sig, counts[sig], expect)
 
 
-def _simulated_records(layout, circuit, T, include_idle):
-    """The enumeration's faults, each propagated on its own by ``simulate``."""
-    out = []
-    for rec in enumerate_single_faults(circuit, T, include_idle):
-        hist = simulate(layout, circuit, [rec.fault], T, True)
-        out.append(
-            FaultRecord(
-                fault=rec.fault,
-                x_events=tuple(sorted(hist.x_lattice_events)),
-                z_events=tuple(sorted(hist.z_lattice_events)),
-                coeff=rec.fault.coefficient(),
-                x_residual=hist.residual.x_mask,
-                z_residual=hist.residual.z_mask,
-            )
-        )
-    return out
-
-
 @pytest.mark.parametrize("include_idle", [True, False])
 @pytest.mark.parametrize("L, T", [(3, 1), (3, 3), (5, 1), (5, 3), (7, 1)])
 def test_enumeration_equals_per_fault_simulation(L, T, include_idle):
-    # the one-round propagation shifted in time, record for record, against
-    # one simulate call per fault; at L = 7 the round's 5,019 faults (4,764
+    # the one-round propagation shifted in time, row for row, against one
+    # simulate call per fault; at L = 7 the round's 5,019 faults (4,764
     # without idles) fill one block of packed columns and part of a second,
     # whose last word is partial
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    records = enumerate_single_faults(circuit, T, include_idle)
-    assert records == _simulated_records(layout, circuit, T, include_idle)
+    table = enumerate_single_faults(circuit, T, include_idle)
+    simulated = [simulate(layout, circuit, [f], T, True) for f in table.faults()]
+    assert table.x_events == [tuple(sorted(h.x_lattice_events)) for h in simulated]
+    assert table.z_events == [tuple(sorted(h.z_lattice_events)) for h in simulated]
+    assert table.x_residual == [h.residual.x_mask for h in simulated]
+    assert table.z_residual == [h.residual.z_mask for h in simulated]
 
 
 def test_round_propagation_memory_does_not_grow_with_dense_frames():
@@ -488,11 +488,10 @@ def test_round_propagation_memory_does_not_grow_with_dense_frames():
     # bit-packed ones at 8.0 MB, 3.3 MB of it the returned lists; frames or
     # injection tables that grow with the fault count break the bound
     circuit = build_se_circuit(build_layout(13))
-    faults = _round_faults(circuit, True)
-    _round_signatures(circuit, faults)  # numpy's first-call set-up stays out
+    _round_signatures(circuit, True)  # numpy's first-call set-up stays out
     tracemalloc.start()
     try:
-        _round_signatures(circuit, faults)
+        _round_signatures(circuit, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -503,7 +502,8 @@ def test_round_propagation_memory_does_not_grow_with_dense_frames():
 def _enumeration(L, T, include_idle):
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    return layout, circuit, enumerate_single_faults(circuit, T, include_idle)
+    table = enumerate_single_faults(circuit, T, include_idle)
+    return layout, circuit, table, table.faults()
 
 
 @settings(max_examples=120, deadline=None)
@@ -516,18 +516,16 @@ def _enumeration(L, T, include_idle):
 def test_simulation_is_sum_of_enumerated_signatures(L, T, include_idle, picks):
     # frames are linear: any fault set's events are the symmetric difference
     # of its faults' enumerated signatures, its residual their product
-    layout, circuit, records = _enumeration(L, T, include_idle)
-    chosen = [records[int(u * len(records))] for u in picks]
-    chosen = list({id(r): r for r in chosen}.values())  # each record at most once
-    hist = simulate(layout, circuit, [r.fault for r in chosen], T, True)
+    layout, circuit, table, faults = _enumeration(L, T, include_idle)
+    chosen = sorted({int(u * len(table)) for u in picks})  # each row at most once
+    hist = simulate(layout, circuit, [faults[i] for i in chosen], T, True)
     x, z = set(), set()
     residual = PauliOperator.identity(layout.n_data)
-    for r in chosen:
-        x ^= set(r.x_events)
-        z ^= set(r.z_events)
-        residual = multiply(
-            residual, PauliOperator(layout.n_data, r.x_residual, r.z_residual)
-        )
+    for i in chosen:
+        x ^= set(table.x_events[i])
+        z ^= set(table.z_events[i])
+        error = PauliOperator(layout.n_data, table.x_residual[i], table.z_residual[i])
+        residual = multiply(residual, error)
     assert set(hist.x_lattice_events) == x
     assert set(hist.z_lattice_events) == z
     assert hist.residual == residual
