@@ -5,7 +5,7 @@ round) pair plus one virtual boundary node.  Every edge is backed by the
 set of single faults whose detection signature is exactly that node pair
 (or that single node, for boundary edges); its probability is the direct
 first-order sum of the contributing fault rates.  Cross-lattice conditional
-probabilities are pooled from the same faults, as exact rationals.
+probabilities are summed from the same faults, as exact rationals.
 
 This module states every matching weight, once per graph.  A circuit edge
 weighs -ln(coeff p), and IRMWPM discounts a correlated edge to
@@ -106,7 +106,7 @@ class EdgeClassificationError(GraphBuildError):
 
 
 class DegenerateWeightError(ValueError):
-    """p = 0 makes every edge weight infinite."""
+    """An infinite edge weight, from p = 0 or from a p whose edge rate underflows."""
 
 
 class InvalidRateError(ValueError):
@@ -481,7 +481,7 @@ def _assemble(
         coeff = Fraction(n_units, 15)
         prob = float(coeff) * p
         if circuit and prob <= 0.0:
-            raise DegenerateWeightError("p = 0 gives infinite edge weights")
+            raise DegenerateWeightError(f"p = {p} underflows: {coeff} * p rounds to 0")
         rated[n_units] = coeff, -math.log(prob) if circuit else 1.0
     edges: list[Edge] = []
     for eid, (key, n_units, c, n_loc) in enumerate(

@@ -11,12 +11,12 @@ Noise model (fault rate p):
 
 Sampling reads the model as a line of independent Bernoulli(p) locations:
 a window's T rounds laid end to end, each round's CNOTs, X- and Z-ancilla
-measurements and data idles in ``_kind_table`` order.  ``sample_faults``
-skips from one faulty location to the next with geometric gaps and draws
-all payloads in one call, so the generator's work grows with the number
-of faults, not of locations (how Stim samples rare errors; Gidney,
-arXiv:2103.02202).  At p = 0.001 a d=7 window has ~3 faults among
-~3,400 locations.
+measurements and data idles in the order of the round model, which also
+states each fault's Pauli (``_RoundModel``).  ``sample_faults`` skips from
+one faulty location to the next with geometric gaps and draws all payloads
+in one call, so the generator's work grows with the number of faults, not
+of locations (how Stim samples rare errors; Gidney, arXiv:2103.02202).  At
+p = 0.001 a d=7 window has ~3 faults among ~3,400 locations.
 
 Simulation tracks X and Z frames through the Clifford schedule: a CNOT
 copies X from control to target and Z from target to control.  Z-basis
@@ -154,45 +154,77 @@ class _Kind(NamedTuple):
     row: int
 
 
-#: per distance, one round's fault kinds and locations (``_kind_table``
-#: and ``_round_locations``); a round's shape is a function of the distance
-_KIND_TABLES: dict[int, dict[str, _Kind]] = {}
-_ROUND_LOCATIONS: dict[int, tuple[tuple[str, int, int], ...]] = {}
+class _RoundModel(NamedTuple):
+    """One round's fault locations and the Pauli that each fault row applies.
 
-
-def _kind_table(circuit: SECircuit) -> dict[str, _Kind]:
-    """One round's fault kinds in ``FAULT_KINDS`` order, by name.
-
-    The one statement of a round's kinds, their location counts and
-    payload ranges: the sampler, ``enumerate_single_faults`` and
-    ``fault_row`` all read it.  Built from the first circuit of each
-    distance and shared, so read only.
+    Rows follow ``FAULT_KINDS``, each kind's locations by index and each
+    location's payloads in order, so a location's rows are contiguous and
+    idles come last.  ``sample_faults`` walks ``locations``, ``fault_row``
+    reads ``kinds``, ``_round_signatures`` propagates ``flips`` as packed
+    frame columns and ``_frame_plan`` folds them into ``simulate``'s masks.
     """
-    kinds = _KIND_TABLES.get(circuit.layout.L)
-    if kinds is None:
-        kinds, row = {}, 0
-        payloads = (15, 1, 1, 3)
-        counts = (
-            circuit.n_cnots_per_round, circuit.n_x, circuit.n_z, circuit.layout.n_data
-        )
-        for name, count, k in zip(FAULT_KINDS, counts, payloads):
-            kinds[name] = _Kind(name, count, k, row)
-            row += count * k
-        _KIND_TABLES[circuit.layout.L] = kinds
-    return kinds
+
+    kinds: dict[str, _Kind]  # by name, in FAULT_KINDS order
+    locations: tuple[tuple[str, int, int], ...]  # (kind, index, payloads)
+    kind: np.ndarray  # per row: its kind's position in FAULT_KINDS,
+    index: np.ndarray  # its location index and its payload
+    payload: np.ndarray
+    #: per qubit that a row acts on: the row, its phase (after CNOT layer
+    #: 0-3, 4 = after the reset), the qubit, and whether it flips the
+    #: qubit's X and Z frames
+    flips: tuple[np.ndarray, ...]
 
 
-def _round_locations(circuit: SECircuit) -> tuple[tuple[str, int, int], ...]:
-    """(kind, index, payloads) of every fault location of one round, in
-    row order, idles last; built once per distance and shared."""
-    locations = _ROUND_LOCATIONS.get(circuit.layout.L)
-    if locations is None:
-        locations = _ROUND_LOCATIONS[circuit.layout.L] = tuple(
-            (k.name, index, k.payloads)
-            for k in _kind_table(circuit).values()
-            for index in range(k.count)
-        )
-    return locations
+_ROUND_MODELS: dict[int, _RoundModel] = {}  # per distance
+
+
+def _round_model(circuit: SECircuit) -> _RoundModel:
+    """One round's kinds, locations, rows and flips (see ``_RoundModel``).
+
+    The one statement of where a round's faults sit and what each does:
+    a CNOT payload acts on its control and target after that CNOT's
+    layer, an idle Pauli on its data qubit after the reset, and a
+    measurement flip is the opposite Pauli on its ancilla after the last
+    layer.  A round's shape is a function of the distance, so the model
+    is built from the first circuit of each distance and shared, read only.
+    """
+    model = _ROUND_MODELS.get(circuit.layout.L)
+    if model is not None:
+        return model
+    n_data, n_x = circuit.layout.n_data, circuit.n_x
+    kinds, row = {}, 0
+    counts = (circuit.n_cnots_per_round, n_x, circuit.n_z, n_data)
+    for name, count, k in zip(FAULT_KINDS, counts, (15, 1, 1, 3)):
+        kinds[name] = _Kind(name, count, k, row)
+        row += count * k
+    blocks = kinds.values()
+    kind = np.repeat(np.arange(len(blocks)), [k.count * k.payloads for k in blocks])
+    index = np.concatenate([np.arange(k.count).repeat(k.payloads) for k in blocks])
+    pay = np.concatenate([np.tile(np.arange(k.payloads), k.count) for k in blocks])
+    cnot, meas_x, meas_z, idle = (
+        np.flatnonzero(kind == code) for code in range(len(FAULT_KINDS))
+    )
+    layer, ctl, tgt = np.array(circuit.cnot_flat)[index[cnot]].T
+    pc, pi = pay[cnot], pay[idle]
+    flips = [
+        (cnot, layer, ctl, PAYLOAD_XC[pc], PAYLOAD_ZC[pc]),
+        (cnot, layer, tgt, PAYLOAD_XT[pc], PAYLOAD_ZT[pc]),
+        (idle, 4, index[idle], PAYLOAD_X1[pi], PAYLOAD_Z1[pi]),
+        (meas_x, 3, n_data + index[meas_x], False, True),
+        (meas_z, 3, n_data + n_x + index[meas_z], True, False),
+    ]
+    columns = [
+        np.concatenate([np.broadcast_to(f[k], len(f[0])) for f in flips])
+        for k in range(5)
+    ]
+    acts = columns[3] | columns[4]  # a CNOT payload may leave one qubit be
+    columns = tuple(a[acts] for a in columns)
+    for a in (kind, index, pay, *columns):
+        a.flags.writeable = False  # shared by every caller
+    locations = tuple((k.name, i, k.payloads) for k in blocks for i in range(k.count))
+    model = _RoundModel(kinds, locations, kind, index, pay, columns)
+    _ROUND_MODELS[circuit.layout.L] = model
+    return model
 
 
 def _faulty_locations(n: int, p: float, rng: np.random.Generator) -> list[int]:
@@ -227,7 +259,7 @@ def sample_faults(
     measurements and, with ``include_idle``, its data-qubit idles) is
     faulty with probability p, independently, and a faulty location's
     payload is uniform over its kind's payloads.  Faults come rounds
-    ascending, each round in ``_kind_table`` order, each kind by index.
+    ascending, each round in the round model's row order (``_RoundModel``).
 
     The generator's work grows with the number of faults, not of
     locations: the window's T x round locations are laid out in that
@@ -242,7 +274,7 @@ def sample_faults(
     p = params.p
     if p == 0.0:
         return []
-    locations = _round_locations(circuit)
+    locations = _round_model(circuit).locations
     # idles come last, so a round without them is a prefix
     per_round = len(locations) - (0 if include_idle else circuit.layout.n_data)
     hits = _faulty_locations(T * per_round, p, rng)
@@ -281,15 +313,16 @@ class _FramePlan(NamedTuple):
     n_bytes: int  # bytes of one round's outcomes
     #: per fault row (``fault_row``): the step after which the fault acts
     #: (0-3 after that CNOT layer, 4 after the reset) and its XOR masks on
-    #: the data X, ancilla X, data Z and ancilla Z integers; a measurement
-    #: flip is the opposite Pauli on its ancilla just before it is measured
+    #: the data X, ancilla X, data Z and ancilla Z integers, folded from the
+    #: round model's flips
     effects: tuple[tuple[int, int, int, int, int], ...]
 
 
 @functools.cache
 def _frame_plan(L: int) -> _FramePlan:
-    """The packed-frame plan of distance L, read off ``cnot_layers`` and the
-    layout's coordinates; built once per distance and shared."""
+    """The packed-frame plan of distance L, read off ``cnot_layers``, the
+    layout's coordinates and the round model's flips; built once per
+    distance and shared."""
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
     n_data, span = layout.n_data, 2 * L - 1
@@ -319,30 +352,14 @@ def _frame_plan(L: int) -> _FramePlan:
         for index, b in enumerate(cols.tolist()):
             nodes[b] = (lattice, index)
 
-    single = [1 << b for b in bit]  # one int per qubit, shared by its rows
-
-    def on(q, pauli):
-        """XOR masks (xd, xa, zd, za) of Pauli 0-3 (I, X, Y, Z) on qubit q."""
-        m = single[q]
-        x, z = m if pauli in (1, 2) else 0, m if pauli in (2, 3) else 0
-        return (x, 0, z, 0) if q < n_data else (0, x, 0, z)
-
-    effects = []
-    for kind in _kind_table(circuit).values():
-        for index in range(kind.count):
-            for pay in range(kind.payloads):
-                if kind.name == "cnot":
-                    layer, c, t = circuit.cnot_flat[index]
-                    pc, pt = _PAIR[pay]
-                    # one of the two is a data qubit and the other an ancilla
-                    masks = [a or b for a, b in zip(on(c, pc), on(t, pt))]
-                    effects.append((layer, *masks))
-                elif kind.name == "idle":
-                    effects.append((4, *on(index, pay + 1)))
-                elif kind.name == "meas_x":  # Z on the X-ancilla
-                    effects.append((3, *on(n_data + index, 3)))
-                else:  # X on the Z-ancilla
-                    effects.append((3, *on(n_data + circuit.n_x + index, 1)))
+    # per fault row, its step and its masks, folded from its flips
+    model = _round_model(circuit)
+    effects = [[0] * 5 for _ in model.kind]
+    for row, phase, q, x, z in zip(*(a.tolist() for a in model.flips)):
+        e, on = effects[row], int(q >= n_data)
+        e[0] = phase
+        e[1 + on] |= x << bit[q]
+        e[3 + on] |= z << bit[q]
     return _FramePlan(
         tuple(layers),
         sum(1 << b for b in x_cols.tolist()),
@@ -351,7 +368,7 @@ def _frame_plan(L: int) -> _FramePlan:
         z_cols,
         tuple(nodes),
         (max(bit) + 8) // 8,
-        tuple(effects),
+        tuple(map(tuple, effects)),
     )
 
 
@@ -475,15 +492,15 @@ class FaultTable:
 def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
     """Position of a fault's location and payload among one round's faults.
 
-    Rows follow ``_kind_table``, as each round of ``enumerate_single_faults``
-    does: its kinds, idles included, one after the other, and within a kind
-    location ``i`` with payload ``k`` at ``payloads * i + k`` past the
-    kind's first row, so a location's rows are contiguous.  The fault's
-    round is not looked at.  Raises ``InvalidFaultError`` for an unknown
-    kind or an index or payload out of range (measurement flips take
-    payload 0).
+    Rows follow the round model (``_RoundModel``), as each round of
+    ``enumerate_single_faults`` does: its kinds, idles included, one after
+    the other, and within a kind location ``i`` with payload ``k`` at
+    ``payloads * i + k`` past the kind's first row, so a location's rows
+    are contiguous.  The fault's round is not looked at.  Raises
+    ``InvalidFaultError`` for an unknown kind or an index or payload out
+    of range (measurement flips take payload 0).
     """
-    kind = _kind_table(circuit).get(fault.kind)
+    kind = _round_model(circuit).kinds.get(fault.kind)
     if kind is None:
         raise InvalidFaultError(f"unknown fault kind {fault.kind!r}")
     if not 0 <= fault.index < kind.count:
@@ -502,7 +519,9 @@ def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
     """Every single fault of round 1 with its detection events and residual.
 
     Rows follow ``fault_row``, idles only with ``include_idle``; the
-    (kind, index, payload) columns are read off ``_kind_table``'s blocks.
+    (kind, index, payload) columns and every fault's flips are the round
+    model's (``_RoundModel``), less the idle rows that end it when
+    ``include_idle`` is off.
 
     Every fault gets its own column of the X and Z frame matrices, and all
     columns go through the round together: the four CNOT layers (each
@@ -518,33 +537,12 @@ def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
     frame simulator packs shots; Gidney, arXiv:2103.02202): a CNOT layer
     is two row XORs, and each fault is one or two (qubit, word, bit) XORs.
     """
-    kinds = list(_kind_table(circuit).values())
-    if not include_idle:
-        kinds.pop()  # idles come last
-    kind = np.repeat(np.arange(len(kinds)), [k.count * k.payloads for k in kinds])
-    index = np.concatenate([np.arange(k.count).repeat(k.payloads) for k in kinds])
-    pay = np.concatenate([np.tile(np.arange(k.payloads), k.count) for k in kinds])
-    n_data, n_x, n = circuit.layout.n_data, circuit.n_x, len(kind)
-    cnot, meas_x, meas_z, idle = (
-        np.flatnonzero(kind == code) for code in range(len(FAULT_KINDS))
-    )
-    layer, ctl, tgt = np.array(circuit.cnot_flat)[index[cnot]].T
-    pc, pi = pay[cnot], pay[idle]
-    # every flip of one qubit's frame: the fault (column) that makes it, its
-    # phase (after CNOT layer 0-3, 4 = after the reset), its qubit, and
-    # whether it flips X and Z; a measurement flip is the opposite Pauli on
-    # its ancilla after the last layer
-    flips = [
-        (cnot, layer, ctl, PAYLOAD_XC[pc], PAYLOAD_ZC[pc]),
-        (cnot, layer, tgt, PAYLOAD_XT[pc], PAYLOAD_ZT[pc]),
-        (idle, 4, index[idle], PAYLOAD_X1[pi], PAYLOAD_Z1[pi]),
-        (meas_x, 3, n_data + index[meas_x], False, True),
-        (meas_z, 3, n_data + n_x + index[meas_z], True, False),
-    ]
-    col, phase, qubit, fx, fz = (
-        np.concatenate([np.broadcast_to(f[k], len(f[0])) for f in flips])
-        for k in range(5)
-    )
+    model = _round_model(circuit)
+    n = len(model.kind) if include_idle else model.kinds["idle"].row
+    # a fault's row is its column of the frame matrices
+    keep = model.flips[0] < n
+    col, phase, qubit, fx, fz = (a[keep] for a in model.flips)
+    n_data = circuit.layout.n_data
     slots = 5 * -(-n // _BLOCK)
     # per frame, its flips sorted by (block, phase) slot, and each slot's bounds
     sparse = []
@@ -590,8 +588,8 @@ def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
         z_events += _column_events(ox1, ox1 ^ ox2, width)
         x_res += _column_masks(x[:n_data], width)
         z_res += _column_masks(z[:n_data], width)
-    rounds = np.ones(n, dtype=np.int64)
-    return FaultTable(rounds, kind, index, pay, x_events, z_events, x_res, z_res)
+    rows = (model.kind[:n], model.index[:n], model.payload[:n])
+    return FaultTable(np.ones(n, np.int64), *rows, x_events, z_events, x_res, z_res)
 
 
 def _set_bits(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

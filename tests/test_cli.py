@@ -118,6 +118,25 @@ def test_dump_graph_distance_7_is_pinned(tmp_path, lattice):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_GRAPH_D7_SHA256[lattice]
 
 
+#: sha256 of `enumerate-faults` output: every single fault's events and
+#: residual, byte for byte, with and without idle noise and at d = 5
+ENUMERATE_SHA256 = {
+    ("--distance", "3", "--rounds", "3"):
+        "878d8274d3fee703fd71cd0d0734cc9b7643487c82de6d54d18fc773502acc38",
+    ("--distance", "3", "--rounds", "3", "--idle-noise", "off"):
+        "ac05d2fc654a4b0ed9a0fb01525335a48ce457a5cef44720db0989681163b8e3",
+    ("--distance", "5", "--rounds", "2"):
+        "e443386f87c57f05d17e7fe09e858752336e0f86817c9a7e8a1c017323d73876",
+}
+
+
+@pytest.mark.parametrize("flags", list(ENUMERATE_SHA256), ids=" ".join)
+def test_enumerate_faults_is_pinned(tmp_path, flags):
+    out = tmp_path / "faults.json"
+    assert main(["enumerate-faults", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUMERATE_SHA256[flags]
+
+
 def _fit_rates(tmp_path):
     """A rates CSV drawn from a known scaling law, enough points to fit."""
     from surfdec.experiments import FitParams
@@ -280,6 +299,25 @@ def test_negative_seed_is_a_usage_error_before_any_graph(
     assert capsys.readouterr().err.splitlines() == [
         "usage error: seed must be >= 0, got -1"
     ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dump-graph", "--distance", "3"],
+        ["simulate", "--distance", "3", "--trials", "2"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_underflowing_rate_is_named_as_an_underflow(tmp_path, capsys, command):
+    # the smallest positive float: every edge probability coeff * p rounds
+    # to 0, which used to be reported as "p = 0"
+    out = tmp_path / "out"
+    assert main([*command, "--p", "5e-324", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "usage error: p = 5e-324 underflows: 4/15 * p rounds to 0"
+    )
 
 
 @pytest.mark.parametrize(

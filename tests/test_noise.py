@@ -19,6 +19,7 @@ from surfdec.noise import (
     NoiseParams,
     _faulty_locations,
     _frame_plan,
+    _round_model,
     _round_signatures,
     enumerate_single_faults,
     fault_row,
@@ -293,12 +294,48 @@ def test_invalid_fault_location(layout3, circuit3):
         simulate(layout3, circuit3, [FaultEvent(9, "idle", 0, 0)], 2, True)
 
 
+@pytest.mark.parametrize("L", [3, 5, 7])
 @pytest.mark.parametrize("include_idle", [True, False])
-def test_fault_row_is_the_position_in_the_round_records(circuit3, include_idle):
-    faults = enumerate_single_faults(circuit3, 1, include_idle).faults()
+def test_fault_row_is_the_position_in_the_round_records(L, include_idle):
+    # the sampler, ``fault_row``, ``simulate`` and the table share this
+    # numbering
+    _, circuit, _, faults = _enumeration(L, 1, include_idle)
     for row, f in enumerate(faults):
         for t in (1, 4):
-            assert fault_row(circuit3, FaultEvent(t, f.kind, f.index, f.payload)) == row
+            assert fault_row(circuit, FaultEvent(t, f.kind, f.index, f.payload)) == row
+
+
+@pytest.mark.parametrize("L", [3, 5])
+def test_round_model_flips_are_each_faults_stated_action(L):
+    # every fault's action, written from ``FaultEvent``'s docstring and not
+    # from the payload tables, as (row, phase, qubit, flips X, flips Z) per
+    # qubit it acts on; Paulis 0-3 are I, X, Y, Z, and the phase is the
+    # CNOT layer (0-3) after which it acts, or 4 for after the reset
+    circuit = build_se_circuit(build_layout(L))
+    want = []
+
+    def act(fault, phase, qubit, pauli):
+        if pauli:
+            row = fault_row(circuit, fault)
+            want.append((row, phase, qubit, pauli in (1, 2), pauli in (2, 3)))
+
+    for i, (layer, c, t) in enumerate(circuit.cnot_flat):
+        for payload in range(15):
+            pc, pt = divmod(payload + 1, 4)
+            act(FaultEvent(1, "cnot", i, payload), layer, c, pc)
+            act(FaultEvent(1, "cnot", i, payload), layer, t, pt)
+    for q in range(circuit.layout.n_data):
+        for payload in range(3):
+            act(FaultEvent(1, "idle", q, payload), 4, q, payload + 1)
+    last = len(circuit.cnot_layers) - 1
+    for s, a in enumerate(circuit.x_anc_global.tolist()):
+        act(FaultEvent(1, "meas_x", s), last, a, 3)  # Z on the X-ancilla
+    for s, a in enumerate(circuit.z_anc_global.tolist()):
+        act(FaultEvent(1, "meas_z", s), last, a, 1)  # X on the Z-ancilla
+    model = _round_model(circuit)
+    got = list(zip(*(a.tolist() for a in model.flips)))
+    assert sorted(got) == sorted(want)
+    assert set(model.flips[0].tolist()) == set(range(len(model.kind)))
 
 
 @pytest.mark.parametrize(
