@@ -21,7 +21,7 @@ from .code import build_layout, build_se_circuit, ideal_syndrome
 from .graph import MIN_DECODING_DISTANCE, build_decoder_graphs
 from .irmwpm import STOPPING_MODES, decode
 from .matcher import events_to_nodes
-from .noise import NoiseParams, fault_row, sample_faults, simulate
+from .noise import NoiseParams, sample_faults, simulate
 from .pauli import PauliOperator, commutation_parity, multiply
 
 DECODERS = ("mwpm", "irmwpm")
@@ -130,7 +130,11 @@ WILSON_Z = 1.959964
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval (95%) for a binomial proportion."""
+    """Wilson score interval (95%) for a binomial proportion.
+
+    The bounds are exactly 0 with no failures and exactly 1 when every
+    trial fails, where rounding would leave them a few ulps inside.
+    """
     if trials == 0:
         return (0.0, 1.0)
     z = WILSON_Z
@@ -140,7 +144,9 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     half = (z / denom) * math.sqrt(
         phat * (1 - phat) / trials + z * z / (4 * trials * trials)
     )
-    return (max(0.0, center - half), min(1.0, center + half))
+    lo = 0.0 if failures == 0 else max(0.0, center - half)
+    hi = 1.0 if failures == trials else min(1.0, center + half)
+    return (lo, hi)
 
 
 @dataclass
@@ -164,7 +170,8 @@ def _build_context(config: SimConfig) -> _Context:
 def _run_window(ctx: _Context, rng: np.random.Generator, initial_error=None):
     """T noisy rounds from ``initial_error`` plus a perfect readout, decoded.
 
-    A memory window (no ``initial_error``) reads its detection events and
+    The sampler's (row, round) faults go as they are to both consumers.  A
+    memory window (no ``initial_error``) reads its detection events and
     residual from the graphs' one-round single-fault table: frames are
     linear, so they are the XOR of its faults' signatures shifted to their
     rounds.  A window that starts from an initial error is frame-simulated.
@@ -175,9 +182,8 @@ def _run_window(ctx: _Context, rng: np.random.Generator, initial_error=None):
         ctx.circuit, NoiseParams(cfg.p), cfg.rounds, rng, cfg.idle_noise
     )
     if initial_error is None:
-        rows = [(fault_row(ctx.circuit, f), f.round) for f in faults]
-        ev_x, x_mask = ctx.gx.window_events(rows)
-        ev_z, z_mask = ctx.gz.window_events(rows)
+        ev_x, x_mask = ctx.gx.window_events(faults)
+        ev_z, z_mask = ctx.gz.window_events(faults)
         residual = PauliOperator(ctx.layout.n_data, x_mask, z_mask)
     else:
         hist = simulate(

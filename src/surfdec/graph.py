@@ -158,12 +158,12 @@ class DecodingGraph:
     negative at the source and at unreachable nodes), 12 bytes per entry.
 
     Circuit graphs also carry one round's single-fault table, read by
-    ``window_events``: for each round-1 fault they were built from, in
-    ``noise.fault_row`` order, the node ids of its events on this lattice
-    (``fault_nodes``, its class's placement at fault round 1) and its
-    residual mask on this lattice's error type (``fault_residuals``: X on
-    the X lattice, Z on the Z lattice).  Both are None on code-capacity
-    graphs.
+    ``window_events``: for each round-1 fault they were built from, by its
+    row (the round model's numbering, which ``noise.sample_faults`` gives),
+    the node ids of its events on this lattice (``fault_nodes``, its
+    class's placement at fault round 1) and its residual mask on this
+    lattice's error type (``fault_residuals``: X on the X lattice, Z on
+    the Z lattice).  Both are None on code-capacity graphs.
     """
 
     kind: str
@@ -296,8 +296,8 @@ class DecodingGraph:
     def window_events(self, faults) -> tuple[list[int], int]:
         """Event node ids and residual mask of a window's faults, from the table.
 
-        ``faults`` holds a (row, round) pair per fault, the row as
-        ``noise.fault_row`` gives it.  Frames are linear over GF(2): the
+        ``faults`` holds a (row, round) pair per fault, as
+        ``noise.sample_faults`` gives them.  Frames are linear over GF(2): the
         events are the symmetric difference of the faults' one-round events,
         each shifted by ``(round - 1) * n_stabs``, and the residual is the XOR
         of their masks.  Node ids ascend, the (round, stabilizer) order in

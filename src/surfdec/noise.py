@@ -31,14 +31,16 @@ ones, and every CNOT layer joins each ancilla with the data qubit one fixed
 offset away, so a whole layer is a few masks, shifts and XORs
 (``_FramePlan``), and the residual's masks are the data integers.
 
-That linearity is what the decoding windows use: ``enumerate_single_faults``
-gives every fault of one round with its events and residual as one
+A fault is a (row, round) pair: its row among one round's faults, as the
+round model numbers them, and its round 1..T.  ``sample_faults`` draws
+such pairs and ``simulate`` takes them.  That numbering and linearity are
+what the decoding windows use: ``enumerate_single_faults`` gives every
+fault of one round, in row order, with its events and residual as one
 ``FaultTable`` of columns, and a memory window's events are the symmetric
 difference of its faults' one-round signatures shifted to their rounds
-(``fault_row`` locates a sampled fault in that table;
-``graph.DecodingGraph.window_events`` reads it).  ``simulate`` stays as the
-oracle for that table and as the path of windows that start from an initial
-data error.
+(``graph.DecodingGraph.window_events``).  ``simulate`` stays as the oracle
+for that table and as the path of windows that start from an initial data
+error.  ``FaultEvent`` is a fault's readable form, for listings.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .code import CodeLayout, SECircuit, build_layout, build_se_circuit
+from .code import CodeLayout, SECircuit
 from .pauli import PauliOperator
 
 # Two-qubit payload tables: payload index i in 0..14 encodes the pair
@@ -83,7 +85,7 @@ class InvalidNoiseError(ValueError):
 
 
 class InvalidFaultError(ValueError):
-    """A fault event references a location that does not exist."""
+    """A fault names a row or round that does not exist."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """A single injected fault.
+    """A single fault in readable form (``FaultTable.faults``).
 
     kind/index/payload:
       * "idle":  index = data qubit, payload 0,1,2 = X,Y,Z
@@ -144,28 +146,19 @@ class SyndromeHistory:
     residual: PauliOperator
 
 
-class _Kind(NamedTuple):
-    """One fault kind of a round: its name, its numbers of locations and
-    payloads, and its first row among the round's faults."""
-
-    name: str
-    count: int
-    payloads: int
-    row: int
-
-
 class _RoundModel(NamedTuple):
     """One round's fault locations and the Pauli that each fault row applies.
 
     Rows follow ``FAULT_KINDS``, each kind's locations by index and each
     location's payloads in order, so a location's rows are contiguous and
-    idles come last.  ``sample_faults`` walks ``locations``, ``fault_row``
-    reads ``kinds``, ``_round_signatures`` propagates ``flips`` as packed
-    frame columns and ``_frame_plan`` folds them into ``simulate``'s masks.
+    idles come last.  A fault is numbered by its row: ``sample_faults``
+    draws a location of ``locations`` and one of its rows, ``simulate``
+    reads each row's masks from ``_frame_plan``, which folds them from
+    ``flips``, and ``_round_signatures`` propagates ``flips`` as packed
+    frame columns.
     """
 
-    kinds: dict[str, _Kind]  # by name, in FAULT_KINDS order
-    locations: tuple[tuple[str, int, int], ...]  # (kind, index, payloads)
+    locations: tuple[tuple[int, int], ...]  # (first row, payloads)
     kind: np.ndarray  # per row: its kind's position in FAULT_KINDS,
     index: np.ndarray  # its location index and its payload
     payload: np.ndarray
@@ -175,32 +168,38 @@ class _RoundModel(NamedTuple):
     flips: tuple[np.ndarray, ...]
 
 
-_ROUND_MODELS: dict[int, _RoundModel] = {}  # per distance
+def _per_distance(build):
+    """Cache ``build(circuit)`` per distance: a round's shape is a function
+    of the distance, so what the first circuit of a distance gives is
+    shared, read only, by every later one."""
+    built = {}
+
+    @functools.wraps(build)
+    def cached(circuit: SECircuit):
+        L = circuit.layout.L
+        if L not in built:
+            built[L] = build(circuit)
+        return built[L]
+
+    return cached
 
 
+@_per_distance
 def _round_model(circuit: SECircuit) -> _RoundModel:
-    """One round's kinds, locations, rows and flips (see ``_RoundModel``).
+    """One round's locations, rows and flips (see ``_RoundModel``).
 
     The one statement of where a round's faults sit and what each does:
     a CNOT payload acts on its control and target after that CNOT's
     layer, an idle Pauli on its data qubit after the reset, and a
     measurement flip is the opposite Pauli on its ancilla after the last
-    layer.  A round's shape is a function of the distance, so the model
-    is built from the first circuit of each distance and shared, read only.
+    layer.
     """
-    model = _ROUND_MODELS.get(circuit.layout.L)
-    if model is not None:
-        return model
     n_data, n_x = circuit.layout.n_data, circuit.n_x
-    kinds, row = {}, 0
-    counts = (circuit.n_cnots_per_round, n_x, circuit.n_z, n_data)
-    for name, count, k in zip(FAULT_KINDS, counts, (15, 1, 1, 3)):
-        kinds[name] = _Kind(name, count, k, row)
-        row += count * k
-    blocks = kinds.values()
-    kind = np.repeat(np.arange(len(blocks)), [k.count * k.payloads for k in blocks])
-    index = np.concatenate([np.arange(k.count).repeat(k.payloads) for k in blocks])
-    pay = np.concatenate([np.tile(np.arange(k.payloads), k.count) for k in blocks])
+    counts = [circuit.n_cnots_per_round, n_x, circuit.n_z, n_data]
+    payloads = [15, 1, 1, 3]
+    kind = np.repeat(np.arange(len(FAULT_KINDS)), np.multiply(counts, payloads))
+    index = np.concatenate([np.arange(n).repeat(k) for n, k in zip(counts, payloads)])
+    pay = np.concatenate([np.tile(np.arange(k), n) for n, k in zip(counts, payloads)])
     cnot, meas_x, meas_z, idle = (
         np.flatnonzero(kind == code) for code in range(len(FAULT_KINDS))
     )
@@ -221,10 +220,9 @@ def _round_model(circuit: SECircuit) -> _RoundModel:
     columns = tuple(a[acts] for a in columns)
     for a in (kind, index, pay, *columns):
         a.flags.writeable = False  # shared by every caller
-    locations = tuple((k.name, i, k.payloads) for k in blocks for i in range(k.count))
-    model = _RoundModel(kinds, locations, kind, index, pay, columns)
-    _ROUND_MODELS[circuit.layout.L] = model
-    return model
+    first = np.flatnonzero(pay == 0).tolist()  # a location's first row
+    locations = tuple(zip(first, np.repeat(payloads, counts).tolist()))
+    return _RoundModel(locations, kind, index, pay, columns)
 
 
 def _faulty_locations(n: int, p: float, rng: np.random.Generator) -> list[int]:
@@ -252,22 +250,25 @@ def sample_faults(
     T: int,
     rng: np.random.Generator,
     include_idle: bool = True,
-) -> list[FaultEvent]:
-    """Draw independent faults for T rounds of the schedule.
+) -> list[tuple[int, int]]:
+    """Draw independent faults for T rounds of the schedule, as (row, round).
 
     Every location of every round (its CNOTs, X- and Z-ancilla
     measurements and, with ``include_idle``, its data-qubit idles) is
     faulty with probability p, independently, and a faulty location's
-    payload is uniform over its kind's payloads.  Faults come rounds
-    ascending, each round in the round model's row order (``_RoundModel``).
+    payload is uniform over its kind's payloads.  Each fault is its row
+    among one round's faults, numbered as the round model numbers them
+    (``_RoundModel``), and its round 1..T; faults come rounds ascending,
+    each round in row order.
 
     The generator's work grows with the number of faults, not of
     locations: the window's T x round locations are laid out in that
     order, ``_faulty_locations`` skips from one faulty location to the
     next, and one ``rng.integers(0, 15)`` call draws every payload, taken
     modulo the kind's 15, 1 or 3 payloads (each divides 15, so payloads
-    stay exactly uniform).  Equal generators give equal fault lists; p = 0
-    draws nothing, and a window without faults draws no payloads.
+    stay exactly uniform) and added to the location's first row.  Equal
+    generators give equal fault lists; p = 0 draws nothing, and a window
+    without faults draws no payloads.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -283,8 +284,8 @@ def sample_faults(
     faults = []
     for position, draw in zip(hits, rng.integers(0, 15, size=len(hits)).tolist()):
         t, offset = divmod(position, per_round)
-        kind, index, payloads = locations[offset]
-        faults.append(FaultEvent(t + 1, kind, index, draw % payloads))
+        first, payloads = locations[offset]
+        faults.append((first + draw % payloads, t + 1))
     return faults
 
 
@@ -311,21 +312,20 @@ class _FramePlan(NamedTuple):
     #: and (1, index) for an X-stabilizer
     nodes: tuple[tuple[int, int] | None, ...]
     n_bytes: int  # bytes of one round's outcomes
-    #: per fault row (``fault_row``): the step after which the fault acts
+    #: per fault row (``_RoundModel``): the step after which the fault acts
     #: (0-3 after that CNOT layer, 4 after the reset) and its XOR masks on
     #: the data X, ancilla X, data Z and ancilla Z integers, folded from the
     #: round model's flips
     effects: tuple[tuple[int, int, int, int, int], ...]
 
 
-@functools.cache
-def _frame_plan(L: int) -> _FramePlan:
-    """The packed-frame plan of distance L, read off ``cnot_layers``, the
-    layout's coordinates and the round model's flips; built once per
-    distance and shared."""
-    layout = build_layout(L)
-    circuit = build_se_circuit(layout)
-    n_data, span = layout.n_data, 2 * L - 1
+@_per_distance
+def _frame_plan(circuit: SECircuit) -> _FramePlan:
+    """The packed-frame plan of the circuit's distance, read off
+    ``cnot_layers``, the layout's coordinates and the round model's flips."""
+    layout = circuit.layout
+    L, n_data = layout.L, layout.n_data
+    span = 2 * L - 1
     # by global qubit index; the shifts come out as 2L-1, L, L-1 and 0
     bit = list(range(n_data)) + [
         ((r * span + c) >> 1) + L for r, c in layout.x_anc_coords + layout.z_anc_coords
@@ -382,15 +382,18 @@ def simulate(
 ) -> SyndromeHistory:
     """Propagate the given faults through T rounds of syndrome extraction.
 
-    An optional ``initial_error`` is applied to the data qubits before the
-    first round.  When ``final_round_perfect`` is set, one fault-free
-    syndrome readout of the residual error is appended (row T+1).
+    ``faults`` holds (row, round) pairs, as ``sample_faults`` gives them;
+    a row outside the round model's rows or a round outside 1..T raises
+    ``InvalidFaultError``.  An optional ``initial_error`` is applied to the
+    data qubits before the first round.  When ``final_round_perfect`` is
+    set, one fault-free syndrome readout of the residual error is appended
+    (row T+1).
 
     Frames are packed integers (see ``_FramePlan``): a CNOT layer is four
     mask-shift-XORs, each fault is XORed in at its round and step, and the
     data integers left at the end are the residual's masks.
     """
-    plan = _frame_plan(layout.L)
+    plan = _frame_plan(circuit)
     xd = zd = 0
     if initial_error is not None:
         if initial_error.n != layout.n_data:
@@ -399,11 +402,14 @@ def simulate(
 
     rounds = T + final_round_perfect
     inject: list = [None] * (5 * rounds)  # masks at 5 * (round - 1) + step
-    for f in faults:
-        if not 1 <= f.round <= T:
-            raise InvalidFaultError(f"fault round {f.round} outside 1..{T}")
-        step, *masks = plan.effects[fault_row(circuit, f)]
-        slot = 5 * (f.round - 1) + step
+    effects = plan.effects
+    for row, t in faults:
+        if not 0 <= row < len(effects):
+            raise InvalidFaultError(f"no single fault at row {row} of the round")
+        if not 1 <= t <= T:
+            raise InvalidFaultError(f"fault round {t} outside 1..{T}")
+        step, *masks = effects[row]
+        slot = 5 * (t - 1) + step
         acc = inject[slot]
         inject[slot] = masks if acc is None else [a ^ m for a, m in zip(acc, masks)]
 
@@ -481,33 +487,12 @@ class FaultTable:
         return len(self.round)
 
     def faults(self) -> list[FaultEvent]:
-        """The rows as ``FaultEvent`` objects, as ``simulate`` takes them."""
+        """The rows in readable form, as ``FaultEvent`` objects."""
         columns = (self.round, self.kind, self.index, self.payload)
         return [
             FaultEvent(t, FAULT_KINDS[k], i, pay)
             for t, k, i, pay in zip(*(c.tolist() for c in columns))
         ]
-
-
-def fault_row(circuit: SECircuit, fault: FaultEvent) -> int:
-    """Position of a fault's location and payload among one round's faults.
-
-    Rows follow the round model (``_RoundModel``), as each round of
-    ``enumerate_single_faults`` does: its kinds, idles included, one after
-    the other, and within a kind location ``i`` with payload ``k`` at
-    ``payloads * i + k`` past the kind's first row, so a location's rows
-    are contiguous.  The fault's round is not looked at.  Raises
-    ``InvalidFaultError`` for an unknown kind or an index or payload out
-    of range (measurement flips take payload 0).
-    """
-    kind = _round_model(circuit).kinds.get(fault.kind)
-    if kind is None:
-        raise InvalidFaultError(f"unknown fault kind {fault.kind!r}")
-    if not 0 <= fault.index < kind.count:
-        raise InvalidFaultError(f"{kind.name} index {fault.index} out of range")
-    if not 0 <= fault.payload < kind.payloads:
-        raise InvalidFaultError(f"{kind.name} payload {fault.payload} out of range")
-    return kind.row + kind.payloads * fault.index + fault.payload
 
 
 #: fault columns propagated together, 64 to a word: each frame matrix of a
@@ -518,9 +503,9 @@ _BLOCK = 4096
 def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
     """Every single fault of round 1 with its detection events and residual.
 
-    Rows follow ``fault_row``, idles only with ``include_idle``; the
-    (kind, index, payload) columns and every fault's flips are the round
-    model's (``_RoundModel``), less the idle rows that end it when
+    Rows follow the round model (``_RoundModel``), idles only with
+    ``include_idle``; the (kind, index, payload) columns and every fault's
+    flips are the model's, less the idle rows that end it when
     ``include_idle`` is off.
 
     Every fault gets its own column of the X and Z frame matrices, and all
@@ -538,11 +523,11 @@ def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
     is two row XORs, and each fault is one or two (qubit, word, bit) XORs.
     """
     model = _round_model(circuit)
-    n = len(model.kind) if include_idle else model.kinds["idle"].row
+    n_data = circuit.layout.n_data
+    n = len(model.kind) - (0 if include_idle else 3 * n_data)  # idles: 3 rows each
     # a fault's row is its column of the frame matrices
     keep = model.flips[0] < n
     col, phase, qubit, fx, fz = (a[keep] for a in model.flips)
-    n_data = circuit.layout.n_data
     slots = 5 * -(-n // _BLOCK)
     # per frame, its flips sorted by (block, phase) slot, and each slot's bounds
     sparse = []
@@ -655,9 +640,9 @@ def enumerate_single_faults(
     """Every possible single fault once, with its signature and residual.
 
     The returned table covers every (round, location, payload) triple of
-    the noise model exactly once, rounds ascending; within a round in
-    ``fault_row`` order, idles only with ``include_idle``, the sampler's
-    idle-noise switch.  Signatures are sorted event tuples; the linearity
+    the noise model exactly once, rounds ascending; within a round in row
+    order (``_RoundModel``), idles only with ``include_idle``, the
+    sampler's idle-noise switch.  Signatures are sorted event tuples; the linearity
     of frame propagation makes them the exact first-order detection
     pattern of the fault.
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from surfdec import experiments, graph, irmwpm, matcher, noise
@@ -83,6 +84,28 @@ def test_first_decode_call_passes_the_benchmark_keywords(bench, monkeypatch, nam
     # from the last residual and is frame-simulated
     simulated = windows if wl.kind == "lifetime" else 0
     assert counts.get("noise.simulate", 0) == simulated
+
+
+@pytest.mark.parametrize("name", ["life-d5-p005-irmwpm", "mem-d7-p001-mwpm"])
+def test_latency_windows_are_the_table_windows(bench, name):
+    # the benchmark hands ``sample_faults``' faults unchanged to
+    # ``simulate``; its latency windows must be the windows that the
+    # single-fault table gives for the same generators, whatever type the
+    # sampler's faults have
+    workloads, _ = bench
+    run = importlib.import_module("run")
+    wl = workloads.WORKLOADS[name]
+    setup = workloads.cold_setup(wl)
+    windows, _ = run.make_windows(wl, setup, 0)
+    assert len(windows) == wl.latency_windows
+    events = 0
+    for i, w in enumerate(windows):
+        rng = np.random.default_rng([run.LATENCY_CORPUS, 0, i])
+        faults = noise.sample_faults(setup.circuit, noise.NoiseParams(wl.p), wl.T, rng)
+        assert setup.gx.window_events(faults) == (w.ev_x, w.residual.x_mask)
+        assert setup.gz.window_events(faults) == (w.ev_z, w.residual.z_mask)
+        events += len(w.ev_x) + len(w.ev_z)
+    assert events > 0
 
 
 @pytest.mark.parametrize("k", [matcher.SUBSET_MAX_VERTICES + 1,

@@ -41,6 +41,22 @@ def test_simulate_json_echo(tmp_path):
     assert blob["results"][0]["trials"] == 50
 
 
+def test_zero_failures_report_an_interval_from_zero(tmp_path, capsys):
+    # at p = 1e-300 no trial fails; the interval reported and written around
+    # the rate of 0 starts at exactly 0 (rounding once made it 5.551e-17)
+    out = tmp_path / "r.csv"
+    rc = main(
+        [
+            "simulate", "--distance", "3", "--p", "1e-300", "--trials", "3",
+            "--threads", "1", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert "rate 0.000e+00  [0.000e+00, 5.615e-01]" in capsys.readouterr().err
+    (row,) = csv.DictReader(out.open())
+    assert (row["failures"], row["rate"], row["ci_low"]) == ("0", "0.0", "0.0")
+
+
 def test_byte_identical_reruns_with_threads(tmp_path):
     args = [
         "simulate", "--distance", "3", "--p", "0.01", "--trials", "120",

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import fault_rows
 from surfdec import experiments
 from surfdec.code import ideal_syndrome
 from surfdec.experiments import (
@@ -57,6 +58,11 @@ def test_wilson_interval_basics():
     assert lo < 0.5 < hi
     lo, hi = wilson_interval(100, 100)
     assert hi == 1.0
+    # the interval holds its own estimate at both ends: rounding left
+    # lo = 5.6e-17 at (0, 3) and hi = 1 - 1.1e-16 at (10, 10)
+    for n in (1, 3, 5, 10, 31, 1000):
+        assert wilson_interval(0, n)[0] == 0.0 < wilson_interval(0, n)[1]
+        assert wilson_interval(n, n)[0] < wilson_interval(n, n)[1] == 1.0
 
 
 def test_reproducible_across_thread_counts():
@@ -141,7 +147,7 @@ def test_single_fault_within_radius_never_fails(layout3, circuit3, layout5, circ
     # round, by MWPM and by IRMWPM, on graphs weighted at both ends of the
     # threshold grid.  Windows read the single-fault table; at d=3 its
     # events and residual are first checked against the frame simulator.
-    from surfdec.noise import enumerate_single_faults, fault_row, simulate
+    from surfdec.noise import enumerate_single_faults, simulate
     from surfdec.matcher import events_to_nodes
     from surfdec.irmwpm import decode
     from surfdec.graph import build_decoder_graphs
@@ -152,13 +158,13 @@ def test_single_fault_within_radius_never_fails(layout3, circuit3, layout5, circ
         pairs = [build_decoder_graphs(L, L, p) for p in (0.001, 0.016)]
         gx, gz = pairs[0]
         decoded = {}
-        for fault in enumerate_single_faults(circuit, L).faults():
-            rows = [(fault_row(circuit, fault), fault.round)]
-            ev_x, x_mask = gx.window_events(rows)
-            ev_z, z_mask = gz.window_events(rows)
+        table = enumerate_single_faults(circuit, L).faults()
+        for fault, row in zip(table, fault_rows(circuit, table)):
+            ev_x, x_mask = gx.window_events([row])
+            ev_z, z_mask = gz.window_events([row])
             residual = PauliOperator(layout.n_data, x_mask, z_mask)
             if L == 3:
-                hist = simulate(layout, circuit, [fault], L, True)
+                hist = simulate(layout, circuit, [row], L, True)
                 assert ev_x == events_to_nodes(gx, hist.x_lattice_events)
                 assert ev_z == events_to_nodes(gz, hist.z_lattice_events)
                 assert residual == hist.residual
@@ -205,6 +211,40 @@ def test_mwpm_never_iterates():
     )
     assert est.mean_extra_iterations == 0.0
     assert est.monotonicity_violations == 0
+
+
+@pytest.mark.parametrize("path", ["memory", "lifetime"])
+def test_windows_build_no_fault_event(monkeypatch, path):
+    # a window's faults stay (row, round) pairs from the sampler to the
+    # single-fault table (memory windows) and to ``simulate`` (lifetime
+    # windows); no window makes an object per fault
+    from surfdec.noise import FaultEvent
+
+    built, sampled = [], []
+    init, sample = FaultEvent.__init__, experiments.sample_faults
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def recording(*args, **kwargs):
+        faults = sample(*args, **kwargs)
+        sampled.append(len(faults))
+        return faults
+
+    monkeypatch.setattr(FaultEvent, "__init__", counting)
+    monkeypatch.setattr(experiments, "sample_faults", recording)
+    FaultEvent(1, "idle", 0, 0)
+    assert len(built) == 1  # the count sees a construction
+    if path == "memory":
+        estimate_rate(SimConfig(L=3, p=0.02, trials=40, seed=3, threads=1))
+        assert len(sampled) == 40
+    else:
+        estimate_lifetime(
+            SimConfig(L=3, p=0.02, trials=3, seed=3, threads=1, lifetime_cap=30)
+        )
+        assert len(sampled) >= 3
+    assert sum(sampled) > 0 and len(built) == 1
 
 
 def test_lifetime_zero_noise_hits_cap():

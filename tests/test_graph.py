@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fault_rows
 from surfdec.code import build_layout, build_se_circuit, ideal_syndrome
 from surfdec.graph import (
     DecodingGraph,
@@ -33,7 +34,6 @@ from surfdec.noise import (
     InvalidFaultError,
     NoiseParams,
     enumerate_single_faults,
-    fault_row,
     sample_faults,
     simulate,
 )
@@ -580,12 +580,6 @@ def _table_graphs(L, T, include_idle):
     return (layout, circuit, *build_decoder_graphs(L, T, 0.001, include_idle))
 
 
-@lru_cache(maxsize=None)
-def _round_1_faults(L, include_idle):
-    circuit = build_se_circuit(build_layout(L))
-    return enumerate_single_faults(circuit, 1, include_idle).faults()
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     L=st.sampled_from([3, 5, 7]),
@@ -604,17 +598,13 @@ def test_window_events_equal_simulation(L, rounds, include_idle, p, seed, last_r
     faults = sample_faults(
         circuit, NoiseParams(p), T, np.random.default_rng(seed), include_idle
     )
-    round_1 = _round_1_faults(L, include_idle)
-    faults += [
-        FaultEvent(T, f.kind, f.index, f.payload)
-        for f in (round_1[int(u * len(round_1))] for u in last_round)
-    ]
+    n = len(gx.fault_nodes)  # one round's faults, idles only with idle noise
+    faults += [(int(u * n), T) for u in last_round]
     hist = simulate(layout, circuit, faults, T, True)
-    rows = [(fault_row(circuit, f), f.round) for f in faults]
-    assert gx.window_events(rows) == (
+    assert gx.window_events(faults) == (
         events_to_nodes(gx, hist.x_lattice_events), hist.residual.x_mask
     )
-    assert gz.window_events(rows) == (
+    assert gz.window_events(faults) == (
         events_to_nodes(gz, hist.z_lattice_events), hist.residual.z_mask
     )
 
@@ -650,12 +640,11 @@ def test_window_from_an_initial_error_is_the_table_window_plus_the_error(L, incl
             with_syndrome += any(syndrome)
         faults = sample_faults(circuit, NoiseParams(0.02), T, rng, include_idle)
         hist = simulate(layout, circuit, faults, T, True, initial_error=error)
-        rows = [(fault_row(circuit, f), f.round) for f in faults]
         for graph, events, mask, bits, error_mask in (
             (gx, hist.x_lattice_events, hist.residual.x_mask, syndrome[n_x:], x),
             (gz, hist.z_lattice_events, hist.residual.z_mask, syndrome[:n_x], z),
         ):
-            nodes, table_mask = graph.window_events(rows)
+            nodes, table_mask = graph.window_events(faults)
             round_one = {graph.node_id(s, 1) for s, bit in enumerate(bits) if bit}
             assert events_to_nodes(graph, events) == sorted(set(nodes) ^ round_one)
             assert mask == table_mask ^ error_mask
@@ -681,7 +670,7 @@ def test_work_adjacency_is_the_base_with_the_overlay_written_in(graphs5):
 
 def test_window_events_reject_faults_outside_the_table():
     layout, circuit, gx, _ = _table_graphs(3, 2, False)
-    idle = fault_row(circuit, FaultEvent(1, "idle", 0, 0))
+    ((idle, _),) = fault_rows(circuit, [FaultEvent(1, "idle", 0, 0)])
     assert gx.window_events([]) == ([], 0)
     with pytest.raises(InvalidFaultError, match="row"):
         gx.window_events([(idle, 1)])  # idle noise is off

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fault_rows
 from surfdec.code import ideal_syndrome
 from surfdec.irmwpm import (
     MonotonicityError,
@@ -101,7 +102,8 @@ def test_single_x_error_irmwpm_equals_mwpm(layout3, circuit3, graphs3):
     # one X error makes no Z-lattice events, so reweighting is vacuous
     gx, gz = graphs3
     for q in range(layout3.n_data):
-        hist = simulate(layout3, circuit3, [FaultEvent(2, "idle", q, 0)], 3, True)
+        fault = fault_rows(circuit3, [FaultEvent(2, "idle", q, 0)])
+        hist = simulate(layout3, circuit3, fault, 3, True)
         assert hist.z_lattice_events == ()
         ev_x = events_to_nodes(gx, hist.x_lattice_events)
         ex_i, ez_i, _ = decode(gx, gz, ev_x, [], layout3)
@@ -164,14 +166,14 @@ def test_consecutive_stops_a_period_two_cycle(layout5, circuit5):
     gx, gz = build_decoder_graphs(5, 5, 0.005)
     # one d=5, T=5, p=0.005 window, listed so the test does not depend on the
     # sampler's generator stream
-    faults = [
+    faults = fault_rows(circuit5, [
         FaultEvent(1, "idle", 39, 1),
         FaultEvent(3, "cnot", 62, 7),
         FaultEvent(3, "cnot", 141, 10),
         FaultEvent(4, "cnot", 120, 11),
         FaultEvent(4, "cnot", 137, 4),
         FaultEvent(5, "cnot", 129, 7),
-    ]
+    ])
     hist = simulate(layout5, circuit5, faults, 5, True)
     ev_x = events_to_nodes(gx, hist.x_lattice_events)
     ev_z = events_to_nodes(gz, hist.z_lattice_events)

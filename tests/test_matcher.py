@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fault_rows
 from surfdec import matcher
 from surfdec.blossom import max_weight_matching, min_weight_perfect_matching
 from surfdec.graph import DecodingGraph, Edge
@@ -744,9 +745,8 @@ def test_known_single_error_corrected(layout3, circuit3, graphs3):
     gx, _ = graphs3
     n_x = len(layout3.x_stabilizers)
     for q in range(layout3.n_data):
-        hist = simulate(
-            layout3, circuit3, [FaultEvent(2, "idle", q, 0)], 3, True
-        )
+        fault = fault_rows(circuit3, [FaultEvent(2, "idle", q, 0)])
+        hist = simulate(layout3, circuit3, fault, 3, True)
         ev = events_to_nodes(gx, hist.x_lattice_events)
         corr = matching_to_correction(gx, mwpm(gx, ev), layout3)
         prod = multiply(corr, PauliOperator(13, hist.residual.x_mask, 0))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fault_rows
 from surfdec.code import build_layout, build_se_circuit, ideal_syndrome
 from surfdec.noise import (
     FAULT_KINDS,
@@ -22,7 +24,6 @@ from surfdec.noise import (
     _round_model,
     _round_signatures,
     enumerate_single_faults,
-    fault_row,
     sample_faults,
     simulate,
 )
@@ -38,6 +39,14 @@ def test_noise_params_range():
         NoiseParams(-0.1)
 
 
+def _readable(circuit, faults):
+    """Each (row, round) fault as a ``FaultEvent``, its kind, index and
+    payload read from the round model's columns at its row."""
+    model = _round_model(circuit)
+    kind, index, pay = (a.tolist() for a in (model.kind, model.index, model.payload))
+    return [FaultEvent(t, FAULT_KINDS[kind[r]], index[r], pay[r]) for r, t in faults]
+
+
 def test_zero_rate_samples_nothing(circuit3):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
@@ -50,7 +59,7 @@ def test_cnot_payload_frequencies(circuit3):
     p = 0.15
     rng = np.random.default_rng(42)
     rounds = -(-10**6 // circuit3.n_cnots_per_round)  # >= 1e6 CNOT locations
-    faults = sample_faults(circuit3, NoiseParams(p), rounds, rng)
+    faults = _readable(circuit3, sample_faults(circuit3, NoiseParams(p), rounds, rng))
     n_loc = rounds * circuit3.n_cnots_per_round
     counts = Counter(f.payload for f in faults if f.kind == "cnot")
     expect = n_loc * p / 15
@@ -65,7 +74,7 @@ def test_idle_pauli_frequencies(circuit3):
     rng = np.random.default_rng(43)
     n_data = circuit3.layout.n_data
     rounds = -(-10**6 // n_data)
-    faults = sample_faults(circuit3, NoiseParams(p), rounds, rng)
+    faults = _readable(circuit3, sample_faults(circuit3, NoiseParams(p), rounds, rng))
     n_loc = rounds * n_data
     counts = Counter(f.payload for f in faults if f.kind == "idle")
     expect = n_loc * p / 3
@@ -133,7 +142,10 @@ def test_sampler_law_matches_per_location_draws(circuit3, p, windows, include_id
     ]
     rng = np.random.default_rng(1)
     params = NoiseParams(p)
-    got = [sample_faults(circuit3, params, T, rng, include_idle) for _ in range(windows)]
+    got = [
+        _readable(circuit3, sample_faults(circuit3, params, T, rng, include_idle))
+        for _ in range(windows)
+    ]
     rng = np.random.default_rng(2)
     want = [_per_fault_sampler(circuit3, p, T, rng, include_idle) for _ in range(windows)]
     tallies = [_tallies(got), _tallies(want)]
@@ -162,6 +174,31 @@ def test_sampler_law_matches_per_location_draws(circuit3, p, windows, include_id
     for faults in got:
         keys = [(f.round, _KIND_ORDER[f.kind], f.index) for f in faults]
         assert keys == sorted(set(keys))  # ascending, each location at most once
+
+
+#: sha256 of ``repr`` of each window's [(row, round), ...] for windows
+#: i < 200 drawn from default_rng([29, L, i]), T = L; recorded from the
+#: sampler that built a ``FaultEvent`` per fault, each mapped to its row
+SAMPLER_STREAM_SHA256 = {
+    (5, True): "348cb1ca2c60bc3bf8fbdf7e94bf9750b115832608b7de084f51aa5be6a591ef",
+    (5, False): "27dc8de2cfb408215e169143b997126c66edcfb124a8e77b8d07b8cb97361b28",
+    (7, True): "9fb2f669ce3242db26635960c77398af47de7bd2153261679bb8cc2827823955",
+    (7, False): "d8a093b8e80da4c71969d465c3e774564fa3bfa83bd2b4a06eeccc597a7687e7",
+}
+
+
+@pytest.mark.parametrize("L, p", [(5, 0.005), (7, 0.001)])
+@pytest.mark.parametrize("include_idle", [True, False])
+def test_sampler_stream_is_pinned(L, p, include_idle):
+    # the generator's calls and the faults they become must not change:
+    # every seeded result of the package is drawn through this stream
+    circuit = build_se_circuit(build_layout(L))
+    digest = hashlib.sha256()
+    for i in range(200):
+        rng = np.random.default_rng([29, L, i])
+        faults = sample_faults(circuit, NoiseParams(p), L, rng, include_idle)
+        digest.update(repr([(int(row), int(t)) for row, t in faults]).encode())
+    assert digest.hexdigest() == SAMPLER_STREAM_SHA256[L, include_idle]
 
 
 def test_equal_generators_give_equal_faults(circuit3):
@@ -223,7 +260,7 @@ def test_tiny_rates_sample_faults_inside_the_window(circuit3, p):
     # into positions outside the window's T rounds
     for seed in range(200):
         faults = sample_faults(circuit3, NoiseParams(p), 3, np.random.default_rng(seed))
-        assert all(1 <= f.round <= 3 for f in faults)
+        assert all(1 <= t <= 3 for _, t in faults)
 
 
 def test_no_faults_no_events(layout3, circuit3):
@@ -236,7 +273,8 @@ def test_no_faults_no_events(layout3, circuit3):
 def test_measurement_flip_makes_temporal_pair(layout3, circuit3):
     t = 2
     for kind, idx in (("meas_z", 3), ("meas_x", 2)):
-        hist = simulate(layout3, circuit3, [FaultEvent(t, kind, idx)], 4, True)
+        fault = fault_rows(circuit3, [FaultEvent(t, kind, idx)])
+        hist = simulate(layout3, circuit3, fault, 4, True)
         events = (
             hist.x_lattice_events if kind == "meas_z" else hist.z_lattice_events
         )
@@ -252,9 +290,8 @@ def test_idle_y_fault_pairs_match_ideal_syndrome(layout3, circuit3):
     # Y on the central data qubit during round 2's measure step is seen by
     # both lattices from round 3 on, at the stabilizers of its syndrome
     q = layout3.data_index[(2, 2)]
-    hist = simulate(
-        layout3, circuit3, [FaultEvent(2, "idle", q, 1)], 4, True
-    )
+    fault = fault_rows(circuit3, [FaultEvent(2, "idle", q, 1)])
+    hist = simulate(layout3, circuit3, fault, 4, True)
     syn = ideal_syndrome(layout3, PauliOperator.single(13, q, "Y"))
     n_x = len(layout3.x_stabilizers)
     expect_z_lattice = tuple(
@@ -274,7 +311,7 @@ def test_frame_plan_reproduces_every_cnot(L):
     # layer's (control, target) pairs, as global qubit indices
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
-    plan = _frame_plan(L)
+    plan = _frame_plan(circuit)
     n_data = layout.n_data
     qubit = {b: n_data + i for i, b in enumerate(plan.x_cols.tolist())}
     qubit.update({b: n_data + circuit.n_x + i for i, b in enumerate(plan.z_cols.tolist())})
@@ -287,22 +324,66 @@ def test_frame_plan_reproduces_every_cnot(L):
         assert (x_ctl | z_tgt) & ~sum(1 << b for b in qubit) == 0
 
 
+def test_frame_plan_is_built_once_per_distance():
+    # ``simulate`` reads its plan off the circuit it is handed: built from
+    # the first circuit of each distance and shared by the later ones
+    a, b = (build_se_circuit(build_layout(5)) for _ in range(2))
+    assert a is not b
+    assert _frame_plan(a) is _frame_plan(b)
+    assert _frame_plan(a) is not _frame_plan(build_se_circuit(build_layout(3)))
+
+
+def test_a_fault_listed_twice_cancels(layout3, circuit3, graphs3):
+    # frames are linear over GF(2): a (row, round) pair that a window lists
+    # twice leaves no trace, in ``simulate`` and in the table alike
+    last = len(_round_model(circuit3).kind) - 1
+    once = [(5, 1), (last, 3)]
+    twice = [(5, 1), (100, 2), (last, 3), (100, 2)]
+    h1, h2, h3 = (
+        simulate(layout3, circuit3, f, 3, True) for f in (once, twice, [(100, 2)])
+    )
+    assert h3.x_lattice_events + h3.z_lattice_events  # the repeated fault is seen
+    assert (h2.x_lattice_events, h2.z_lattice_events, h2.residual) == (
+        h1.x_lattice_events, h1.z_lattice_events, h1.residual
+    )
+    assert np.array_equal(h2.x_anc_outcomes, h1.x_anc_outcomes)
+    assert np.array_equal(h2.z_anc_outcomes, h1.z_anc_outcomes)
+    for graph in graphs3:
+        assert graph.window_events(twice) == graph.window_events(once)
+
+
 def test_invalid_fault_location(layout3, circuit3):
-    with pytest.raises(InvalidFaultError):
-        simulate(layout3, circuit3, [FaultEvent(1, "cnot", 10**6, 0)], 2, True)
-    with pytest.raises(InvalidFaultError):
-        simulate(layout3, circuit3, [FaultEvent(9, "idle", 0, 0)], 2, True)
+    # a fault is a row of one round and a round of the window; a row past
+    # either end must not wrap round to another fault's row (row -1 would
+    # read the last idle Pauli's masks)
+    rows = len(_round_model(circuit3).kind)
+    simulate(layout3, circuit3, [(0, 1), (rows - 1, 2)], 2, True)  # both ends are in
+    for fault, match in (
+        ((-1, 1), "row -1"),
+        ((rows, 1), f"row {rows}"),
+        ((0, 0), "round 0"),
+        ((0, 3), "round 3"),
+    ):
+        with pytest.raises(InvalidFaultError, match=match):
+            simulate(layout3, circuit3, [fault], 2, True)
 
 
 @pytest.mark.parametrize("L", [3, 5, 7])
 @pytest.mark.parametrize("include_idle", [True, False])
 def test_fault_row_is_the_position_in_the_round_records(L, include_idle):
-    # the sampler, ``fault_row``, ``simulate`` and the table share this
-    # numbering
-    _, circuit, _, faults = _enumeration(L, 1, include_idle)
-    for row, f in enumerate(faults):
-        for t in (1, 4):
-            assert fault_row(circuit, FaultEvent(t, f.kind, f.index, f.payload)) == row
+    # the sampler, ``simulate`` and the table share this numbering: each
+    # table row's (kind, index, payload) names that row of the round model,
+    # and the sampler's locations, a first row and a payload count each,
+    # cover the model's rows in order, one location's payloads 0, 1, ...
+    _, circuit, table, faults = _enumeration(L, 1, include_idle)
+    assert faults == [(row, 1) for row in range(len(table))]
+    model = _round_model(circuit)
+    rows = [first + k for first, payloads in model.locations for k in range(payloads)]
+    assert rows == list(range(len(model.kind)))
+    for first, payloads in model.locations:
+        span = slice(first, first + payloads)
+        assert len(set(zip(model.kind[span].tolist(), model.index[span].tolist()))) == 1
+        assert model.payload[span].tolist() == list(range(payloads))
 
 
 @pytest.mark.parametrize("L", [3, 5])
@@ -316,7 +397,7 @@ def test_round_model_flips_are_each_faults_stated_action(L):
 
     def act(fault, phase, qubit, pauli):
         if pauli:
-            row = fault_row(circuit, fault)
+            ((row, _),) = fault_rows(circuit, [fault])
             want.append((row, phase, qubit, pauli in (1, 2), pauli in (2, 3)))
 
     for i, (layer, c, t) in enumerate(circuit.cnot_flat):
@@ -336,38 +417,6 @@ def test_round_model_flips_are_each_faults_stated_action(L):
     got = list(zip(*(a.tolist() for a in model.flips)))
     assert sorted(got) == sorted(want)
     assert set(model.flips[0].tolist()) == set(range(len(model.kind)))
-
-
-@pytest.mark.parametrize(
-    "kind, index, payload, match",
-    [
-        ("reset", 0, 0, "unknown fault kind"),
-        ("cnot", -1, 0, "index"),
-        ("cnot", "n_cnot", 0, "index"),
-        ("cnot", 0, 15, "payload"),
-        ("cnot", 0, -1, "payload"),
-        ("meas_x", "n_x", 0, "index"),
-        ("meas_x", 0, 1, "payload"),
-        ("meas_z", "n_z", 0, "index"),
-        ("meas_z", -1, 0, "index"),
-        ("idle", "n_data", 0, "index"),
-        ("idle", 0, 3, "payload"),
-    ],
-)
-def test_bad_faults_are_rejected(layout3, circuit3, kind, index, payload, match):
-    # a bad fault must not read another fault's row of the table, nor be
-    # simulated as another fault (a CNOT payload of -1 used to act as 14)
-    limits = {
-        "n_cnot": circuit3.n_cnots_per_round,
-        "n_x": circuit3.n_x,
-        "n_z": circuit3.n_z,
-        "n_data": circuit3.layout.n_data,
-    }
-    fault = FaultEvent(1, kind, limits.get(index, index), payload)
-    with pytest.raises(InvalidFaultError, match=match):
-        fault_row(circuit3, fault)
-    with pytest.raises(InvalidFaultError, match=match):
-        simulate(layout3, circuit3, [fault], 1, True)
 
 
 def _events_sets(hist):
@@ -458,7 +507,7 @@ def test_temporal_edge_has_five_fault_locations(circuit3):
 def test_idle_noise_off_runs_clean(layout3, circuit3):
     rng = np.random.default_rng(5)
     faults = sample_faults(circuit3, NoiseParams(0.1), 3, rng, include_idle=False)
-    assert all(f.kind != "idle" for f in faults)
+    assert all(f.kind != "idle" for f in _readable(circuit3, faults))
     simulate(layout3, circuit3, faults, 3, True)
 
     def locations(include_idle):
@@ -513,7 +562,8 @@ def test_enumeration_equals_per_fault_simulation(L, T, include_idle):
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
     table = enumerate_single_faults(circuit, T, include_idle)
-    simulated = [simulate(layout, circuit, [f], T, True) for f in table.faults()]
+    faults = fault_rows(circuit, table.faults())
+    simulated = [simulate(layout, circuit, [f], T, True) for f in faults]
     assert table.x_events == [tuple(sorted(h.x_lattice_events)) for h in simulated]
     assert table.z_events == [tuple(sorted(h.z_lattice_events)) for h in simulated]
     assert table.x_residual == [h.residual.x_mask for h in simulated]
@@ -540,7 +590,7 @@ def _enumeration(L, T, include_idle):
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
     table = enumerate_single_faults(circuit, T, include_idle)
-    return layout, circuit, table, table.faults()
+    return layout, circuit, table, fault_rows(circuit, table.faults())
 
 
 @settings(max_examples=120, deadline=None)
