@@ -174,7 +174,8 @@ def _run_window(ctx: _Context, rng: np.random.Generator, initial_error=None):
     memory window (no ``initial_error``) reads its detection events and
     residual from the graphs' one-round single-fault table: frames are
     linear, so they are the XOR of its faults' signatures shifted to their
-    rounds.  A window that starts from an initial error is frame-simulated.
+    rounds.  A window that starts from an initial error reads the same
+    table through ``simulate``, which adds the error.
     Returns (residual after correction, trace).
     """
     cfg = ctx.config
@@ -187,7 +188,7 @@ def _run_window(ctx: _Context, rng: np.random.Generator, initial_error=None):
         residual = PauliOperator(ctx.layout.n_data, x_mask, z_mask)
     else:
         hist = simulate(
-            ctx.layout, ctx.circuit, faults, cfg.rounds, True, initial_error=initial_error
+            ctx.layout, ctx.circuit, faults, cfg.rounds, initial_error=initial_error
         )
         ev_x = events_to_nodes(ctx.gx, hist.x_lattice_events)
         ev_z = events_to_nodes(ctx.gz, hist.z_lattice_events)

@@ -58,10 +58,10 @@ from .code import CodeLayout, build_layout, build_se_circuit, ideal_syndrome
 from .noise import (
     FAULT_KINDS,
     FaultTable,
-    InvalidFaultError,
     NoiseParams,
     _collector_paused,
     enumerate_single_faults,
+    window_signature,
 )
 from .pauli import PauliOperator
 
@@ -160,9 +160,9 @@ class DecodingGraph:
     Circuit graphs also carry one round's single-fault table, read by
     ``window_events``: for each round-1 fault they were built from, by its
     row (the round model's numbering, which ``noise.sample_faults`` gives),
-    the node ids of its events on this lattice (``fault_nodes``, its
-    class's placement at fault round 1) and its residual mask on this
-    lattice's error type (``fault_residuals``: X on the X lattice, Z on
+    the node ids of its events on this lattice (``fault_nodes``, read from
+    ``FaultTable.nodes``) and its residual mask on this lattice's error
+    type (``fault_residuals``: X on the X lattice, Z on
     the Z lattice).  Both are None on code-capacity graphs.
     """
 
@@ -297,62 +297,48 @@ class DecodingGraph:
         """Event node ids and residual mask of a window's faults, from the table.
 
         ``faults`` holds a (row, round) pair per fault, as
-        ``noise.sample_faults`` gives them.  Frames are linear over GF(2): the
-        events are the symmetric difference of the faults' one-round events,
-        each shifted by ``(round - 1) * n_stabs``, and the residual is the XOR
-        of their masks.  Node ids ascend, the (round, stabilizer) order in
-        which ``noise.simulate`` reports events.
+        ``noise.sample_faults`` gives them; the events are the symmetric
+        difference of the faults' one-round events shifted to their
+        rounds, and the residual the XOR of their masks
+        (``noise.window_signature``, which ``noise.simulate`` reads too).
         """
-        table, residuals = self.fault_nodes, self.fault_residuals
-        if table is None:
+        if self.fault_nodes is None:
             raise ValueError(f"the {self.mode} graph has no single-fault table")
-        events: set[int] = set()
-        residual = 0
-        for row, t in faults:
-            if not 0 <= row < len(table):
-                raise InvalidFaultError(f"no single fault at row {row} of the table")
-            if not 1 <= t <= self.T:
-                raise InvalidFaultError(f"fault round {t} outside 1..{self.T}")
-            shift = (t - 1) * self.n_stabs
-            events.symmetric_difference_update([v + shift for v in table[row]])
-            residual ^= residuals[row]
-        return sorted(events), residual
+        return window_signature(
+            self.fault_nodes, self.fault_residuals, faults, self.T, self.n_stabs
+        )
 
 
 def _place(
-    signatures: list[tuple], n_stabs: int, n_layers: int, fault_rounds: int, kind: str
+    classes: list[tuple], n_stabs: int, n_layers: int, fault_rounds: int, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every signature class repeated at every fault round of a window.
 
-    ``signatures`` holds each class's (stabilizer, round) events.  An event
-    of round t of a class placed at fault round r lies on layer t + r - 1,
-    always one of layers 1..n_layers: circuit classes have events of round
-    1 or 2, placed at fault rounds 1..T of T + 1 layers, and code-capacity
-    ones round-1 events at round 1 of one layer.  Every class has an event,
-    so every (fault round, class) pair is a placement.  Returns its (u, v)
-    node ids as arrays of shape (fault rounds, classes), v being the
-    boundary node for a single event.
+    ``classes`` holds each class's node ids at fault round 1
+    (``FaultTable.nodes``).  Placed at fault round r, a node moves r - 1
+    layers on, always to one of layers 1..n_layers: circuit classes have
+    nodes on layers 1 and 2, placed at fault rounds 1..T of T + 1 layers,
+    and code-capacity ones nodes of layer 1 at round 1 of one layer.  Every
+    class has a node, so every (fault round, class) pair is a placement.
+    Returns its (u, v) node ids as arrays of shape (fault rounds, classes),
+    v being the boundary node for a single event.
     """
-    most = max(map(len, signatures), default=0)
+    most = max(map(len, classes), default=0)
     if most > 2:
         raise GraphBuildError(f"single fault produced {most} events on the {kind} lattice")
-    # a single event is padded with stabilizer -1, which places at the boundary
-    events = np.array(
-        [sig + ((-1, 0),) if len(sig) == 1 else sig for sig in signatures],
-        dtype=np.int64,
-    ).reshape(-1, 2, 2)
-    stabs, rounds = events[..., 0], events[..., 1]
-    r = np.arange(1, fault_rounds + 1)[:, None, None]
-    layer = rounds + (r - 1)
-    # the boundary id exceeds every node id, so it sorts behind real events
-    nodes = np.sort(
-        np.where(stabs >= 0, (layer - 1) * n_stabs + stabs, n_stabs * n_layers), axis=2
-    )
+    # a single node is padded with the boundary, whose id exceeds every
+    # node id, so that each pair stays ascending as it moves
+    boundary = n_stabs * n_layers
+    first = np.array(
+        [ids + (boundary,) if len(ids) == 1 else ids for ids in classes], dtype=np.int64
+    ).reshape(-1, 2)
+    shift = n_stabs * np.arange(fault_rounds)[:, None, None]
+    nodes = np.where(first < boundary, first + shift, boundary)
     return nodes[..., 0], nodes[..., 1]
 
 
 def _class_letters(
-    signatures: list[tuple], coords: tuple[tuple[int, int], ...], kind: str
+    classes: list[tuple], coords: tuple[tuple[int, int], ...], kind: str
 ) -> list[str | None]:
     """Matching-type letter of each two-event class; None for one event.
 
@@ -360,18 +346,22 @@ def _class_letters(
     at, so its letter is that of every edge it is placed on.  A geometry
     outside ``GEOMETRY_LETTERS`` raises ``EdgeClassificationError``.
     """
+    n_stabs = len(coords)
     letters = []
-    for sig in signatures:
-        if len(sig) == 1:
+    for ids in classes:
+        if len(ids) == 1:
             letters.append(None)
             continue
         # the later event relative to the earlier, by position for equal rounds
-        (t1, (r1, c1)), (t2, (r2, c2)) = sorted((t, coords[s]) for s, t in sig)
+        (t1, (r1, c1)), (t2, (r2, c2)) = sorted(
+            (v // n_stabs, coords[v % n_stabs]) for v in ids
+        )
         geom = (t2 - t1, r2 - r1, c2 - c1)
         letter = GEOMETRY_LETTERS.get(geom)
         if letter is None:
+            sig = [(v % n_stabs, v // n_stabs + 1) for v in ids]
             raise EdgeClassificationError(
-                f"{kind}-lattice signature {list(sig)} geometry {geom} matches no class"
+                f"{kind}-lattice signature {sig} geometry {geom} matches no class"
             )
         letters.append(letter)
     return letters
@@ -419,14 +409,12 @@ def _assemble(
     coords = layout.z_anc_coords if kind == "X" else layout.x_anc_coords
     n_stabs = len(coords)
     boundary = n_stabs * n_layers
-    if kind == "X":
-        events, residuals = table.x_events, table.x_residual
-    else:
-        events, residuals = table.z_events, table.z_residual
+    residuals = table.x_residual if kind == "X" else table.z_residual
+    nodes = table.nodes(kind, n_stabs)
     # each fault's class, -1 without an event on this lattice
     class_of: dict[tuple, int] = {}
     fault_class = np.array(
-        [class_of.setdefault(sig, len(class_of)) if sig else -1 for sig in events],
+        [class_of.setdefault(ids, len(class_of)) if ids else -1 for ids in nodes],
         dtype=np.int64,
     )
     n_classes, n, units = len(class_of), len(table), table.units
@@ -447,9 +435,9 @@ def _assemble(
     np.bitwise_or.at(class_parity, cls, 1 << odd[here])
     class_locs = np.bincount(np.unique(cls * n + loc[here]) // n, minlength=n_classes)
 
-    signatures = list(class_of)
-    u, v = _place(signatures, n_stabs, n_layers, fault_rounds, kind)
-    letters = _class_letters(signatures, coords, kind) if circuit else [None] * n_classes
+    classes = list(class_of)
+    u, v = _place(classes, n_stabs, n_layers, fault_rounds, kind)
+    letters = _class_letters(classes, coords, kind) if circuit else [None] * n_classes
     keys, edge = np.unique((u * (boundary + 1) + v).ravel(), return_inverse=True)
     # fault round index and class of each placement, in (round, class) order
     rr, cc = (a.ravel() for a in np.indices(u.shape))
@@ -517,11 +505,8 @@ def _assemble(
         _fault_class=fault_class,
         _class_edges=edge.reshape(u.shape),
     )
-    if circuit:  # a fault's events: its class's nodes at fault round 1
-        # (class -1, no event on this lattice, reads the () appended last)
-        first = zip(u[0].tolist(), v[0].tolist())
-        nodes = [(a,) if b == boundary else (a, b) for a, b in first] + [()]
-        g.fault_nodes = [nodes[c] for c in fault_class.tolist()]
+    if circuit:
+        g.fault_nodes = nodes
         g.fault_residuals = residuals
     return g
 

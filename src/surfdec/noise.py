@@ -1,5 +1,5 @@
-"""Circuit-level depolarizing noise: sampling, Pauli-frame simulation,
-and exhaustive single-fault enumeration.
+"""Circuit-level depolarizing noise: sampling, single-fault propagation
+and window simulation.
 
 Noise model (fault rate p):
 
@@ -18,29 +18,24 @@ in one call, so the generator's work grows with the number of faults, not
 of locations (how Stim samples rare errors; Gidney, arXiv:2103.02202).  At
 p = 0.001 a d=7 window has ~3 faults among ~3,400 locations.
 
-Simulation tracks X and Z frames through the Clifford schedule: a CNOT
+Propagation tracks X and Z frames through the Clifford schedule: a CNOT
 copies X from control to target and Z from target to control.  Z-basis
 ancilla outcomes read the X frame, X-basis outcomes read the Z frame;
 ancillas are reset after each measurement.  Frames are exact for Pauli
 faults on Clifford circuits, and the map from fault sets to detection
-events is linear over GF(2).  ``simulate`` packs each frame into two
-Python integers, one over the data qubits and one over the ancillas (bit
-packing as in Stim's frame simulator; Gidney, arXiv:2103.02202).  On the
-(2L-1)^2 grid data qubits hold the even positions and ancillas the odd
-ones, and every CNOT layer joins each ancilla with the data qubit one fixed
-offset away, so a whole layer is a few masks, shifts and XORs
-(``_FramePlan``), and the residual's masks are the data integers.
+events is linear over GF(2).  The circuit is propagated in one place,
+``_round_signatures``: every fault of one round in its own frame column,
+giving its events and residual as one ``FaultTable`` of columns, built
+once per distance (``_round_table``).
 
 A fault is a (row, round) pair: its row among one round's faults, as the
 round model numbers them, and its round 1..T.  ``sample_faults`` draws
-such pairs and ``simulate`` takes them.  That numbering and linearity are
-what the decoding windows use: ``enumerate_single_faults`` gives every
-fault of one round, in row order, with its events and residual as one
-``FaultTable`` of columns, and a memory window's events are the symmetric
-difference of its faults' one-round signatures shifted to their rounds
-(``graph.DecodingGraph.window_events``).  ``simulate`` stays as the oracle
-for that table and as the path of windows that start from an initial data
-error.  ``FaultEvent`` is a fault's readable form, for listings.
+such pairs, and by linearity a window is a read of the table: its events
+are the symmetric difference of its faults' one-round signatures shifted
+to their rounds, and its residual the XOR of their masks
+(``window_signature``, which ``graph.DecodingGraph.window_events`` and
+``simulate`` share; ``simulate`` adds an initial data error).
+``FaultEvent`` is a fault's readable form, for listings.
 """
 
 from __future__ import annotations
@@ -130,17 +125,15 @@ class FaultEvent:
 
 @dataclass(frozen=True)
 class SyndromeHistory:
-    """Measured outcomes, derived detection events, and the residual error.
+    """A window's detection events and its residual error.
 
     ``x_lattice_events`` are detections of X-type errors, i.e. nodes
     (z_stabilizer_index, round); ``z_lattice_events`` are detections of
-    Z-type errors on X-stabilizers.  Round indices are 1-based; when the
-    history ends with a perfect round its outcomes occupy round T+1.
+    Z-type errors on X-stabilizers.  Rounds run 1..T + 1 for a window of
+    T noisy rounds, round T + 1 being its perfect readout, and events come
+    rounds ascending, then stabilizers ascending.
     """
 
-    T: int
-    x_anc_outcomes: np.ndarray  # (rounds, n_x) X-ancilla outcomes
-    z_anc_outcomes: np.ndarray  # (rounds, n_z) Z-ancilla outcomes
     x_lattice_events: tuple[tuple[int, int], ...]
     z_lattice_events: tuple[tuple[int, int], ...]
     residual: PauliOperator
@@ -152,10 +145,8 @@ class _RoundModel(NamedTuple):
     Rows follow ``FAULT_KINDS``, each kind's locations by index and each
     location's payloads in order, so a location's rows are contiguous and
     idles come last.  A fault is numbered by its row: ``sample_faults``
-    draws a location of ``locations`` and one of its rows, ``simulate``
-    reads each row's masks from ``_frame_plan``, which folds them from
-    ``flips``, and ``_round_signatures`` propagates ``flips`` as packed
-    frame columns.
+    draws a location of ``locations`` and one of its rows, and
+    ``_round_signatures`` propagates ``flips`` as packed frame columns.
     """
 
     locations: tuple[tuple[int, int], ...]  # (first row, payloads)
@@ -289,176 +280,6 @@ def sample_faults(
     return faults
 
 
-class _FramePlan(NamedTuple):
-    """The schedule of one distance as shifts and masks on packed frames.
-
-    A frame is a data integer (bit q: data qubit q) and an ancilla integer
-    (bit ``(p >> 1) + L`` for an ancilla at grid position
-    ``p = r * (2L - 1) + c``).  Data qubits hold the even positions, in
-    index order, and ancillas the odd ones, and each CNOT layer joins every
-    ancilla with the data qubit one fixed grid offset away, so a layer's
-    pairs are ``data bit = ancilla bit - shift`` with one shift per layer
-    (the ``+ L`` makes every shift nonnegative).
-    """
-
-    #: per CNOT layer: (shift, X-ancilla controls, Z-ancilla targets), the
-    #: ancillas as masks on the ancilla integer
-    layers: tuple[tuple[int, int, int], ...]
-    x_anc: int  # ancilla-integer masks of all X- and all Z-ancillas
-    z_anc: int
-    x_cols: np.ndarray  # ancilla bit of each X- and Z-stabilizer, by index
-    z_cols: np.ndarray
-    #: per ancilla bit, (0, index) for a Z-stabilizer (an X-lattice node)
-    #: and (1, index) for an X-stabilizer
-    nodes: tuple[tuple[int, int] | None, ...]
-    n_bytes: int  # bytes of one round's outcomes
-    #: per fault row (``_RoundModel``): the step after which the fault acts
-    #: (0-3 after that CNOT layer, 4 after the reset) and its XOR masks on
-    #: the data X, ancilla X, data Z and ancilla Z integers, folded from the
-    #: round model's flips
-    effects: tuple[tuple[int, int, int, int, int], ...]
-
-
-@_per_distance
-def _frame_plan(circuit: SECircuit) -> _FramePlan:
-    """The packed-frame plan of the circuit's distance, read off
-    ``cnot_layers``, the layout's coordinates and the round model's flips."""
-    layout = circuit.layout
-    L, n_data = layout.L, layout.n_data
-    span = 2 * L - 1
-    # by global qubit index; the shifts come out as 2L-1, L, L-1 and 0
-    bit = list(range(n_data)) + [
-        ((r * span + c) >> 1) + L for r, c in layout.x_anc_coords + layout.z_anc_coords
-    ]
-
-    layers = []
-    for cs, ts in circuit.cnot_layers:
-        shifts, x_ctl, z_tgt = set(), 0, 0
-        for c, t in zip(cs.tolist(), ts.tolist()):
-            if c < n_data:  # data control, Z-ancilla target
-                shifts.add(bit[t] - bit[c])
-                z_tgt |= 1 << bit[t]
-            else:  # X-ancilla control, data target
-                shifts.add(bit[c] - bit[t])
-                x_ctl |= 1 << bit[c]
-        (shift,) = shifts  # one grid offset per layer
-        layers.append((shift, x_ctl, z_tgt))
-
-    x_cols = np.array(bit[n_data : n_data + circuit.n_x])
-    z_cols = np.array(bit[n_data + circuit.n_x :])
-    x_cols.flags.writeable = z_cols.flags.writeable = False  # shared by every caller
-    nodes = [None] * (max(bit) + 1)
-    for lattice, cols in enumerate((z_cols, x_cols)):
-        for index, b in enumerate(cols.tolist()):
-            nodes[b] = (lattice, index)
-
-    # per fault row, its step and its masks, folded from its flips
-    model = _round_model(circuit)
-    effects = [[0] * 5 for _ in model.kind]
-    for row, phase, q, x, z in zip(*(a.tolist() for a in model.flips)):
-        e, on = effects[row], int(q >= n_data)
-        e[0] = phase
-        e[1 + on] |= x << bit[q]
-        e[3 + on] |= z << bit[q]
-    return _FramePlan(
-        tuple(layers),
-        sum(1 << b for b in x_cols.tolist()),
-        sum(1 << b for b in z_cols.tolist()),
-        x_cols,
-        z_cols,
-        tuple(nodes),
-        (max(bit) + 8) // 8,
-        tuple(map(tuple, effects)),
-    )
-
-
-def simulate(
-    layout: CodeLayout,
-    circuit: SECircuit,
-    faults,
-    T: int,
-    final_round_perfect: bool = True,
-    initial_error: PauliOperator | None = None,
-) -> SyndromeHistory:
-    """Propagate the given faults through T rounds of syndrome extraction.
-
-    ``faults`` holds (row, round) pairs, as ``sample_faults`` gives them;
-    a row outside the round model's rows or a round outside 1..T raises
-    ``InvalidFaultError``.  An optional ``initial_error`` is applied to the
-    data qubits before the first round.  When ``final_round_perfect`` is
-    set, one fault-free syndrome readout of the residual error is appended
-    (row T+1).
-
-    Frames are packed integers (see ``_FramePlan``): a CNOT layer is four
-    mask-shift-XORs, each fault is XORed in at its round and step, and the
-    data integers left at the end are the residual's masks.
-    """
-    plan = _frame_plan(circuit)
-    xd = zd = 0
-    if initial_error is not None:
-        if initial_error.n != layout.n_data:
-            raise ValueError("initial error size does not match data-qubit count")
-        xd, zd = initial_error.x_mask, initial_error.z_mask
-
-    rounds = T + final_round_perfect
-    inject: list = [None] * (5 * rounds)  # masks at 5 * (round - 1) + step
-    effects = plan.effects
-    for row, t in faults:
-        if not 0 <= row < len(effects):
-            raise InvalidFaultError(f"no single fault at row {row} of the round")
-        if not 1 <= t <= T:
-            raise InvalidFaultError(f"fault round {t} outside 1..{T}")
-        step, *masks = effects[row]
-        slot = 5 * (t - 1) + step
-        acc = inject[slot]
-        inject[slot] = masks if acc is None else [a ^ m for a, m in zip(acc, masks)]
-
-    outcomes = []
-    layers, x_anc, z_anc = plan.layers, plan.x_anc, plan.z_anc
-    for t in range(0, 5 * rounds, 5):
-        xa = za = 0  # ancillas start each round reset
-        for slot, (s, x_ctl, z_tgt) in enumerate(layers, t):
-            xd ^= (xa & x_ctl) >> s
-            za ^= (zd << s) & x_ctl
-            xa ^= (xd << s) & z_tgt
-            zd ^= (za & z_tgt) >> s
-            acc = inject[slot]
-            if acc:
-                xd ^= acc[0]
-                xa ^= acc[1]
-                zd ^= acc[2]
-                za ^= acc[3]
-        outcomes.append((za & x_anc) | (xa & z_anc))
-        acc = inject[t + 4]
-        if acc:
-            xd ^= acc[0]
-            zd ^= acc[2]
-
-    # detection events: an outcome that differs from the previous round's
-    # (round 0 reads 0), rounds ascending, then stabilizers ascending
-    events: tuple[list, list] = ([], [])
-    previous, nodes = 0, plan.nodes
-    for t, o in enumerate(outcomes, 1):
-        flips, previous = o ^ previous, o
-        while flips:
-            low = flips & -flips
-            lattice, index = nodes[low.bit_length() - 1]
-            events[lattice].append((index, t))
-            flips ^= low
-
-    n = plan.n_bytes
-    packed = np.frombuffer(b"".join(o.to_bytes(n, "little") for o in outcomes), np.uint8)
-    bits = np.unpackbits(packed, bitorder="little").reshape(len(outcomes), 8 * n)
-    return SyndromeHistory(
-        T=T,
-        x_anc_outcomes=bits[:, plan.x_cols],
-        z_anc_outcomes=bits[:, plan.z_cols],
-        x_lattice_events=tuple(events[0]),
-        z_lattice_events=tuple(events[1]),
-        residual=PauliOperator(layout.n_data, xd, zd),
-    )
-
-
 @dataclass(eq=False, repr=False)
 class FaultTable:
     """Single faults with their detection signatures and residuals, as columns.
@@ -479,12 +300,30 @@ class FaultTable:
     x_residual: list[int]
     z_residual: list[int]
     units: np.ndarray = field(init=False)
+    _nodes: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.units = RATE_UNITS[self.kind]
 
     def __len__(self) -> int:
         return len(self.round)
+
+    def nodes(self, lattice: str, n_stabs: int) -> list[tuple[int, ...]]:
+        """Per row, the ascending node ids ``(round - 1) * n_stabs +
+        stabilizer`` of its events on the X or Z lattice, as the decoding
+        graphs number nodes.  Derived once per lattice and kept, rows of one
+        signature sharing one tuple: the graphs' and ``simulate``'s reading
+        of a row."""
+        key = lattice, n_stabs
+        if key not in self._nodes:
+            ids: dict[tuple, tuple[int, ...]] = {}
+            rows = self._nodes[key] = []
+            for sig in self.x_events if lattice == "X" else self.z_events:
+                nodes = ids.get(sig)
+                if nodes is None:
+                    nodes = ids[sig] = tuple(sorted((t - 1) * n_stabs + s for s, t in sig))
+                rows.append(nodes)
+        return self._nodes[key]
 
     def faults(self) -> list[FaultEvent]:
         """The rows in readable form, as ``FaultEvent`` objects."""
@@ -500,13 +339,12 @@ class FaultTable:
 _BLOCK = 4096
 
 
-def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
+def _round_signatures(circuit: SECircuit) -> FaultTable:
     """Every single fault of round 1 with its detection events and residual.
 
-    Rows follow the round model (``_RoundModel``), idles only with
-    ``include_idle``; the (kind, index, payload) columns and every fault's
-    flips are the model's, less the idle rows that end it when
-    ``include_idle`` is off.
+    Rows, their (kind, index, payload) columns and every fault's flips are
+    the round model's (``_RoundModel``).  This is the one place where the
+    circuit is propagated; ``_round_table`` keeps its result per distance.
 
     Every fault gets its own column of the X and Z frame matrices, and all
     columns go through the round together: the four CNOT layers (each
@@ -524,10 +362,9 @@ def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
     """
     model = _round_model(circuit)
     n_data = circuit.layout.n_data
-    n = len(model.kind) - (0 if include_idle else 3 * n_data)  # idles: 3 rows each
+    n = len(model.kind)
     # a fault's row is its column of the frame matrices
-    keep = model.flips[0] < n
-    col, phase, qubit, fx, fz = (a[keep] for a in model.flips)
+    col, phase, qubit, fx, fz = model.flips
     slots = 5 * -(-n // _BLOCK)
     # per frame, its flips sorted by (block, phase) slot, and each slot's bounds
     sparse = []
@@ -573,8 +410,14 @@ def _round_signatures(circuit: SECircuit, include_idle: bool) -> FaultTable:
         z_events += _column_events(ox1, ox1 ^ ox2, width)
         x_res += _column_masks(x[:n_data], width)
         z_res += _column_masks(z[:n_data], width)
-    rows = (model.kind[:n], model.index[:n], model.payload[:n])
+    rows = (model.kind, model.index, model.payload)
     return FaultTable(np.ones(n, np.int64), *rows, x_events, z_events, x_res, z_res)
+
+
+#: the round's single faults, propagated once per distance
+#: (``_round_signatures``) and shared, read only, by the enumeration, the
+#: decoding graphs built from it and ``simulate``
+_round_table = _per_distance(_round_signatures)
 
 
 def _set_bits(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -650,17 +493,107 @@ def enumerate_single_faults(
     signatures are time-translation invariant, so the fault of round t has
     the round-1 events shifted by t - 1 and the same residual.  The window
     closes with a perfect readout round T + 1, so no event is cut off.
+    One round with idles is the shared round table itself, read only.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    first = _round_signatures(circuit, include_idle)
+    first = _round_table(circuit)
+    if T == 1 and include_idle:
+        return first
+    n = len(first) - (0 if include_idle else 3 * circuit.layout.n_data)  # idles last
     return FaultTable(
-        np.arange(1, T + 1).repeat(len(first)),
-        *(np.tile(column, T) for column in (first.kind, first.index, first.payload)),
+        np.arange(1, T + 1).repeat(n),
+        *(np.tile(c[:n], T) for c in (first.kind, first.index, first.payload)),
         *(
             sigs + [tuple((s, r + k) for s, r in e) for k in range(1, T) for e in sigs]
-            for sigs in (first.x_events, first.z_events)
+            for sigs in (first.x_events[:n], first.z_events[:n])
         ),
-        first.x_residual * T,
-        first.z_residual * T,
+        first.x_residual[:n] * T,
+        first.z_residual[:n] * T,
     )
+
+
+def window_signature(nodes, residuals, faults, T: int, n_stabs: int) -> tuple[list[int], int]:
+    """Event node ids and residual mask of a window's faults on one lattice.
+
+    ``nodes`` and ``residuals`` hold each round-1 fault's node ids and
+    residual mask on the lattice (``FaultTable.nodes``), by row, and
+    ``faults`` (row, round) pairs, as ``sample_faults`` gives them.  Frames
+    are linear over GF(2): the events are the symmetric difference of the
+    faults' round-1 nodes, each shifted by ``(round - 1) * n_stabs``, and
+    the residual is the XOR of their masks.  Node ids ascend, rounds first,
+    then stabilizers.  A row outside the table or a round outside 1..T
+    raises ``InvalidFaultError``.
+    """
+    events: set[int] = set()
+    residual = 0
+    for row, t in faults:
+        if not 0 <= row < len(nodes):
+            raise InvalidFaultError(f"no single fault at row {row} of the table")
+        if not 1 <= t <= T:
+            raise InvalidFaultError(f"fault round {t} outside 1..{T}")
+        shift = (t - 1) * n_stabs
+        events.symmetric_difference_update([v + shift for v in nodes[row]])
+        residual ^= residuals[row]
+    return sorted(events), residual
+
+
+@_per_distance
+def _stabilizer_masks(circuit: SECircuit) -> tuple[list[int], list[int]]:
+    """The data qubits of each Z- and of each X-stabilizer, as masks read
+    off the round table: an idle X (Z) on data qubit q after round 1's
+    reset is read in round 2 by the Z- (X-) stabilizers that hold q."""
+    table = _round_table(circuit)
+    idle = np.flatnonzero(table.kind == FAULT_KINDS.index("idle"))
+    masks: tuple[list[int], list[int]] = ([0] * circuit.n_z, [0] * circuit.n_x)
+    for stabs, events, payload in zip(masks, (table.x_events, table.z_events), (0, 2)):
+        for row in idle[table.payload[idle] == payload].tolist():
+            for s, _ in events[row]:
+                stabs[s] |= 1 << int(table.index[row])
+    return masks
+
+
+def simulate(
+    layout: CodeLayout,
+    circuit: SECircuit,
+    faults,
+    T: int,
+    initial_error: PauliOperator | None = None,
+) -> SyndromeHistory:
+    """Detection events and residual of T noisy rounds and a perfect readout.
+
+    ``faults`` holds (row, round) pairs, as ``sample_faults`` gives them;
+    a row outside the round model's rows or a round outside 1..T raises
+    ``InvalidFaultError``.  An optional ``initial_error`` is applied to the
+    data qubits before the first round.
+
+    Frames are linear, so nothing is propagated here: each lattice's
+    events and residual XOR the faults' rows of the round table, shifted
+    to their rounds (``window_signature``).  An initial error adds its
+    masks to the residual and, since round 0 reads no syndrome, the
+    stabilizers it flips to round 1's events; they come from the table's
+    idle rows (``_stabilizer_masks``), so that the result still shows
+    what the circuit, not the code, measures.
+    """
+    table = _round_table(circuit)
+    if initial_error is None:
+        initial_error = PauliOperator.identity(layout.n_data)
+    elif initial_error.n != layout.n_data:
+        raise ValueError("initial error size does not match data-qubit count")
+    lattices = []
+    for lattice, residuals, n_stabs, stabs, mask in zip(
+        "XZ",
+        (table.x_residual, table.z_residual),
+        (circuit.n_z, circuit.n_x),
+        _stabilizer_masks(circuit),
+        (initial_error.x_mask, initial_error.z_mask),
+    ):
+        nodes = table.nodes(lattice, n_stabs)
+        nodes, residual = window_signature(nodes, residuals, faults, T, n_stabs)
+        if mask:
+            flipped = [s for s, m in enumerate(stabs) if (mask & m).bit_count() & 1]
+            nodes = sorted(set(nodes).symmetric_difference(flipped))
+        events = tuple((v % n_stabs, v // n_stabs + 1) for v in nodes)
+        lattices.append((events, residual ^ mask))
+    (x_events, x_mask), (z_events, z_mask) = lattices
+    return SyndromeHistory(x_events, z_events, PauliOperator(layout.n_data, x_mask, z_mask))

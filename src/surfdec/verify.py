@@ -2,7 +2,8 @@
 
 The decoding-graph machinery is rebuilt from scratch here only where an
 independent route exists (brute-force matching, blossom for the subset
-program, ideal-syndrome replay);
+program, and the code's ideal syndrome against the round-1 events that
+the propagated circuit gives a data error);
 everything else re-derives the expected interior structure of the lattices
 and compares it against the frozen reference values below in exact rational
 arithmetic.
@@ -248,7 +249,7 @@ def check_matcher_oracle(report: VerifyReport, instances: int) -> None:
     tried = mism = 0
     while tried < instances:
         faults = sample_faults(circuit, params, T, rng)
-        hist = simulate(layout, circuit, faults, T, True)
+        hist = simulate(layout, circuit, faults, T)
         ev = events_to_nodes(gx, hist.x_lattice_events)
         if not ev or len(ev) > 8:
             continue
@@ -312,10 +313,14 @@ def check_circuit_vs_ideal(report: VerifyReport, L: int, instances: int) -> None
 
     for _ in range(instances):
         err = PauliOperator(n, mask(), mask())
-        hist = simulate(layout, circuit, [], 1, False, initial_error=err)
-        expected = ideal_syndrome(layout, err)
-        got = list(hist.x_anc_outcomes[0]) + list(hist.z_anc_outcomes[0])
-        if got != expected:
+        hist = simulate(layout, circuit, [], 1, initial_error=err)
+        # round 0 reads no syndrome, so round 1's events are its outcomes:
+        # X-stabilizers' (the Z lattice's) first, as the ideal syndrome
+        got = [0] * (circuit.n_x + circuit.n_z)
+        for offset, events in ((0, hist.z_lattice_events), (circuit.n_x, hist.x_lattice_events)):
+            for s, t in events:
+                got[offset + s] ^= t == 1
+        if got != ideal_syndrome(layout, err):
             bad += 1
     report.record(
         f"syndrome circuit equals ideal syndrome ({instances} errors)",

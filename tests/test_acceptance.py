@@ -138,7 +138,7 @@ def test_criterion_03_matcher_optimality():
     instances = mismatches = 0
     while instances < 1000:
         faults = sample_faults(circuit, params, 3, rng)
-        hist = simulate(layout, circuit, faults, 3, True)
+        hist = simulate(layout, circuit, faults, 3)
         for g, events in (
             (gx, hist.x_lattice_events),
             (gz, hist.z_lattice_events),
@@ -404,9 +404,9 @@ def test_criterion_09_linearity_and_monte_carlo_consistency():
     for _ in range(n_pairs):
         f1 = sample_faults(circuit, params, 3, rng)
         f2 = sample_faults(circuit, params, 3, rng)
-        h1 = simulate(layout, circuit, f1, 3, True)
-        h2 = simulate(layout, circuit, f2, 3, True)
-        h12 = simulate(layout, circuit, f1 + f2, 3, True)
+        h1 = simulate(layout, circuit, f1, 3)
+        h2 = simulate(layout, circuit, f2, 3)
+        h12 = simulate(layout, circuit, f1 + f2, 3)
         assert set(h12.x_lattice_events) == set(h1.x_lattice_events) ^ set(
             h2.x_lattice_events
         )
@@ -436,7 +436,7 @@ def test_criterion_09_linearity_and_monte_carlo_consistency():
         if len(faults) != 1:
             continue
         singles += 1
-        hist = simulate(layout, circuit, faults, 3, True)
+        hist = simulate(layout, circuit, faults, 3)
         counts[
             (
                 tuple(sorted(hist.x_lattice_events)),

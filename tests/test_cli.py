@@ -68,11 +68,17 @@ def test_byte_identical_reruns_with_threads(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+#: sha256 of the stdout of ``verify --instances 40``, recorded from the
+#: frame simulator that propagated every window through the circuit
+VERIFY_STDOUT_SHA256 = "3e2011d434fcd3d2b6ff6919b04547116c24c61059ecace3298730a03af1b9bc"
+
+
 def test_verify_passes_and_prints_conditional_count(tmp_path, capsys):
     rc = main(["verify", "--instances", "40"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "32/32 conditionals matched" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
 
 
 def test_enumerate_faults_type_a_count(tmp_path):

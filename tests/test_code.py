@@ -173,6 +173,16 @@ def test_ideal_syndrome_dimension_error(layout3):
         ideal_syndrome(layout3, PauliOperator.identity(5))
 
 
+def _round_one_outcomes(circuit, hist):
+    """Round 1's outcomes, X-stabilizers first: round 0 reads no syndrome,
+    so they are round 1's events."""
+    outcomes = [0] * (circuit.n_x + circuit.n_z)
+    for offset, events in ((0, hist.z_lattice_events), (circuit.n_x, hist.x_lattice_events)):
+        for s, t in events:
+            outcomes[offset + s] ^= t == 1
+    return outcomes
+
+
 def test_noiseless_round_reproduces_ideal_syndrome(layout3, circuit3):
     rng = np.random.default_rng(123)
     n = layout3.n_data
@@ -180,24 +190,26 @@ def test_noiseless_round_reproduces_ideal_syndrome(layout3, circuit3):
         err = PauliOperator(
             n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n))
         )
-        hist = simulate(layout3, circuit3, [], 1, False, initial_error=err)
-        got = list(hist.x_anc_outcomes[0]) + list(hist.z_anc_outcomes[0])
-        assert got == ideal_syndrome(layout3, err)
+        hist = simulate(layout3, circuit3, [], 1, initial_error=err)
+        assert _round_one_outcomes(circuit3, hist) == ideal_syndrome(layout3, err)
+        # a data error is read once: the perfect readout adds no event
+        assert all(t == 1 for _, t in hist.x_lattice_events + hist.z_lattice_events)
 
 
 def test_noiseless_round_zero_syndrome(layout5, circuit5):
-    hist = simulate(layout5, circuit5, [], 2, False)
+    hist = simulate(layout5, circuit5, [], 2)
     assert not hist.x_lattice_events and not hist.z_lattice_events
 
 
 def test_single_x_error_flags_adjacent_z_ancillas(layout3, circuit3):
     for q in range(layout3.n_data):
         err = PauliOperator.single(13, q, "X")
-        hist = simulate(layout3, circuit3, [], 1, False, initial_error=err)
+        hist = simulate(layout3, circuit3, [], 1, initial_error=err)
         n_x = len(layout3.x_stabilizers)
         expected = ideal_syndrome(layout3, err)[n_x:]
-        assert list(hist.z_anc_outcomes[0]) == expected
-        assert not hist.x_anc_outcomes[0].any()
+        outcomes = _round_one_outcomes(circuit3, hist)
+        assert outcomes[n_x:] == expected
+        assert not any(outcomes[:n_x])
 
 
 def test_layout_dump_schema(layout3, circuit3):

@@ -146,7 +146,7 @@ def test_single_fault_within_radius_never_fails(layout3, circuit3, layout5, circ
     # Theorem-2 regime: every single fault is corrected with a perfect final
     # round, by MWPM and by IRMWPM, on graphs weighted at both ends of the
     # threshold grid.  Windows read the single-fault table; at d=3 its
-    # events and residual are first checked against the frame simulator.
+    # events and residual are first checked against ``simulate``'s.
     from surfdec.noise import enumerate_single_faults, simulate
     from surfdec.matcher import events_to_nodes
     from surfdec.irmwpm import decode
@@ -164,7 +164,7 @@ def test_single_fault_within_radius_never_fails(layout3, circuit3, layout5, circ
             ev_z, z_mask = gz.window_events([row])
             residual = PauliOperator(layout.n_data, x_mask, z_mask)
             if L == 3:
-                hist = simulate(layout, circuit, [row], L, True)
+                hist = simulate(layout, circuit, [row], L)
                 assert ev_x == events_to_nodes(gx, hist.x_lattice_events)
                 assert ev_z == events_to_nodes(gz, hist.z_lattice_events)
                 assert residual == hist.residual
@@ -391,7 +391,7 @@ def test_memory_trial_direct(layout3):
 
 def _simulated_window(ctx, rng):
     """The memory window as it was before it read the single-fault table:
-    one frame simulation of the sampled faults, its events converted to
+    one ``simulate`` call on the sampled faults, its events converted to
     node ids.  Returns (residual after correction, trace)."""
     from surfdec.irmwpm import decode
     from surfdec.matcher import events_to_nodes
@@ -402,7 +402,7 @@ def _simulated_window(ctx, rng):
     faults = sample_faults(
         ctx.circuit, NoiseParams(cfg.p), cfg.rounds, rng, cfg.idle_noise
     )
-    hist = simulate(ctx.layout, ctx.circuit, faults, cfg.rounds, True)
+    hist = simulate(ctx.layout, ctx.circuit, faults, cfg.rounds)
     e_x, e_z, trace = decode(
         ctx.gx,
         ctx.gz,
@@ -431,7 +431,7 @@ def _simulated_window(ctx, rng):
 )
 def test_memory_trial_equals_the_simulated_window(cfg):
     # the single-fault table gives every window the events, residual and
-    # decode that frame simulation gives it
+    # decode that ``simulate`` gives it
     config = SimConfig(seed=4, **cfg)
     ctx = _build_context(config)
     for trial in range(config.trials):
@@ -507,6 +507,14 @@ def _parent_lifetime_trial(ctx, cc_pair, rng):
         prune_neighbors=cfg.prune_neighbors,
     )
 
+    def outcomes(events, n_stabs):
+        # each round's outcomes, the running XOR of its events: round 0,
+        # before the window's initial error, reads no syndrome
+        flips = np.zeros((T + 1, n_stabs), dtype=np.uint8)
+        for s, t in events:
+            flips[t - 1, s] ^= 1
+        return np.bitwise_xor.accumulate(flips, axis=0)
+
     def events(outcomes, reference):
         diffs = outcomes.copy()
         diffs[0] ^= reference
@@ -523,18 +531,20 @@ def _parent_lifetime_trial(ctx, cc_pair, rng):
     rounds = 0
     while rounds < cfg.lifetime_cap:
         faults = sample_faults(ctx.circuit, NoiseParams(cfg.p), T, rng, cfg.idle_noise)
-        hist = simulate(layout, ctx.circuit, faults, T, True, initial_error=residual)
+        hist = simulate(layout, ctx.circuit, faults, T, initial_error=residual)
         rounds += T
+        x_anc = outcomes(hist.z_lattice_events, n_x)
+        z_anc = outcomes(hist.x_lattice_events, n_z)
         e_x, e_z, _ = decode(
             ctx.gx, ctx.gz,
-            events_to_nodes(ctx.gx, events(hist.z_anc_outcomes, ref_z)),
-            events_to_nodes(ctx.gz, events(hist.x_anc_outcomes, ref_x)),
+            events_to_nodes(ctx.gx, events(z_anc, ref_z)),
+            events_to_nodes(ctx.gz, events(x_anc, ref_x)),
             layout, **kwargs,
         )
         residual = multiply(multiply(hist.residual, e_x), e_z)
         syn = ideal_syndrome(layout, multiply(e_x, e_z))
-        ref_x = hist.x_anc_outcomes[-1] ^ np.array(syn[:n_x], dtype=np.uint8)
-        ref_z = hist.z_anc_outcomes[-1] ^ np.array(syn[n_x:], dtype=np.uint8)
+        ref_x = x_anc[-1] ^ np.array(syn[:n_x], dtype=np.uint8)
+        ref_z = z_anc[-1] ^ np.array(syn[n_x:], dtype=np.uint8)
         if rounds % period == 0:
             syn_now = ideal_syndrome(layout, residual)
             ev_z = [gz_cc.node_id(i, 1) for i in range(n_x) if syn_now[i]]

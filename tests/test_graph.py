@@ -591,7 +591,7 @@ def _table_graphs(L, T, include_idle):
 )
 def test_window_events_equal_simulation(L, rounds, include_idle, p, seed, last_round):
     # a window's events and residual read from the single-fault table equal
-    # frame simulation's, order included; faults of round T put their later
+    # ``simulate``'s, order included; faults of round T put their later
     # events on the perfect layer T + 1, and p = 0 gives an empty window
     T = L if rounds == "d" else int(rounds)
     layout, circuit, gx, gz = _table_graphs(L, T, include_idle)
@@ -600,7 +600,7 @@ def test_window_events_equal_simulation(L, rounds, include_idle, p, seed, last_r
     )
     n = len(gx.fault_nodes)  # one round's faults, idles only with idle noise
     faults += [(int(u * n), T) for u in last_round]
-    hist = simulate(layout, circuit, faults, T, True)
+    hist = simulate(layout, circuit, faults, T)
     assert gx.window_events(faults) == (
         events_to_nodes(gx, hist.x_lattice_events), hist.residual.x_mask
     )
@@ -639,7 +639,7 @@ def test_window_from_an_initial_error_is_the_table_window_plus_the_error(L, incl
         else:
             with_syndrome += any(syndrome)
         faults = sample_faults(circuit, NoiseParams(0.02), T, rng, include_idle)
-        hist = simulate(layout, circuit, faults, T, True, initial_error=error)
+        hist = simulate(layout, circuit, faults, T, initial_error=error)
         for graph, events, mask, bits, error_mask in (
             (gx, hist.x_lattice_events, hist.residual.x_mask, syndrome[n_x:], x),
             (gz, hist.z_lattice_events, hist.residual.z_mask, syndrome[:n_x], z),

@@ -103,7 +103,7 @@ def test_single_x_error_irmwpm_equals_mwpm(layout3, circuit3, graphs3):
     gx, gz = graphs3
     for q in range(layout3.n_data):
         fault = fault_rows(circuit3, [FaultEvent(2, "idle", q, 0)])
-        hist = simulate(layout3, circuit3, fault, 3, True)
+        hist = simulate(layout3, circuit3, fault, 3)
         assert hist.z_lattice_events == ()
         ev_x = events_to_nodes(gx, hist.x_lattice_events)
         ex_i, ez_i, _ = decode(gx, gz, ev_x, [], layout3)
@@ -174,7 +174,7 @@ def test_consecutive_stops_a_period_two_cycle(layout5, circuit5):
         FaultEvent(4, "cnot", 137, 4),
         FaultEvent(5, "cnot", 129, 7),
     ])
-    hist = simulate(layout5, circuit5, faults, 5, True)
+    hist = simulate(layout5, circuit5, faults, 5)
     ev_x = events_to_nodes(gx, hist.x_lattice_events)
     ev_z = events_to_nodes(gz, hist.z_lattice_events)
     e_x, e_z, trace = decode(gx, gz, ev_x, ev_z, layout5, raise_on_violation=False)
@@ -269,7 +269,7 @@ def test_circuit_level_violations_are_recorded_not_raised(
     seen_violation = False
     for _ in range(60):
         faults = sample_faults(circuit5, params, 5, rng)
-        hist = simulate(layout5, circuit5, faults, 5, True)
+        hist = simulate(layout5, circuit5, faults, 5)
         ev_x = events_to_nodes(gx, hist.x_lattice_events)
         ev_z = events_to_nodes(gz, hist.z_lattice_events)
         try:
@@ -328,7 +328,7 @@ def test_decode_never_repeats_a_matching(monkeypatch, layout5, circuit5):
     for i in range(200):
         rng = np.random.default_rng([9, 5, i])
         faults = sample_faults(circuit5, params, 5, rng)
-        hist = simulate(layout5, circuit5, faults, 5, True)
+        hist = simulate(layout5, circuit5, faults, 5)
         calls.clear()
         _, _, trace = decode(
             gx,

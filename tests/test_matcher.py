@@ -647,7 +647,7 @@ def _random_instances(layout, circuit, graph, p, T, n, seed, max_events=8):
     made = 0
     while made < n:
         faults = sample_faults(circuit, params, T, rng)
-        hist = simulate(layout, circuit, faults, T, True)
+        hist = simulate(layout, circuit, faults, T)
         ev = events_to_nodes(graph, hist.x_lattice_events)
         if not ev or len(ev) > max_events:
             continue
@@ -746,7 +746,7 @@ def test_known_single_error_corrected(layout3, circuit3, graphs3):
     n_x = len(layout3.x_stabilizers)
     for q in range(layout3.n_data):
         fault = fault_rows(circuit3, [FaultEvent(2, "idle", q, 0)])
-        hist = simulate(layout3, circuit3, fault, 3, True)
+        hist = simulate(layout3, circuit3, fault, 3)
         ev = events_to_nodes(gx, hist.x_lattice_events)
         corr = matching_to_correction(gx, mwpm(gx, ev), layout3)
         prod = multiply(corr, PauliOperator(13, hist.residual.x_mask, 0))
@@ -856,7 +856,7 @@ def test_reweighted_paths_match_undirected_rebuild(layout5, circuit5):
     params = NoiseParams(0.005)
     checked = 0
     while checked < 40:
-        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5, True)
+        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5)
         ev_x = events_to_nodes(gx, hist.x_lattice_events)
         ev_z = events_to_nodes(gz, hist.z_lattice_events)
         if not ev_x or not ev_z:
@@ -881,7 +881,7 @@ def test_capped_memo_stops_growing(monkeypatch, layout5, circuit5):
     rng = np.random.default_rng(12)
     params = NoiseParams(0.005)
     for _ in range(60):
-        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5, True)
+        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5)
         for lattice, events in ((0, hist.x_lattice_events), (1, hist.z_lattice_events)):
             ev = events_to_nodes(capped[lattice], events)
             a = mwpm(uncapped[lattice], ev)
@@ -1020,7 +1020,7 @@ def test_mwpm_equals_networkx_beyond_brute_force(monkeypatch, layout5, circuit5)
     params = NoiseParams(0.01)
     checked = 0
     while checked < 30:
-        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5, True)
+        hist = simulate(layout5, circuit5, sample_faults(circuit5, params, 5, rng), 5)
         for g, events in ((gx, hist.x_lattice_events), (gz, hist.z_lattice_events)):
             ev = sorted(events_to_nodes(g, events))
             if len(ev) <= 10:

@@ -8,9 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import tableau
 from conftest import fault_rows
 from surfdec.code import build_layout, build_se_circuit, ideal_syndrome
 from surfdec.noise import (
@@ -20,7 +19,6 @@ from surfdec.noise import (
     InvalidNoiseError,
     NoiseParams,
     _faulty_locations,
-    _frame_plan,
     _round_model,
     _round_signatures,
     enumerate_single_faults,
@@ -201,6 +199,57 @@ def test_sampler_stream_is_pinned(L, p, include_idle):
     assert digest.hexdigest() == SAMPLER_STREAM_SHA256[L, include_idle]
 
 
+#: sha256 of ``repr`` of each window's (X events, Z events, residual X mask,
+#: residual Z mask) from ``simulate`` for windows i < 300 drawn from
+#: default_rng([31, L, i]), T = L, every third without an initial error and
+#: the others from a uniform random one drawn after the faults; recorded
+#: from the packed-integer frame simulator
+SIMULATE_SHA256 = {
+    (3, 0.005, True): "4c4d62251b190d1dd3dd3b092986764eb194e951d43fb8cab6627987c09819a9",
+    (3, 0.005, False): "123e5565ab7b332238fd0418bc3fc70d7b01ce1150ef73dc88c1af90ec561f34",
+    (3, 0.02, True): "b9dbc8687eebdbb7a99961d493a81eae5ce6cad88d53f0471fa4670540e52715",
+    (3, 0.02, False): "6a42c1e51b117688d039e1bb9e44000bdd5a00c2182a083ef470ce05edf8022f",
+    (5, 0.005, True): "a901296d7876562574c0b53b7454780cd7ce198af81afbceb00608ffbaacec48",
+    (5, 0.005, False): "c66a319c2a603444bba48a6535629fc0c2e17f2e0a73e3ed13073b4f54fc3ad3",
+    (5, 0.02, True): "c8417b110bdfaf457a10f534358baf66489a2b4a437a41070e23c968bbb5cb0b",
+    (5, 0.02, False): "ba03a45e4578819edc4e704eba15ff2af1ebdb8d7219b0d20c085046788e7ac4",
+    (7, 0.005, True): "d0a8dee65bf50baf237d5351f2d88ecf3aea8f4beba24b7b8253fa87f7cc9435",
+    (7, 0.005, False): "acec2056806091743a8bb596eadf80d18f9e9460ae30763c32ac6ebed8cd904b",
+    (7, 0.02, True): "e31191cc304d15aa4a4a572db1c4e2c5a614557a530ea01c8471d0a6556770a1",
+    (7, 0.02, False): "1cbd2d19d6841bb7d2c049fac434740f9b84373db05d1fcf6c3b268ec691c6ab",
+}
+
+
+@pytest.mark.parametrize("L", [3, 5, 7])
+@pytest.mark.parametrize("p", [0.005, 0.02])
+@pytest.mark.parametrize("include_idle", [True, False])
+def test_simulate_is_pinned(L, p, include_idle):
+    # lifetime windows, the benchmark's latency windows and ``verify`` read
+    # ``simulate``: its events and residuals must not change
+    layout = build_layout(L)
+    circuit = build_se_circuit(layout)
+    n = layout.n_data
+    digest = hashlib.sha256()
+    for i in range(300):
+        rng = np.random.default_rng([31, L, i])
+        faults = sample_faults(circuit, NoiseParams(p), L, rng, include_idle)
+        error = None
+        if i % 3:
+            x, z = (
+                int.from_bytes(rng.bytes(-(-n // 8)), "little") & ((1 << n) - 1)
+                for _ in range(2)
+            )
+            error = PauliOperator(n, x, z)
+        hist = simulate(layout, circuit, faults, L, initial_error=error)
+        residual = hist.residual
+        digest.update(
+            repr(
+                (hist.x_lattice_events, hist.z_lattice_events, residual.x_mask, residual.z_mask)
+            ).encode()
+        )
+    assert digest.hexdigest() == SIMULATE_SHA256[L, p, include_idle]
+
+
 def test_equal_generators_give_equal_faults(circuit3):
     for seed in range(50):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -264,7 +313,7 @@ def test_tiny_rates_sample_faults_inside_the_window(circuit3, p):
 
 
 def test_no_faults_no_events(layout3, circuit3):
-    hist = simulate(layout3, circuit3, [], 4, True)
+    hist = simulate(layout3, circuit3, [], 4)
     assert hist.x_lattice_events == ()
     assert hist.z_lattice_events == ()
     assert hist.residual.is_identity
@@ -274,7 +323,7 @@ def test_measurement_flip_makes_temporal_pair(layout3, circuit3):
     t = 2
     for kind, idx in (("meas_z", 3), ("meas_x", 2)):
         fault = fault_rows(circuit3, [FaultEvent(t, kind, idx)])
-        hist = simulate(layout3, circuit3, fault, 4, True)
+        hist = simulate(layout3, circuit3, fault, 4)
         events = (
             hist.x_lattice_events if kind == "meas_z" else hist.z_lattice_events
         )
@@ -291,7 +340,7 @@ def test_idle_y_fault_pairs_match_ideal_syndrome(layout3, circuit3):
     # both lattices from round 3 on, at the stabilizers of its syndrome
     q = layout3.data_index[(2, 2)]
     fault = fault_rows(circuit3, [FaultEvent(2, "idle", q, 1)])
-    hist = simulate(layout3, circuit3, fault, 4, True)
+    hist = simulate(layout3, circuit3, fault, 4)
     syn = ideal_syndrome(layout3, PauliOperator.single(13, q, "Y"))
     n_x = len(layout3.x_stabilizers)
     expect_z_lattice = tuple(
@@ -305,34 +354,6 @@ def test_idle_y_fault_pairs_match_ideal_syndrome(layout3, circuit3):
     assert hist.residual == PauliOperator.single(13, q, "Y")
 
 
-@pytest.mark.parametrize("L", range(3, 10))
-def test_frame_plan_reproduces_every_cnot(L):
-    # each layer's one shift and two ancilla masks give back exactly the
-    # layer's (control, target) pairs, as global qubit indices
-    layout = build_layout(L)
-    circuit = build_se_circuit(layout)
-    plan = _frame_plan(circuit)
-    n_data = layout.n_data
-    qubit = {b: n_data + i for i, b in enumerate(plan.x_cols.tolist())}
-    qubit.update({b: n_data + circuit.n_x + i for i, b in enumerate(plan.z_cols.tolist())})
-    assert len(qubit) == circuit.n_x + circuit.n_z
-    assert len(plan.layers) == len(circuit.cnot_layers)
-    for (shift, x_ctl, z_tgt), (cs, ts) in zip(plan.layers, circuit.cnot_layers):
-        pairs = [(qubit[b], b - shift) for b in qubit if x_ctl >> b & 1]
-        pairs += [(b - shift, qubit[b]) for b in qubit if z_tgt >> b & 1]
-        assert sorted(pairs) == sorted(zip(cs.tolist(), ts.tolist()))
-        assert (x_ctl | z_tgt) & ~sum(1 << b for b in qubit) == 0
-
-
-def test_frame_plan_is_built_once_per_distance():
-    # ``simulate`` reads its plan off the circuit it is handed: built from
-    # the first circuit of each distance and shared by the later ones
-    a, b = (build_se_circuit(build_layout(5)) for _ in range(2))
-    assert a is not b
-    assert _frame_plan(a) is _frame_plan(b)
-    assert _frame_plan(a) is not _frame_plan(build_se_circuit(build_layout(3)))
-
-
 def test_a_fault_listed_twice_cancels(layout3, circuit3, graphs3):
     # frames are linear over GF(2): a (row, round) pair that a window lists
     # twice leaves no trace, in ``simulate`` and in the table alike
@@ -340,14 +361,12 @@ def test_a_fault_listed_twice_cancels(layout3, circuit3, graphs3):
     once = [(5, 1), (last, 3)]
     twice = [(5, 1), (100, 2), (last, 3), (100, 2)]
     h1, h2, h3 = (
-        simulate(layout3, circuit3, f, 3, True) for f in (once, twice, [(100, 2)])
+        simulate(layout3, circuit3, f, 3) for f in (once, twice, [(100, 2)])
     )
     assert h3.x_lattice_events + h3.z_lattice_events  # the repeated fault is seen
     assert (h2.x_lattice_events, h2.z_lattice_events, h2.residual) == (
         h1.x_lattice_events, h1.z_lattice_events, h1.residual
     )
-    assert np.array_equal(h2.x_anc_outcomes, h1.x_anc_outcomes)
-    assert np.array_equal(h2.z_anc_outcomes, h1.z_anc_outcomes)
     for graph in graphs3:
         assert graph.window_events(twice) == graph.window_events(once)
 
@@ -357,7 +376,7 @@ def test_invalid_fault_location(layout3, circuit3):
     # either end must not wrap round to another fault's row (row -1 would
     # read the last idle Pauli's masks)
     rows = len(_round_model(circuit3).kind)
-    simulate(layout3, circuit3, [(0, 1), (rows - 1, 2)], 2, True)  # both ends are in
+    simulate(layout3, circuit3, [(0, 1), (rows - 1, 2)], 2)  # both ends are in
     for fault, match in (
         ((-1, 1), "row -1"),
         ((rows, 1), f"row {rows}"),
@@ -365,7 +384,7 @@ def test_invalid_fault_location(layout3, circuit3):
         ((0, 3), "round 3"),
     ):
         with pytest.raises(InvalidFaultError, match=match):
-            simulate(layout3, circuit3, [fault], 2, True)
+            simulate(layout3, circuit3, [fault], 2)
 
 
 @pytest.mark.parametrize("L", [3, 5, 7])
@@ -430,9 +449,9 @@ def test_linearity_over_fault_pairs(layout3, circuit3):
     for _ in range(300):
         f1 = sample_faults(circuit3, params, 3, rng)
         f2 = sample_faults(circuit3, params, 3, rng)
-        h1 = simulate(layout3, circuit3, f1, 3, True)
-        h2 = simulate(layout3, circuit3, f2, 3, True)
-        h12 = simulate(layout3, circuit3, f1 + f2, 3, True)
+        h1 = simulate(layout3, circuit3, f1, 3)
+        h2 = simulate(layout3, circuit3, f2, 3)
+        h12 = simulate(layout3, circuit3, f1 + f2, 3)
         x1, z1 = _events_sets(h1)
         x2, z2 = _events_sets(h2)
         x12, z12 = _events_sets(h12)
@@ -508,7 +527,7 @@ def test_idle_noise_off_runs_clean(layout3, circuit3):
     rng = np.random.default_rng(5)
     faults = sample_faults(circuit3, NoiseParams(0.1), 3, rng, include_idle=False)
     assert all(f.kind != "idle" for f in _readable(circuit3, faults))
-    simulate(layout3, circuit3, faults, 3, True)
+    simulate(layout3, circuit3, faults, 3)
 
     def locations(include_idle):
         faults = enumerate_single_faults(circuit3, 1, include_idle).faults()
@@ -538,7 +557,7 @@ def test_monte_carlo_single_fault_signatures(layout3, circuit3):
         if len(faults) != 1:
             continue
         singles += 1
-        hist = simulate(layout3, circuit3, faults, T, True)
+        hist = simulate(layout3, circuit3, faults, T)
         counts[
             (tuple(sorted(hist.x_lattice_events)), tuple(sorted(hist.z_lattice_events)))
         ] += 1
@@ -552,22 +571,32 @@ def test_monte_carlo_single_fault_signatures(layout3, circuit3):
         assert abs(counts[sig] - expect) <= 3 * sigma, (sig, counts[sig], expect)
 
 
+def _logical_action(layout, x_mask, z_mask):
+    """Whether a residual error anticommutes with X_L and with Z_L."""
+    return (
+        (z_mask & layout.logical_x.x_mask).bit_count() % 2 == 1,
+        (x_mask & layout.logical_z.z_mask).bit_count() % 2 == 1,
+    )
+
+
 @pytest.mark.parametrize("include_idle", [True, False])
 @pytest.mark.parametrize("L, T", [(3, 1), (3, 3), (5, 1), (5, 3), (7, 1)])
 def test_enumeration_equals_per_fault_simulation(L, T, include_idle):
-    # the one-round propagation shifted in time, row for row, against one
-    # simulate call per fault; at L = 7 the round's 5,019 faults (4,764
-    # without idles) fill one block of packed columns and part of a second,
-    # whose last word is partial
+    # every single fault of the window, row for row, against the stabilizer
+    # tableau run with that fault alone (``tableau``, which shares no code
+    # with the library's propagation): its events on both lattices and the
+    # logical action of its residual.  At L = 7 the round's 5,019 faults
+    # (4,764 without idles) fill one block of packed columns and part of a
+    # second, whose last word is partial
     layout = build_layout(L)
     circuit = build_se_circuit(layout)
     table = enumerate_single_faults(circuit, T, include_idle)
-    faults = fault_rows(circuit, table.faults())
-    simulated = [simulate(layout, circuit, [f], T, True) for f in faults]
-    assert table.x_events == [tuple(sorted(h.x_lattice_events)) for h in simulated]
-    assert table.z_events == [tuple(sorted(h.z_lattice_events)) for h in simulated]
-    assert table.x_residual == [h.residual.x_mask for h in simulated]
-    assert table.z_residual == [h.residual.z_mask for h in simulated]
+    faults = table.faults()
+    got = tableau.run(circuit, [[f] for f in faults], T)
+    columns = (table.x_events, table.z_events, table.x_residual, table.z_residual)
+    want = [(x, z, *_logical_action(layout, xr, zr)) for x, z, xr, zr in zip(*columns)]
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, (len(bad), faults[bad[0]], got[bad[0]], want[bad[0]])
 
 
 def test_round_propagation_memory_does_not_grow_with_dense_frames():
@@ -575,10 +604,11 @@ def test_round_propagation_memory_does_not_grow_with_dense_frames():
     # bit-packed ones at 8.0 MB, 3.3 MB of it the returned lists; frames or
     # injection tables that grow with the fault count break the bound
     circuit = build_se_circuit(build_layout(13))
-    _round_signatures(circuit, True)  # numpy's first-call set-up stays out
+    # the propagation itself, not the per-distance table that keeps its result
+    _round_signatures(circuit)  # numpy's first-call set-up stays out
     tracemalloc.start()
     try:
-        _round_signatures(circuit, True)
+        _round_signatures(circuit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -593,26 +623,42 @@ def _enumeration(L, T, include_idle):
     return layout, circuit, table, fault_rows(circuit, table.faults())
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    L=st.sampled_from([3, 5]),
-    T=st.integers(1, 4),
-    include_idle=st.booleans(),
-    picks=st.lists(st.floats(0, 1, exclude_max=True), max_size=8),
-)
-def test_simulation_is_sum_of_enumerated_signatures(L, T, include_idle, picks):
-    # frames are linear: any fault set's events are the symmetric difference
-    # of its faults' enumerated signatures, its residual their product
-    layout, circuit, table, faults = _enumeration(L, T, include_idle)
-    chosen = sorted({int(u * len(table)) for u in picks})  # each row at most once
-    hist = simulate(layout, circuit, [faults[i] for i in chosen], T, True)
-    x, z = set(), set()
-    residual = PauliOperator.identity(layout.n_data)
-    for i in chosen:
-        x ^= set(table.x_events[i])
-        z ^= set(table.z_events[i])
-        error = PauliOperator(layout.n_data, table.x_residual[i], table.z_residual[i])
-        residual = multiply(residual, error)
-    assert set(hist.x_lattice_events) == x
-    assert set(hist.z_lattice_events) == z
-    assert hist.residual == residual
+def test_simulation_is_sum_of_enumerated_signatures():
+    # random windows of up to 8 distinct faults at L = 3 and 5, T = 1..4,
+    # every other one from a random data error, as shots of the stabilizer
+    # tableau: their events and logical action equal ``simulate``'s and,
+    # without an initial error, the symmetric difference of the faults'
+    # enumerated signatures and the product of their residuals
+    for L in (3, 5):
+        for T in range(1, 5):
+            layout, circuit, table, rows = _enumeration(L, T, True)
+            faults = table.faults()
+            n = layout.n_data
+            rng = np.random.default_rng([L, T])
+            windows, errors = [], []
+            for i in range(60):
+                picks = rng.integers(0, len(table), int(rng.integers(0, 9)))
+                windows.append(sorted(set(picks.tolist())))
+                masks = (int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) for _ in "xz")
+                errors.append(tuple(masks) if i % 2 else (0, 0))
+            got = tableau.run(circuit, [[faults[i] for i in w] for w in windows], T, errors)
+            for chosen, error, shot in zip(windows, errors, got):
+                hist = simulate(
+                    layout, circuit, [rows[i] for i in chosen], T,
+                    initial_error=PauliOperator(n, *error),
+                )
+                residual = hist.residual
+                assert shot == (
+                    tuple(sorted(hist.x_lattice_events)),
+                    tuple(sorted(hist.z_lattice_events)),
+                    *_logical_action(layout, residual.x_mask, residual.z_mask),
+                )
+                if error != (0, 0):
+                    continue
+                x, z, xr, zr = set(), set(), 0, 0
+                for i in chosen:
+                    x ^= set(table.x_events[i])
+                    z ^= set(table.z_events[i])
+                    xr ^= table.x_residual[i]
+                    zr ^= table.z_residual[i]
+                assert shot == (tuple(sorted(x)), tuple(sorted(z)), *_logical_action(layout, xr, zr))
